@@ -193,6 +193,7 @@ class PhiResult:
     lambda_star: float
     mu_star: float
     energy_check: float  # lambda*dmu/dlambda - mu at the minimizer; should equal z
+    deficit: float  # 1 - phi, to full relative precision where phi rounds to 1
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -262,6 +263,7 @@ def phi(z: float) -> PhiResult:
         lambda_star=float(0.5 * _first_zero_any(mu_star - 1.0)),
         mu_star=float(mu_star),
         energy_check=float(_energy(mu_star)),
+        deficit=float(-neg_deficit(mu_star)),
     )
 
 

@@ -36,35 +36,102 @@ class MembershipVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Program assembly for a qubit target on the d-level ladder battery
+# Program assembly on the joint energy sectors of target and battery
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _LadderProgram:
+class _SectorProgram:
     problem: sdp.BlockSdp
-    d: int
     n_out: int
-    blocks: list[list[int]]  # blocks[k][x]
-    p_vars: list[int] | None
-    tail_var: int | None
-    t_var: int | None
-    sector_rows: list[list[int]]  # target index of each sector basis row
+    dim: int  # target dimension
+    blocks: list[list[int]]  # blocks[s][x]
+    sector_rows: list[list[int]]  # target level of each sector row
+    p_vars: list[int] | None  # battery populations; None when they are fixed
+    tail_var: int | None = None  # the ladder's aggregated outer tail
 
 
-def _sector_rows_ladder(d: int, outer: bool) -> list[list[int]]:
-    rows = []
-    for k in range(d + 1):
-        if k == 0:
-            rows.append([0])
-        elif k == d and not outer:
-            rows.append([1])
-        else:
-            rows.append([0, 1])
-    return rows
+def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int, *,
+                      energy_cap: float | None = None,
+                      q_fixed: np.ndarray | None = None,
+                      slack: bool = True,
+                      objective: list[np.ndarray] | None = None) -> _SectorProgram:
+    """One PSD block per sector and outcome, tied to the target.
+
+    A sector is (rows, feeds): the target level of each of its rows and the
+    battery populations feeding that row, so that sum_x B^s_x is the
+    diagonal of the fed populations. The target's elements are the sums of
+    the blocks placed on their rows. Population n has energy n gaps, which
+    is what the energy cap counts (it is used by the ladder only).
+    """
+    p = sdp.BlockSdp()
+    blocks = [[p.add_block(len(rows), f"B[{s}][{x}]") for x in range(n_out)]
+              for s, (rows, _) in enumerate(sectors)]
+    p_vars = None if q_fixed is not None else [p.add_scalar(f"p{n}") for n in range(n_pop)]
+
+    for s, (rows, feeds) in enumerate(sectors):
+        k = len(rows)
+        fed = np.zeros((k, k))
+        weights: dict[int, np.ndarray] = {}
+        for i, pops in enumerate(feeds):
+            for n in pops:
+                if q_fixed is not None:
+                    fed[i, i] += q_fixed[n]
+                else:
+                    weights.setdefault(n, np.zeros((k, k)))[i, i] -= 1.0
+        terms = [(b, None, 1.0) for b in blocks[s]]
+        terms += [(p_vars[n], w) for n, w in weights.items()]
+        p.add_matrix_equality(terms, fed)
+
+    if p_vars is not None:
+        p.add_equality({v: 1.0 for v in p_vars}, 1.0)
+        if energy_cap is not None:
+            p.add_inequality({v: float(n) for n, v in enumerate(p_vars) if n > 0},
+                             float(energy_cap))
+
+    if m is not None:
+        eye = np.eye(dim)
+        if slack:
+            t = p.add_scalar("t")
+            us = [p.add_block(dim, f"U{x}") for x in range(n_out)]
+            vs = [p.add_block(dim, f"V{x}") for x in range(n_out)]
+            p.set_objective({t: -1.0})
+        for x in range(n_out):
+            placed = [(blocks[s][x], rows, 1.0) for s, (rows, _) in enumerate(sectors)]
+            if slack:
+                # -t I <= sum of blocks - M_x <= t I through U_x, V_x >= 0
+                p.add_matrix_equality(placed + [(us[x], None, 1.0), (t, -eye)],
+                                      m.elements[x])
+                p.add_matrix_equality(placed + [(vs[x], None, -1.0), (t, eye)],
+                                      m.elements[x])
+            else:
+                p.add_matrix_equality(placed, m.elements[x])
+    elif objective is not None:
+        if len(objective) != n_out:
+            raise ValueError("objective needs one Hermitian matrix per outcome")
+        obj = {}
+        for x, vx in enumerate(objective):
+            vx = np.asarray(vx, dtype=complex)
+            for s, (rows, _) in enumerate(sectors):
+                sub = vx[np.ix_(rows, rows)]
+                if np.max(np.abs(sub)) > 0:
+                    obj[blocks[s][x]] = sub
+        p.set_objective(obj)
+
+    return _SectorProgram(problem=p, n_out=n_out, dim=dim, blocks=blocks,
+                          sector_rows=[rows for rows, _ in sectors],
+                          p_vars=p_vars)
 
 
-def _restrict(e: np.ndarray, rows: list[int]) -> np.ndarray:
-    return np.array([[e[a, b] for b in rows] for a in rows], dtype=complex)
+def _ladder_sectors(d: int, outer: bool) -> list:
+    """Sector k couples target level 0 with battery level k and target level 1
+    with battery level k-1; the chain ends are rank one. The outer
+    relaxation keeps a rank-two top sector: the tail population d feeds
+    both of its rows, and level d-1 feeds row 1 as well.
+    """
+    sectors = [([0], [[0]])]
+    sectors += [([0, 1], [[k], [k - 1]]) for k in range(1, d)]
+    sectors.append(([0, 1], [[d], [d - 1, d]]) if outer else ([1], [[d - 1]]))
+    return sectors
 
 
 def _assemble_ladder(
@@ -77,14 +144,9 @@ def _assemble_ladder(
     q_fixed: np.ndarray | None = None,
     slack: bool = True,
     objective: list[np.ndarray] | None = None,
-) -> _LadderProgram:
-    """Shared builder for the finite / inner / outer / fixed-weight programs.
-
-    Sector k of the ladder couples target level 0 with battery level k and
-    target level 1 with battery level k-1; the chain ends are rank one. The
-    outer relaxation keeps a rank-two top sector fed by the aggregated tail
-    weight variable.
-    """
+) -> _SectorProgram:
+    """The finite / inner / outer / fixed-weight programs of a qubit target
+    on the d-level ladder battery."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if m is not None:
@@ -95,140 +157,41 @@ def _assemble_ladder(
         raise ValueError("need an outcome count")
     if outer and d < 2:
         raise ValueError("the outer relaxation needs d >= 2")
-
-    p = sdp.BlockSdp()
-    rows = _sector_rows_ladder(d, outer)
-    blocks = [[p.add_block(len(rows[k]), f"B[{k}][{x}]") for x in range(n_out)]
-              for k in range(d + 1)]
-    if q_fixed is None:
-        p_vars = [p.add_scalar(f"p{k}") for k in range(d)]
-    else:
+    if q_fixed is not None:
         q_fixed = np.asarray(q_fixed, dtype=float)
         if q_fixed.size != d or np.any(q_fixed < 0):
             raise ValueError("fixed energy distribution must be d nonnegative weights")
         if abs(q_fixed.sum() - 1.0) > 1e-9:
             raise ValueError("fixed energy distribution must sum to 1")
-        p_vars = None
-    tail = p.add_scalar("tail") if outer else None
-
-    basis2 = sdp.hermitian_basis(2)
-
-    # per-sector completeness: sum_x B^k_x = diag(weight_k, weight_{k-1})
-    for k in range(d + 1):
-        dim_k = len(rows[k])
-        for e in sdp.hermitian_basis(dim_k):
-            coeffs = {blocks[k][x]: e for x in range(n_out)}
-            rhs = 0.0
-            diag = np.real(np.diag(e))
-            for i, a in enumerate(rows[k]):
-                w = k if a == 0 else k - 1  # battery level feeding this row
-                if diag[i] == 0.0:
-                    continue
-                if outer and k == d:
-                    # top sector holds diag(P_d, P_d + p_{d-1})
-                    if a == 0:
-                        _add_weight(coeffs, tail, -diag[i])
-                    else:
-                        _add_weight(coeffs, tail, -diag[i])
-                        rhs += _weight_term(coeffs, p_vars, q_fixed, d - 1, diag[i])
-                else:
-                    if 0 <= w <= d - 1:
-                        rhs += _weight_term(coeffs, p_vars, q_fixed, w, diag[i])
-            p.add_equality(coeffs, rhs)
-
-    # normalization of the energy distribution
-    if q_fixed is None:
-        coeffs = {pv: 1.0 for pv in p_vars}
         if outer:
-            coeffs[tail] = 1.0
-        p.add_equality(coeffs, 1.0)
-    elif outer:
-        raise ValueError("fixed distributions are only supported for the inner form")
-
-    # mean-energy cap in units of the gap
-    if energy_cap is not None:
-        if q_fixed is not None:
+            raise ValueError("fixed distributions are only supported for the inner form")
+        if energy_cap is not None:
             raise ValueError("energy cap with a fixed distribution is redundant")
-        coeffs = {p_vars[k]: float(k) for k in range(1, d)}
-        if outer:
-            coeffs[tail] = float(d)
-        p.add_inequality(coeffs, float(energy_cap))
 
-    t_var = None
-    if m is not None and slack:
-        t_var = p.add_scalar("t")
-        us = [p.add_block(2, f"U{x}") for x in range(n_out)]
-        vs = [p.add_block(2, f"V{x}") for x in range(n_out)]
-        eye2 = np.eye(2, dtype=complex)
-        for x in range(n_out):
-            mx = m.elements[x]
-            for e in basis2:
-                te = float(np.trace(e @ eye2).real)
-                rhs = float(np.trace(e @ mx).real)
-                coeffs = {blocks[k][x]: _restrict(e, rows[k]) for k in range(d + 1)}
-                coeffs = {b: c for b, c in coeffs.items() if np.max(np.abs(c)) > 0}
-                cu = dict(coeffs)
-                cu[us[x]] = e
-                if te != 0.0:
-                    cu[t_var] = -te
-                p.add_equality(cu, rhs)
-                cv = dict(coeffs)
-                cv[vs[x]] = -e
-                if te != 0.0:
-                    cv[t_var] = te
-                p.add_equality(cv, rhs)
-        p.set_objective({t_var: -1.0})
-    elif m is not None:
-        # raw feasibility form: the decomposition must reproduce M exactly
-        for x in range(n_out):
-            mx = m.elements[x]
-            for e in basis2:
-                rhs = float(np.trace(e @ mx).real)
-                coeffs = {blocks[k][x]: _restrict(e, rows[k]) for k in range(d + 1)}
-                coeffs = {b: c for b, c in coeffs.items() if np.max(np.abs(c)) > 0}
-                p.add_equality(coeffs, rhs)
-    elif objective is not None:
-        if len(objective) != n_out:
-            raise ValueError("objective needs one Hermitian matrix per outcome")
-        obj = {}
-        for x, vx in enumerate(objective):
-            vx = np.asarray(vx, dtype=complex)
-            for k in range(d + 1):
-                sub = _restrict(vx, rows[k])
-                if np.max(np.abs(sub)) > 0:
-                    obj[blocks[k][x]] = sub
-        p.set_objective(obj)
-
-    return _LadderProgram(problem=p, d=d, n_out=n_out, blocks=blocks,
-                          p_vars=p_vars, tail_var=tail, t_var=t_var,
-                          sector_rows=rows)
+    prog = _assemble_sectors(m, n_out, 2, _ladder_sectors(d, outer), d + outer,
+                             energy_cap=energy_cap, q_fixed=q_fixed, slack=slack,
+                             objective=objective)
+    if outer:
+        prog.tail_var = prog.p_vars.pop()
+    return prog
 
 
-def _weight_term(coeffs, p_vars, q_fixed, w, diag_coeff) -> float:
-    """Move weight w's contribution to the variable side or return it as rhs."""
-    if q_fixed is not None:
-        return float(diag_coeff * q_fixed[w])
-    _add_weight(coeffs, p_vars[w], -diag_coeff)
-    return 0.0
+def _assemble_multilevel(m: Povm, target_levels, battery_levels) -> _SectorProgram:
+    """The slack program on the joint eigenspaces of the two spectra."""
+    joint = joint_eigenspaces(target_levels, battery_levels)
+    if m.dim != len(joint.target_levels):
+        raise ValueError("POVM dimension must match the target spectrum")
+    sectors = [([mi for mi, _ in sec.pairs], [[n] for _, n in sec.pairs])
+               for sec in joint.sectors]
+    return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(joint.battery_levels))
 
 
-def _add_weight(coeffs, var, value) -> None:
-    if var in coeffs:
-        coeffs[var] = coeffs[var] + value * np.eye(1)
-    else:
-        coeffs[var] = value * np.eye(1)
-
-
-def _reconstruct(prog: _LadderProgram, sol: sdp.SdpSolution) -> list[np.ndarray]:
+def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]:
     out = []
     for x in range(prog.n_out):
-        mx = np.zeros((2, 2), dtype=complex)
-        for k in range(prog.d + 1):
-            rows = prog.sector_rows[k]
-            sub = sol.block(prog.blocks[k][x])
-            for i, a in enumerate(rows):
-                for j, b in enumerate(rows):
-                    mx[a, b] += sub[i, j]
+        mx = np.zeros((prog.dim, prog.dim), dtype=complex)
+        for rows, blk in zip(prog.sector_rows, prog.blocks):
+            mx[np.ix_(rows, rows)] += sol.block(blk[x])
         out.append(mx)
     return out
 
@@ -253,12 +216,9 @@ def _solve_slack(prog, feas_tol: float, gap_tol: float):
     raise RuntimeError(f"membership program did not converge: {sol.status}")
 
 
-def _member_certificate(prog: _LadderProgram, sol: sdp.SdpSolution) -> dict:
+def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
     cert = {
-        "blocks": {
-            k: [sol.block(prog.blocks[k][x]) for x in range(prog.n_out)]
-            for k in range(prog.d + 1)
-        },
+        "blocks": {s: [sol.block(b) for b in per_x] for s, per_x in enumerate(prog.blocks)},
         "reconstruction": _reconstruct(prog, sol),
     }
     if prog.p_vars is not None:
@@ -268,21 +228,18 @@ def _member_certificate(prog: _LadderProgram, sol: sdp.SdpSolution) -> dict:
     return cert
 
 
-def _farkas_certificate(prog: _LadderProgram, sol: sdp.SdpSolution, slack: float) -> dict:
-    comp = prog.problem.compile()
-    y = sol.y
-    aty = sdp._apply_at(comp.a_list, comp.dims, y)
-    # dual feasibility of the slack program: A*(y) - C >= 0 blockwise
-    cmats = comp.c
-    min_eig = min(
-        float(np.linalg.eigvalsh(aty[b] - cmats[b])[0]) for b in range(len(comp.dims))
-    )
-    return {
-        "dual": y.copy(),
-        "dual_min_eig": min_eig,
-        "dual_objective": float(np.dot(comp.b, y)),
-        "margin": slack,
-    }
+def _farkas_certificate(prog: _SectorProgram, sol: sdp.SdpSolution, slack: float) -> dict:
+    min_eig, b_dot_y = prog.problem.compile().dual_check(sol.y)
+    return {"dual": sol.y.copy(), "dual_min_eig": min_eig,
+            "dual_objective": b_dot_y, "margin": slack}
+
+
+def _verdict(prog: _SectorProgram, slack: float, sol: sdp.SdpSolution,
+             member_tol: float, gap_bound: float | None = None) -> MembershipVerdict:
+    if slack <= member_tol:
+        return MembershipVerdict("member", slack, _member_certificate(prog, sol), gap_bound)
+    return MembershipVerdict("non_member", slack, _farkas_certificate(prog, sol, slack),
+                             gap_bound)
 
 
 def verify_member_certificate(m: Povm, cert: dict, tol: float = MEMBER_TOL) -> bool:
@@ -307,16 +264,10 @@ def verify_nonmember_certificate(m: Povm, cert: dict, builder, tol: float = 1e-7
     strictly negative; weak duality then bounds every decomposition's
     residual away from zero.
     """
-    prog = builder()
-    comp = prog.problem.compile()
-    y = np.asarray(cert["dual"], dtype=float)
-    if y.size != len(comp.a_list):
+    try:
+        min_eig, b_dot_y = builder().problem.compile().dual_check(cert["dual"])
+    except sdp.SdpError:
         return False
-    aty = sdp._apply_at(comp.a_list, comp.dims, y)
-    min_eig = min(
-        float(np.linalg.eigvalsh(aty[b] - comp.c[b])[0]) for b in range(len(comp.dims))
-    )
-    b_dot_y = float(np.dot(comp.b, y))
     return min_eig >= -tol and b_dot_y < -max(tol, 0.5 * cert["margin"])
 
 
@@ -336,12 +287,7 @@ def membership_finite(m: Povm, d: int,
     """Decide whether a qubit POVM is reachable with a d-level battery."""
     prog = _assemble_ladder(m, d, slack=True)
     slack, sol = _solve_slack(prog, feas_tol, gap_tol)
-    if slack <= member_tol:
-        return MembershipVerdict(
-            verdict="member", slack=slack, certificate=_member_certificate(prog, sol))
-    return MembershipVerdict(
-        verdict="non_member", slack=slack,
-        certificate=_farkas_certificate(prog, sol, slack))
+    return _verdict(prog, slack, sol, member_tol)
 
 
 def optimize_finite(v: list[np.ndarray], d: int,
@@ -378,17 +324,11 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int,
     inner = _assemble_ladder(m, d, energy_cap=z, slack=True)
     s_in, sol_in = _solve_slack(inner, feas_tol, gap_tol)
     if s_in <= member_tol:
-        return MembershipVerdict(
-            verdict="member", slack=s_in,
-            certificate=_member_certificate(inner, sol_in),
-            gap_bound=z / (d - 1))
+        return _verdict(inner, s_in, sol_in, member_tol, z / (d - 1))
     outer = _assemble_ladder(m, d, outer=True, energy_cap=z, slack=True)
     s_out, sol_out = _solve_slack(outer, feas_tol, gap_tol)
     if s_out > member_tol:
-        return MembershipVerdict(
-            verdict="non_member", slack=s_out,
-            certificate=_farkas_certificate(outer, sol_out, s_out),
-            gap_bound=z / (d - 1))
+        return _verdict(outer, s_out, sol_out, member_tol, z / (d - 1))
     return MembershipVerdict(
         verdict="undecided", slack=s_in,
         certificate={
@@ -434,9 +374,8 @@ def fixed_distribution_feasible(m: Povm, q, member_tol: float = MEMBER_TOL,
     d = q.size
     prog = _assemble_ladder(m, d, q_fixed=q, slack=True)
     slack, sol = _solve_slack(prog, feas_tol, gap_tol)
-    if slack <= member_tol:
-        return True, slack, _member_certificate(prog, sol)
-    return False, slack, _farkas_certificate(prog, sol, slack)
+    v = _verdict(prog, slack, sol, member_tol)
+    return v.is_member, slack, v.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -453,81 +392,9 @@ def membership_multilevel(m: Povm, target_levels, battery_levels,
     carries one PSD block per outcome with completeness diag of the battery
     occupations it touches.
     """
-    joint = joint_eigenspaces(target_levels, battery_levels)
-    dt = len(joint.target_levels)
-    db = len(joint.battery_levels)
-    if m.dim != dt:
-        raise ValueError("POVM dimension must match the target spectrum")
-    n_out = m.n_outcomes
-
-    p = sdp.BlockSdp()
-    sblocks = [
-        [p.add_block(sec.rank, f"S{s}[{x}]") for x in range(n_out)]
-        for s, sec in enumerate(joint.sectors)
-    ]
-    p_vars = [p.add_scalar(f"p{n}") for n in range(db)]
-
-    for s, sec in enumerate(joint.sectors):
-        for e in sdp.hermitian_basis(sec.rank):
-            coeffs = {sblocks[s][x]: e for x in range(n_out)}
-            diag = np.real(np.diag(e))
-            for i, (_, n_idx) in enumerate(sec.pairs):
-                if diag[i] != 0.0:
-                    _add_weight(coeffs, p_vars[n_idx], -float(diag[i]))
-            p.add_equality(coeffs, 0.0)
-    p.add_equality({pv: 1.0 for pv in p_vars}, 1.0)
-
-    t_var = p.add_scalar("t")
-    us = [p.add_block(dt, f"U{x}") for x in range(n_out)]
-    vs = [p.add_block(dt, f"V{x}") for x in range(n_out)]
-    eye = np.eye(dt, dtype=complex)
-    for x in range(n_out):
-        mx = m.elements[x]
-        for e in sdp.hermitian_basis(dt):
-            te = float(np.trace(e @ eye).real)
-            rhs = float(np.trace(e @ mx).real)
-            coeffs = {}
-            for s, sec in enumerate(joint.sectors):
-                ms = [pair[0] for pair in sec.pairs]
-                sub = np.array([[e[a, b] for b in ms] for a in ms], dtype=complex)
-                if np.max(np.abs(sub)) > 0:
-                    coeffs[sblocks[s][x]] = sub
-            cu = dict(coeffs)
-            cu[us[x]] = e
-            if te != 0.0:
-                cu[t_var] = -te
-            p.add_equality(cu, rhs)
-            cv = dict(coeffs)
-            cv[vs[x]] = -e
-            if te != 0.0:
-                cv[t_var] = te
-            p.add_equality(cv, rhs)
-    p.set_objective({t_var: -1.0})
-
-    sol = sdp.solve(p, feas_tol=feas_tol, gap_tol=gap_tol)
-    if sol.status not in ("optimal", "feasible"):
-        raise RuntimeError(f"multilevel membership did not converge: {sol.status}")
-    slack = -sol.objective
-    if slack <= member_tol:
-        cert = {
-            "sector_blocks": {
-                s: [sol.block(sblocks[s][x]) for x in range(n_out)]
-                for s in range(len(joint.sectors))
-            },
-            "p": np.array([sol.scalar(v) for v in p_vars]),
-            "sectors": joint,
-        }
-        return MembershipVerdict(verdict="member", slack=slack, certificate=cert)
-    comp = p.compile()
-    aty = sdp._apply_at(comp.a_list, comp.dims, sol.y)
-    min_eig = min(
-        float(np.linalg.eigvalsh(aty[b] - comp.c[b])[0]) for b in range(len(comp.dims))
-    )
-    return MembershipVerdict(
-        verdict="non_member", slack=slack,
-        certificate={"dual": sol.y.copy(), "dual_min_eig": min_eig,
-                     "dual_objective": float(np.dot(comp.b, sol.y)),
-                     "margin": slack})
+    prog = _assemble_multilevel(m, target_levels, battery_levels)
+    slack, sol = _solve_slack(prog, feas_tol, gap_tol)
+    return _verdict(prog, slack, sol, member_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -282,22 +282,18 @@ def _cmd_charact(args):
         raise ValueError(f"unknown charact subcommand {args.charact_cmd}")
     payload = {"verdict": v.verdict, "slack": v.slack, "gap_bound": v.gap_bound}
     if v.verdict == "member":
-        cert = {"p": v.certificate.get("p")}
-        if "reconstruction" in v.certificate:
-            cert["reconstruction"] = [matrix_to_json(r)
-                                      for r in v.certificate["reconstruction"]]
-        if "blocks" in v.certificate:
-            cert["blocks"] = {
-                str(k): [matrix_to_json(b) for b in per_x]
-                for k, per_x in v.certificate["blocks"].items()
-            }
-        payload["certificate"] = cert
-    elif v.verdict == "non_member" and "dual_objective" in v.certificate:
+        payload["certificate"] = {
+            "p": v.certificate["p"],
+            "reconstruction": [matrix_to_json(r) for r in v.certificate["reconstruction"]],
+            "blocks": {str(k): [matrix_to_json(b) for b in per_x]
+                       for k, per_x in v.certificate["blocks"].items()},
+        }
+    elif v.verdict == "non_member":
         payload["certificate"] = {
             "dual": list(map(float, v.certificate["dual"])),
             "farkas_objective": v.certificate["dual_objective"],
             "farkas_min_eig": v.certificate["dual_min_eig"],
-            "margin": v.certificate.get("margin"),
+            "margin": v.certificate["margin"],
         }
     _emit(args, payload)
     return 0

@@ -186,10 +186,9 @@ def quantum_distance(m0: Povm, m1: Povm,
     rho = p.add_block(d, "rho")
     us = [p.add_block(d, f"U{x}") for x in range(n)]
     vs = [p.add_block(d, f"V{x}") for x in range(n)]
-    basis = sdp.hermitian_basis(d)
     for x in range(n):
-        for e in basis:
-            p.add_equality({us[x]: e, vs[x]: e, rho: -2.0 * e}, 0.0)
+        p.add_matrix_equality([(us[x], None, 1.0), (vs[x], None, 1.0), (rho, None, -2.0)],
+                              np.zeros((d, d)))
     p.add_equality({rho: np.eye(d)}, 1.0)
     # objective sum_x <D_x^T, (V_x - U_x)/2>; transpose matches the Choi pairing
     obj = {}

@@ -139,7 +139,7 @@ def random_diag_povm(rng, dim: int, n_out: int) -> Povm:
 # ---------------------------------------------------------------------------
 
 def check_finite_spectrum_optimum() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_eig = 0.0
     worst_pop = 0.0
     for d in range(2, 201):
@@ -149,7 +149,7 @@ def check_finite_spectrum_optimum() -> CheckResult:
         k = np.arange(d)
         ref = 2.0 / (d + 1) * np.sin((k + 1) * np.pi / (d + 1)) ** 2
         worst_pop = max(worst_pop, float(np.max(np.abs(pops - ref))))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = worst_eig <= 1e-10 and worst_pop <= 1e-10 and dt < 10.0
     return CheckResult(
         "finite-spectrum-optimum", ok,
@@ -159,7 +159,7 @@ def check_finite_spectrum_optimum() -> CheckResult:
 
 
 def check_phi_asymptotics() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     zs = (1e2, 1e3, 1e4, 1e5)
     got = [(1.0 - bessel.phi(z).phi) * z ** 2 for z in zs]
     dist = [abs(g - 0.9468) for g in got]
@@ -168,18 +168,18 @@ def check_phi_asymptotics() -> CheckResult:
     return CheckResult(
         "phi-asymptotics", ok, got,
         "(1-phi(z))*z^2 at z=1e2,1e3,1e4,1e5 nears 0.9468, within 0.01 from z=1e4 on",
-        time.time() - t0,
+        time.perf_counter() - t0,
         detail="z->inf limit 4c^3/27 = 0.946803 (c = 1.855757); at finite z "
                "1-phi = (4c^3/27)/(z+1)^2 + O((z+1)^(-8/3)), so the product "
                "is 0.9281 at z=100 and 0.94661 at z=1e4")
 
 
 def check_phi_monotone() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     zs = np.linspace(0.5, 200.0, 50)
     vals = [bessel.phi(float(z)).phi for z in zs]
     diffs = np.diff(vals)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = bool(np.all(diffs > 0)) and dt < 30.0
     return CheckResult(
         "phi-monotone", ok, {"min_step": float(diffs.min()), "seconds": dt},
@@ -187,7 +187,7 @@ def check_phi_monotone() -> CheckResult:
 
 
 def check_power_state() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     z = 10.0
     st = bessel.power_state(z, 1.0)
     chains = spectra.decompose_chains(st.levels, 1.0)
@@ -203,21 +203,21 @@ def check_power_state() -> CheckResult:
         "power-state", ok,
         {"tau_minus_phi": t - r.phi, "energy_err": en - z, "overlap": overlap},
         "tau within 1e-6 of phi(10), energy within 1e-6*E, overlap > 1-1e-8",
-        time.time() - t0)
+        time.perf_counter() - t0)
 
 
 def check_coherent_approx() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = (1.0 - tau_mod.tau_coherent(100.0)) * 8.0 * 100.0
     ok = 0.9 <= got <= 1.1
     return CheckResult(
         "coherent-approx", ok, got,
         "(1-tau_coherent)*8|alpha|^2 in [0.9, 1.1] at |alpha|^2=100",
-        time.time() - t0)
+        time.perf_counter() - t0)
 
 
 def check_precision_doubling() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     zs = (1e2, 1e3, 1e4)
     h = 0.05  # half-width of the symmetric difference in ln z
 
@@ -241,32 +241,32 @@ def check_precision_doubling() -> CheckResult:
         {"slope_ratio": slope_ratio, "log_ratio": log_ratio},
         "0.5*slope(power)/slope(coherent) of ln(1-tau) vs ln z within 25% of 1 "
         "at z=1e2,1e3,1e4; 0.5*log10(1-tau_power)/log10(1-tau_coherent) increasing",
-        time.time() - t0,
+        time.perf_counter() - t0,
         detail="the exponent doubles (-2 vs -1) while the prefactors 0.9468 and "
                "1/8 stay, so the halved log ratio only creeps towards 1, as "
                "about 1 - 0.89/(log10 z + 0.90): 0.69 at z=100")
 
 
 def check_chsh_value() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = bell.chsh_value(bell.reference_scenario())
     ref = 1.0 + 0.75 * math.sqrt(2.0)
     ok = abs(got - ref) <= 1e-12
     return CheckResult("chsh-value", ok, got, "1 + 3*sqrt(2)/4 to 1e-12",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_chsh_mixture_bound() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = bell.chsh_mixture_bound()
     ref = 6.0 / 8.0 * 2.0 + 2.0 / 8.0 * 2.0 * math.sqrt(2.0)
     ok = abs(got - ref) <= 1e-12
     return CheckResult("chsh-mixture-bound", ok, got,
-                       "6/8*2 + 2/8*2sqrt(2) to 1e-12", time.time() - t0)
+                       "6/8*2 + 2/8*2sqrt(2) to 1e-12", time.perf_counter() - t0)
 
 
 def check_chsh_seesaw_no_ancilla() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     # locally dephased |phi>_AB alone: diagonal two-qubit correlations
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 0.5  # |0>|1>
@@ -275,11 +275,11 @@ def check_chsh_seesaw_no_ancilla() -> CheckResult:
     ok = val <= 2.0 + 1e-6
     return CheckResult("chsh-seesaw-no-ancilla", ok, val,
                        "seesaw over 50 restarts stays <= 2 + 1e-6",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_membership_boundary() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     mx = projective_qubit("x")
     worst = 0.0
     flips = {}
@@ -296,7 +296,7 @@ def check_membership_boundary() -> CheckResult:
         ref = math.cos(math.pi / (d + 1))
         flips[d] = flip
         worst = max(worst, abs(flip - ref))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and dt < 60.0
     return CheckResult("membership-boundary", ok,
                        {"worst_err": worst, "flips": flips, "seconds": dt},
@@ -305,7 +305,7 @@ def check_membership_boundary() -> CheckResult:
 
 
 def check_effective_povm_oracle() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     basis = [np.array([[1, 0], [0, 0]], complex),
              np.array([[0, 0], [0, 1]], complex),
@@ -334,11 +334,11 @@ def check_effective_povm_oracle() -> CheckResult:
     ok = worst <= 1e-12
     return CheckResult("effective-povm-oracle", ok, worst,
                        "joint-space statistics match to 1e-12 on 100 random instances",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_two_outcome_equality() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(20):
@@ -349,22 +349,22 @@ def check_two_outcome_equality() -> CheckResult:
     ok = worst <= 1e-6
     return CheckResult("two-outcome-equality", ok, worst,
                        "dist_Q = dist_C to 1e-6 on 20 random two-outcome pairs",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_continuous_example() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     m0, m1 = sphere_povm_pair(64)
     dc = distances.classical_distance(m0, m1).value
     dq = distances.quantum_distance(m0, m1).value
     ok = abs(dc - 0.25) <= 0.01 and dq >= 0.45
     return CheckResult("continuous-example", ok, {"dist_c": dc, "dist_q": dq},
                        "64-outcome discretization: dist_C = 0.25 +- 0.01, dist_Q >= 0.45",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_distance_inequalities() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(12)
     tri_viol = -np.inf
     order_viol = -np.inf
@@ -385,11 +385,11 @@ def check_distance_inequalities() -> CheckResult:
     return CheckResult("distance-inequalities", ok,
                        {"triangle_violation": tri_viol, "order_violation": order_viol},
                        "triangle inequality and dist_Q >= dist_C on 50 random triples",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_inner_outer_convergence() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     z = 5.0
     plus = 0.5 * np.array([[1, 1], [1, 1]], complex)
     minus = 0.5 * np.array([[1, -1], [-1, 1]], complex)
@@ -405,17 +405,17 @@ def check_inner_outer_convergence() -> CheckResult:
     ok = positive and nonincreasing and bounded
     return CheckResult("inner-outer-convergence", ok, {"gaps": gaps},
                        "positive, nonincreasing gaps bounded by E/(Delta(d-1)) * |V|",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_non_universality() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sigma = tau_mod.optimal_finite_state(3)
     res = charact.universal_state_check(sigma, 3, trials=60, seed=3)
     if res is None:
         return CheckResult("non-universality", False, None,
                            "a reachable POVM infeasible for the fixed sin^2 state",
-                           time.time() - t0)
+                           time.perf_counter() - t0)
     member_ok = charact.verify_member_certificate(res["povm"], res["member_certificate"])
     farkas_ok = charact.verify_nonmember_certificate(
         res["povm"], res["fixed_certificate"],
@@ -425,11 +425,11 @@ def check_non_universality() -> CheckResult:
                        {"trial": res["trial"], "fixed_margin": res["fixed_margin"],
                         "member_verified": member_ok, "farkas_verified": farkas_ok},
                        "counterexample found with independently verified certificates",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_non_resonance_triviality() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(21)
     target = [0.0, 1.0, 2.0]
     battery = [0.0, math.sqrt(2.0), math.sqrt(5.0)]
@@ -446,11 +446,11 @@ def check_non_resonance_triviality() -> CheckResult:
     ok = mistakes == 0
     return CheckResult("non-resonance-triviality", ok, {"mistakes": mistakes},
                        "exactly the energy-diagonal POVMs accepted on 30 candidates",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def check_near_resonance_continuity() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     c = 1.0 / math.sqrt(2.0)
     clock = EnergyDensity.gaussian(50.0, 4e-4)  # width 0.02 against gap 1
     eps_grid = [2e-3, 2e-4, 2e-5]
@@ -463,7 +463,7 @@ def check_near_resonance_continuity() -> CheckResult:
     return CheckResult("near-resonance-continuity", ok,
                        {"eps": eps_grid, "tau": taus},
                        "tau rises monotonically to |c0 c1| over three decades of eps",
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 _CHECKS: dict[str, Callable[[], CheckResult]] = {

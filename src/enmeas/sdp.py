@@ -19,6 +19,7 @@ b.y < 0, both checkable directly on the raw problem data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,6 +60,24 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis_stack(dim: int) -> np.ndarray:
+    stack = np.stack(hermitian_basis(dim))
+    stack.setflags(write=False)  # shared between all callers
+    return stack
+
+
+def _hermitian(a, dim: int, what: str) -> np.ndarray:
+    m = np.asarray(a, dtype=complex)
+    if m.ndim == 0:
+        m = m * np.eye(1)
+    if m.shape != (dim, dim):
+        raise SdpError(f"{what} must be {dim}x{dim}, got {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+        raise SdpError(f"{what} is not Hermitian")
+    return 0.5 * (m + m.conj().T)
+
+
 @dataclass
 class BlockSdp:
     """Builder for a block-diagonal SDP (see module docstring for the form)."""
@@ -80,21 +99,46 @@ class BlockSdp:
         return self.add_block(1, name or f"s{len(self.block_dims)}")
 
     def _coeff(self, b: int, a) -> np.ndarray:
-        d = self.block_dims[b]
-        m = np.asarray(a, dtype=complex)
-        if m.ndim == 0:
-            m = m * np.eye(1)
-        if m.shape != (d, d):
-            raise SdpError(f"coefficient for block {b} must be {d}x{d}, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-            raise SdpError(f"coefficient for block {b} is not Hermitian")
-        return 0.5 * (m + m.conj().T)
+        return _hermitian(a, self.block_dims[b], f"coefficient for block {b}")
 
     def add_equality(self, coeffs: dict, rhs: float) -> int:
         """sum_b <coeffs[b], X_b> = rhs; returns the constraint index."""
         cs = {int(b): self._coeff(int(b), a) for b, a in coeffs.items()}
         self.equalities.append((cs, float(rhs)))
         return len(self.equalities) - 1
+
+    def add_matrix_equality(self, terms, rhs) -> None:
+        """A Hermitian D x D equation sum(terms) = rhs, as D^2 real rows.
+
+        A term is (block, rows, scale), adding scale * P X_block P^T where P
+        puts the block on the listed rows of the D x D matrix (rows=None:
+        all D rows), or (scalar, F), adding x * F for a 1x1 block x and a
+        fixed Hermitian F. Row i pairs the equation with the i-th matrix of
+        hermitian_basis(D); a term whose coefficient vanishes on a row is
+        left out of that row.
+        """
+        r = np.atleast_2d(rhs)
+        r = _hermitian(r, r.shape[0], "right-hand side")
+        basis = _basis_stack(r.shape[0])
+        cols = []
+        for term in terms:
+            b = int(term[0])
+            if len(term) == 3:
+                _, rows, scale = term
+                sub = basis if rows is None else basis[:, rows][:, :, rows]
+                if sub.shape[1] != self.block_dims[b]:
+                    raise SdpError(f"block {b} is {self.block_dims[b]}x{self.block_dims[b]}, "
+                                   f"placed on {sub.shape[1]} rows")
+                coeffs = scale * sub
+                cols.append((b, coeffs, np.any(coeffs != 0, axis=(1, 2))))
+            else:
+                if self.block_dims[b] != 1:
+                    raise SdpError(f"block {b} times a fixed matrix must be 1x1")
+                vals = _coords(basis, _hermitian(term[1], r.shape[0], f"matrix of block {b}"))
+                cols.append((b, vals[:, None, None].astype(complex), vals != 0))
+        for i, rhs_i in enumerate(_coords(basis, r)):
+            self.equalities.append(
+                ({b: coeffs[i] for b, coeffs, keep in cols if keep[i]}, float(rhs_i)))
 
     def add_inequality(self, coeffs: dict, rhs: float) -> None:
         """sum_b <coeffs[b], X_b> <= rhs (compiled via a slack scalar)."""
@@ -144,6 +188,11 @@ class BlockSdp:
         }
 
 
+def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<E, m> = Re tr(E m) for every E of a stacked hermitian_basis."""
+    return np.einsum("nij,ji->n", basis, m).real
+
+
 @dataclass
 class _Compiled:
     dims: list[int]
@@ -152,6 +201,21 @@ class _Compiled:
     b: np.ndarray
     c: list[np.ndarray]
     n_orig_blocks: int
+
+    def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
+        """Min eigenvalue of A*(y) - C over the blocks, and b.y.
+
+        A dual y is feasible when the eigenvalue is >= 0; then b.y bounds
+        the primal optimum from above. A Farkas check drops C: A*(y) PSD
+        with b.y < 0 proves the primal infeasible.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.shape != self.b.shape:
+            raise SdpError(f"dual vector has {y.size} entries for {self.b.size} rows")
+        aty = _apply_at(self.a_list, self.dims, y)
+        if not farkas:
+            aty = [a - c for a, c in zip(aty, self.c)]
+        return min(float(np.linalg.eigvalsh(a)[0]) for a in aty), float(np.dot(self.b, y))
 
 
 @dataclass
@@ -321,8 +385,7 @@ def _solve_schur_refined(s, solve_fn, rhs):
     return sol
 
 
-def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int,
-         verbose: bool = False):
+def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
     dims, a_list, b, c = comp.dims, comp.a_list, comp.b, comp.c
     m = len(a_list)
     ntot = sum(dims)
@@ -432,10 +495,6 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int,
         if ap < 1e-12 and ad < 1e-12:
             status = "stalled"
             break
-        if verbose:
-            print(f"  it {it:3d} mu={mu:9.2e} rp={rel_p:9.2e} rd={rel_d:9.2e} "
-                  f"gap={rel_gap:9.2e} sig={sigma:6.3f} ap={ap:6.3f} ad={ad:6.3f} "
-                  f"pobj={pobj:12.5e} dobj={dobj:12.5e}")
         x = [_sym(x[bi] + ap * dx[bi]) for bi in range(len(dims))]
         z = [_sym(z[bi] + ad * dz[bi]) for bi in range(len(dims))]
         y = y + ad * dy
@@ -477,13 +536,10 @@ def _phase1(comp: _Compiled):
 def verify_infeasibility_certificate(problem: BlockSdp, cert: InfeasibilityCertificate,
                                      tol: float = 1e-7) -> bool:
     """Re-check A*(y) PSD and b.y < 0 directly on the problem data."""
-    comp = problem.compile()
-    y = cert.y
-    if y.size != len(comp.a_list):
+    try:
+        min_eig, b_dot_y = problem.compile().dual_check(cert.y, farkas=True)
+    except SdpError:
         return False
-    aty = _apply_at(comp.a_list, comp.dims, y)
-    min_eig = min(float(np.linalg.eigvalsh(blk)[0]) for blk in aty)
-    b_dot_y = float(np.dot(comp.b, y))
     return min_eig >= -tol and b_dot_y < -tol
 
 
@@ -540,10 +596,8 @@ def solve(problem: BlockSdp,
         c1, min(feas_tol, 1e-9), min(gap_tol, 1e-9), max_iter)
     resid_l1 = -pobj1  # phase-1 maximizes minus the total residual
     if s1 == "optimal" and resid_l1 > 10.0 * feas_tol * (1.0 + float(np.linalg.norm(comp.b))):
-        aty = _apply_at(comp.a_list, comp.dims, y1)
-        min_eig = min(float(np.linalg.eigvalsh(blk)[0]) for blk in aty)
-        cert = InfeasibilityCertificate(
-            y=y1.copy(), min_eig=min_eig, objective=float(np.dot(comp.b, y1)))
+        min_eig, b_dot_y = comp.dual_check(y1, farkas=True)
+        cert = InfeasibilityCertificate(y=y1.copy(), min_eig=min_eig, objective=b_dot_y)
         return SdpSolution(
             status="infeasible", x=x, y=y, z=z, objective=pobj,
             dual_objective=dobj, gap=gap, primal_residual=rel_p,

@@ -125,12 +125,14 @@ def tau_of_state(state: BatteryState, chains: ChainDecomposition) -> TauResult:
     """
     if state.dim != chains.dim:
         raise ValueError(f"state dimension {state.dim} != number of battery levels {chains.dim}")
-    rho = state.density()
-    total = 0.0
-    for chain in chains.chains:
-        ids = chain.level_ids
-        for lo, hi in zip(ids[:-1], ids[1:]):
-            total += abs(rho[hi, lo])
+    pairs = [(hi, lo) for chain in chains.chains
+             for lo, hi in zip(chain.level_ids[:-1], chain.level_ids[1:])]
+    if state.amplitudes is not None:
+        # |rho[hi, lo]| = |a_hi| |a_lo|: a pure state needs no dim x dim matrix
+        amp = np.abs(state.amplitudes)
+        total = sum(amp[hi] * amp[lo] for hi, lo in pairs)
+    else:
+        total = sum(abs(state.rho[hi, lo]) for hi, lo in pairs)
     tau = min(float(total), 1.0)
     return TauResult(tau=tau, epsilon=epsilon_from_tau(tau), optimizer=None)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jn_zeros
+from scipy.special import ai_zeros, jn_zeros
 
 from enmeas.bessel import (
     BesselRangeError,
@@ -178,6 +178,15 @@ class TestPhi:
         c = 2.338107410459767 / 2.0 ** (1.0 / 3.0)  # |a_1| / 2^(1/3)
         for z, v in zip(zs, vals):
             assert (1.0 - v) * (z + 1.0) ** 2 == pytest.approx(4 * c ** 3 / 27, abs=1e-4)
+
+    def test_deficit_keeps_precision_at_huge_z(self):
+        # 1 - phi falls below 1e-12 here, where rounding phi to a double
+        # loses it: (1 - phi)(z+1)^2 reads 1.11 at z = 1e8
+        c = -float(ai_zeros(1)[0][0]) / 2.0 ** (1.0 / 3.0)
+        for z in (1e6, 1e7, 1e8):
+            r = phi(z)
+            assert r.deficit * (z + 1.0) ** 2 == pytest.approx(4 * c ** 3 / 27, abs=1e-6)
+            assert r.phi == 1.0 - r.deficit
 
     def test_matches_direct_eigenvalue_maximization(self):
         # independent route: max over lambda-states of tau at fixed energy via

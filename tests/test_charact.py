@@ -203,6 +203,22 @@ class TestMultilevel:
         v = membership_multilevel(m, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
         assert v.is_member
 
+    def test_verdicts_carry_verifying_certificates(self):
+        target, battery = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
+        r = random_rank_one_povm(np.random.default_rng(8), 3, 3)
+        for w, verdict in ((0.2, "member"), (1.0, "non_member")):
+            # w of the coherent POVM r, the rest its energy-diagonal part
+            m = Povm(elements=[w * e + (1 - w) * np.diag(np.diag(e)) for e in r.elements])
+            v = membership_multilevel(m, target, battery)
+            assert v.verdict == verdict
+            if v.is_member:
+                assert verify_member_certificate(m, v.certificate)
+                assert v.certificate["p"].shape == (3,)
+            else:
+                assert verify_nonmember_certificate(
+                    m, v.certificate,
+                    lambda: charact._assemble_multilevel(m, target, battery))
+
     def test_nonresonant_battery_accepts_only_diagonal(self):
         rng = np.random.default_rng(4)
         battery = [0.0, math.sqrt(2.0), math.sqrt(5.0)]

@@ -15,11 +15,9 @@ from enmeas.sdp import (
 )
 
 
-def add_matrix_equality(p, coeffs_by_block, rhs_matrix, dim):
-    """Pair a matrix equality against the full Hermitian basis."""
-    for e in hermitian_basis(dim):
-        rhs = float(np.trace(e @ rhs_matrix).real)
-        p.add_equality({b: e for b in coeffs_by_block}, rhs)
+def add_matrix_equality(p, blocks, rhs_matrix):
+    """sum of the full-size blocks = rhs_matrix."""
+    p.add_matrix_equality([(b, None, 1.0) for b in blocks], rhs_matrix)
 
 
 class TestBasics:
@@ -28,7 +26,7 @@ class TestBasics:
         p = BlockSdp()
         x = p.add_block(2)
         s = p.add_block(2)
-        add_matrix_equality(p, [x, s], np.eye(2), 2)
+        add_matrix_equality(p, [x, s], np.eye(2))
         p.set_objective({x: np.eye(2)})
         sol = solve(p)
         assert sol.status == "optimal"
@@ -144,7 +142,7 @@ class TestDeterminism:
             p = BlockSdp()
             x = p.add_block(2)
             s = p.add_block(2)
-            add_matrix_equality(p, [x, s], np.eye(2), 2)
+            add_matrix_equality(p, [x, s], np.eye(2))
             p.set_objective({x: np.array([[1.0, 0.3j], [-0.3j, -0.2]])})
             return solve(p)
 
@@ -166,6 +164,50 @@ def test_hermitian_basis_extracts_coordinates():
     assert coords[0] == pytest.approx(h[0, 0].real)
     assert coords[3] == pytest.approx(h[0, 1].real)
     assert coords[4] == pytest.approx(h[0, 1].imag)
+
+
+def test_matrix_equality_matches_basis_pairing():
+    rng = np.random.default_rng(3)
+
+    def herm(n):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return 0.5 * (g + g.conj().T)
+
+    rows = [0, 2]
+    f = np.diag([1.0, 0.0, -1.0]) + np.array([[0, 0, 0.5j], [0, 0, 0], [-0.5j, 0, 0]])
+    r = herm(3)
+    p = BlockSdp()
+    x, y, s = p.add_block(2), p.add_block(3), p.add_scalar()
+    p.add_matrix_equality([(x, rows, 1.0), (y, None, -2.0), (s, f)], r)
+
+    hand = BlockSdp()
+    hand.add_block(2), hand.add_block(3), hand.add_scalar()
+    for e in hermitian_basis(3):
+        coeffs = {x: e[np.ix_(rows, rows)], y: -2.0 * e, s: float(np.trace(e @ f).real)}
+        coeffs = {b: a for b, a in coeffs.items() if np.any(a != 0)}
+        hand.add_equality(coeffs, float(np.trace(e @ r).real))
+
+    assert len(p.equalities) == len(hand.equalities) == 9
+    for (got, rhs_got), (want, rhs_want) in zip(p.equalities, hand.equalities):
+        assert list(got) == list(want)
+        for b in want:
+            assert np.array_equal(got[b], want[b])
+        assert rhs_got == rhs_want
+    # rows 1 and 4 of the 3x3 basis miss rows {0, 2}; f has no (1, 2) entries
+    assert x not in p.equalities[1][0] and s not in p.equalities[7][0]
+
+
+def test_matrix_equality_rejects_bad_terms():
+    p = BlockSdp()
+    x, s = p.add_block(2), p.add_scalar()
+    with pytest.raises(SdpError):
+        p.add_matrix_equality([(x, [0, 1, 2], 1.0)], np.eye(3))
+    with pytest.raises(SdpError):
+        p.add_matrix_equality([(x, np.eye(2))], np.eye(2))
+    with pytest.raises(SdpError):
+        p.add_matrix_equality([(s, np.array([[0.0, 1.0], [0.0, 0.0]]))], np.eye(2))
+    with pytest.raises(SdpError):
+        p.add_matrix_equality([(x, None, 1.0)], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_problem_json_dump():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ class TestTauOfState:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tau_of_state(BatteryState.pure([1.0, 0.0]), ladder(3))
+
+    def test_pure_state_matches_density_matrix(self):
+        # two interleaved chains over shuffled level indices
+        rng = np.random.default_rng(6)
+        levels = rng.permutation(np.concatenate((np.arange(25.0), np.arange(25.0) + 0.5)))
+        chains = decompose_chains(levels, 1.0)
+        amps = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        st = BatteryState.pure(amps / np.linalg.norm(amps))
+        dense = tau_of_state(BatteryState.mixed(st.density()), chains).tau
+        assert abs(tau_of_state(st, chains).tau - dense) <= 1e-14
+
+    def test_pure_state_needs_no_density_matrix(self):
+        d = 20_000  # a dense density matrix would take 6.4 GB
+        amps = np.sqrt(np.random.default_rng(7).dirichlet(np.ones(d)))
+        st, chains = BatteryState.pure(amps), ladder(d)
+        tracemalloc.start()
+        try:
+            tau = tau_of_state(st, chains).tau
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < tau <= 1.0
+        assert peak < 50e6
 
 
 class TestOptimalFiniteState:
