@@ -10,9 +10,9 @@ minimand is a global minimum, so a bracketed golden-section search is exact.
 Large orders take the series j_{nu,1} = nu + C1 nu^(1/3) + ..., so phi is
 defined for every z > 0, and its search keeps 1 - phi to full relative
 precision.
-The optimizing battery states ("power states") follow from the three-term
-recurrence of the ground eigenvector of the associated tridiagonal operator
-H_lambda = diag(k) - lambda * (hop + hop').
+The optimizing battery states ("power states") are the ground vector of the
+associated tridiagonal operator H_lambda = diag(k) - lambda * (hop + hop'),
+found by a tridiagonal eigensolver on a window past its turning point.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import ai_zeros, jv
 
@@ -39,6 +40,8 @@ _SERIES_C = (
 _SERIES_P = (1, -1, -3, -5, -7)
 # from this order on the first omitted term (~5e-4 nu^-3) is below 1e-12
 _SERIES_MIN_ORDER = 1000.0
+# power states end where a population falls below this share of those before it
+TAIL_TOL = 1e-14
 
 
 class BesselRangeError(ValueError):
@@ -287,58 +290,30 @@ def characteristic_residual(mu: float, lam: float, d: int) -> float:
     return mu / lam - 1.0 / t
 
 
-def power_state(
-    ebar: float,
-    delta: float,
-    tail_tol: float = 1e-14,
-    max_retries: int = 3,
-) -> BatteryState:
+def power_state(ebar: float, delta: float) -> BatteryState:
     """Bounded-mean-energy battery state achieving tau = phi(ebar/delta).
 
-    Coefficients follow c_{k+1} = ((k + mu*)/lambda*) c_k - c_{k-1} with
-    c_{-1} = 0, truncated once the running tail population drops below
-    ``tail_tol`` past the classical turning point.  The forward recurrence
-    is mildly unstable beyond the turning point; the truncation window is
-    re-expanded (up to ``max_retries`` times) if the tail has not converged
-    before contamination sets in.
+    The amplitudes are the ground vector of the tridiagonal
+    T = tridiag(-1, 2 + (k + 1 - r)/lambda*, -1), which is H_lambda*/lambda*
+    shifted so that its bottom eigenvalue is 0; r = j - (mu* - 1) carries
+    mu* - 2 lambda* = 1 - r with all its digits. The window runs
+    20 lambda*^(1/3) + 60 levels past the turning point r - 1, where the
+    Airy-like tail has long fallen below tolerance, and the state is cut at
+    the first level past the turning point whose population is below
+    TAIL_TOL of the population up to it.
     """
     if ebar <= 0 or delta <= 0:
         raise ValueError("ebar and delta must be positive")
-    z = ebar / delta
-    res = phi(z)
-    lam, mu = res.lambda_star, res.mu_star
-
-    turn = max(2.0 * lam - mu, 0.0)  # local hopping dominance ends here
-    window = int(turn + 40 + 6.0 * math.sqrt(lam ** (1.0 / 3.0) + turn + z))
-    for attempt in range(max_retries + 1):
-        coeffs = _run_recurrence(lam, mu, window, tail_tol, turn)
-        if coeffs is not None:
-            amps = coeffs / np.linalg.norm(coeffs)
-            k = np.arange(amps.size, dtype=float)
-            return BatteryState.pure(amps.astype(complex), levels=k * delta)
-        window = int(window * 1.8) + 20
-    raise RuntimeError(
-        f"power-state recurrence failed to reach tail tolerance {tail_tol} "
-        f"after {max_retries + 1} attempts (z = {z})"
-    )
-
-
-def _run_recurrence(lam, mu, window, tail_tol, turn):
-    if window < 8:
-        return None
-    c = np.zeros(window)
-    c[0] = 1.0
-    c[1] = mu / lam
-    cum = c[0] ** 2 + c[1] ** 2
-    min_tail = None
-    for k in range(1, window - 1):
-        c[k + 1] = ((k + mu) / lam) * c[k] - c[k - 1]
-        cum += c[k + 1] ** 2
-        if k + 1 > turn:
-            a = abs(c[k + 1])
-            if a * a < tail_tol * cum:
-                return c[: k + 2]
-            if min_tail is not None and a > 10.0 * min_tail:
-                return None  # growing-solution contamination before tolerance
-            min_tail = a if min_tail is None else min(min_tail, a)
-    return None  # window exhausted before the tail converged
+    res = phi(ebar / delta)
+    lam = res.lambda_star
+    r = _excess(res.mu_star - 1.0)
+    turn = max(r - 1.0, 0.0)
+    k = np.arange(int(turn + 20.0 * lam ** (1.0 / 3.0) + 60.0), dtype=float)
+    _, vec = eigh_tridiagonal(2.0 + (k + 1.0 - r) / lam, -np.ones(k.size - 1),
+                              select="i", select_range=(0, 0))
+    amps = np.abs(vec[:, 0])
+    pop = amps ** 2
+    small = (pop < TAIL_TOL * np.cumsum(pop)) & (k > turn)
+    cut = int(np.argmax(small)) + 1 if small.any() else k.size
+    amps = amps[:cut] / np.linalg.norm(amps[:cut])
+    return BatteryState.pure(amps.astype(complex), levels=k[:cut] * delta)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .linalg import operator_norm
 from .povm import Povm
 from .spectra import joint_eigenspaces
 from .tau import BatteryState
@@ -176,14 +175,16 @@ def _assemble_ladder(
     return prog
 
 
-def _assemble_multilevel(m: Povm, target_levels, battery_levels) -> _SectorProgram:
-    """The slack program on the joint eigenspaces of the two spectra."""
+def _assemble_multilevel(m: Povm, target_levels, battery_levels,
+                         slack: bool = True) -> _SectorProgram:
+    """The slack or raw program on the joint eigenspaces of the two spectra."""
     joint = joint_eigenspaces(target_levels, battery_levels)
     if m.dim != len(joint.target_levels):
         raise ValueError("POVM dimension must match the target spectrum")
     sectors = [([mi for mi, _ in sec.pairs], [[n] for _, n in sec.pairs])
                for sec in joint.sectors]
-    return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(joint.battery_levels))
+    return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(joint.battery_levels),
+                             slack=slack)
 
 
 def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]:
@@ -242,18 +243,28 @@ def _verdict(prog: _SectorProgram, slack: float, sol: sdp.SdpSolution,
                              gap_bound)
 
 
-def verify_member_certificate(m: Povm, cert: dict, tol: float = MEMBER_TOL) -> bool:
-    """Recheck PSD blocks and elementwise reconstruction from raw data."""
-    recon = cert["reconstruction"]
-    if len(recon) != m.n_outcomes:
+def verify_member_certificate(m: Povm, cert: dict, builder, tol: float = MEMBER_TOL) -> bool:
+    """Replay the decomposition in the raw (slack=False) program from builder.
+
+    The certificate's blocks, populations p and tail weight take their
+    places in it; every block must be PSD and every row must hold to 10 tol.
+    A missing or mis-shaped entry fails the check.
+    """
+    prog = builder()
+    x = [None] * len(prog.problem.block_dims)
+    try:
+        for per_x, given in zip(prog.blocks, cert["blocks"].values(), strict=True):
+            for b, blk in zip(per_x, given, strict=True):
+                x[b] = blk
+        if prog.p_vars is not None:
+            for v, w in zip(prog.p_vars, cert["p"], strict=True):
+                x[v] = w
+        if prog.tail_var is not None:
+            x[prog.tail_var] = cert["tail_weight"]
+        min_eig, worst = prog.problem.primal_check(x)
+    except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    for blocks_x in zip(*cert["blocks"].values()):
-        for b in blocks_x:
-            if float(np.linalg.eigvalsh(b)[0]) < -10 * tol:
-                return False
-    return all(
-        operator_norm(r - mx) <= 10 * tol for r, mx in zip(recon, m.elements)
-    )
+    return min_eig >= -10 * tol and worst <= 10 * tol
 
 
 def verify_nonmember_certificate(m: Povm, cert: dict, builder, tol: float = 1e-7) -> bool:

@@ -46,12 +46,17 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
             if out:
                 stream.close()
     else:
-        text = json.dumps(payload, indent=2, default=_json_default)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_json(payload, out)
+
+
+def _write_json(payload, out):
+    """Write payload as indented JSON to the file out, or to stdout."""
+    text = json.dumps(payload, indent=2, default=_json_default)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _json_default(obj):
@@ -194,11 +199,7 @@ def _cmd_power_state(args):
     res = tau_mod.tau_of_state(st, chains)
     payload["tau"] = res.tau
     payload["mean_energy"] = st.mean_energy()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    else:
-        print(json.dumps(payload, indent=2))
+    _write_json(payload, args.out)
     return 0
 
 
@@ -256,9 +257,7 @@ def _cmd_charact(args):
     if args.charact_cmd == "finite":
         m = _load_povm(args.povm)
         if getattr(args, "dump_sdp", None):
-            with open(args.dump_sdp, "w") as fh:
-                json.dump(charact.finite_membership_program(m, args.d).to_json(),
-                          fh, indent=2)
+            _write_json(charact.finite_membership_program(m, args.d).to_json(), args.dump_sdp)
         v = charact.membership_finite(m, args.d, feas_tol=feas, gap_tol=gap)
     elif args.charact_cmd == "energy":
         v = charact.membership_energy(_load_povm(args.povm), args.ebar, args.delta,
@@ -349,8 +348,7 @@ def _cmd_reproduce(args):
     results = run_checks(names, verbose=True)
     ok = all(r.passed for r in results)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([r.to_json() for r in results], fh, indent=2)
+        _write_json([r.to_json() for r in results], args.out)
     return 0 if ok else 1
 
 

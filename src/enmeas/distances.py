@@ -9,6 +9,7 @@ norm of the difference of the induced measure-and-prepare channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -16,14 +17,17 @@ from . import sdp
 from .linalg import as_hermitian
 from .povm import Povm
 
-ENUMERATION_LIMIT = 24  # 2^(n-1) eigenproblems beyond this is rejected
+ENUMERATION_LIMIT = 24  # d > 2: 2^(n-1) eigenproblems beyond this is rejected
+_TOL = 1e-10  # relative: zero and parallel generators, dependent subsets, lines
+_CHUNK = 1024  # generator subsets per vectorized batch
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     value: float
     witness: dict
-    method: str  # exact | sdp | lower_bound
+    method: str  # exact (classical) | sdp (quantum) | lower_bound (seesaw)
 
 
 def _matched_differences(m0: Povm, m1: Povm) -> list[np.ndarray]:
@@ -38,134 +42,128 @@ def _matched_differences(m0: Povm, m1: Povm) -> list[np.ndarray]:
     return [e0.get(l, zero) - e1.get(l, zero) for l in labels]
 
 
-def _bloch_parts(diffs):
-    t = np.array([float(np.trace(dd).real) for dd in diffs])
-    v = np.array(
-        [
-            [2.0 * dd[0, 1].real, -2.0 * dd[0, 1].imag, (dd[0, 0] - dd[1, 1]).real]
-            for dd in diffs
-        ]
-    )
-    return t, v
+def _enumerate_signs(diffs) -> np.ndarray:
+    """The signs maximizing ||sum_x s_x D_x||, by a batched eigenvalue sweep.
 
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    k = np.arange(n) + 0.5
-    phi = np.arccos(1.0 - 2.0 * k / n)
-    theta = np.pi * (1.0 + 5 ** 0.5) * k
-    return np.stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1
-    )
-
-
-def _qubit_sign_search(t, v, n_starts: int = 2048):
-    """Maximize sum_x |t_x + v_x . r| over the Bloch sphere.
-
-    Sign-pattern fixed-point iteration is monotone, so polishing a dense
-    deterministic grid of starts finds the global optimum of this piecewise
-    linear objective in practice.
+    Runs over all 2^(n-1) sign vectors with s_0 = +1, in any dimension.
     """
-    grid = _fibonacci_sphere(n_starts)
-    vals = np.abs(t[None, :] + grid @ v.T).sum(axis=1)
-    order = np.argsort(vals)[::-1][:64]
-    best_val, best_r = -np.inf, None
-    for i in order:
-        r = grid[i]
-        for _ in range(200):
-            s = np.sign(t + v @ r)
-            s[s == 0] = 1.0
-            vs = s @ v
-            nrm = np.linalg.norm(vs)
-            if nrm < 1e-15:
-                break
-            r_new = vs / nrm
-            if np.allclose(r_new, r, atol=1e-15):
-                r = r_new
-                break
-            r = r_new
-        val = float(np.abs(t + v @ r).sum())
-        if val > best_val:
-            best_val, best_r = val, r
-    return best_val, best_r
-
-
-def _bloch_to_state(r) -> np.ndarray:
-    sx = np.array([[0, 1], [1, 0]], complex)
-    sy = np.array([[0, -1j], [1j, 0]], complex)
-    sz = np.array([[1, 0], [0, -1]], complex)
-    return 0.5 * (np.eye(2) + r[0] * sx + r[1] * sy + r[2] * sz)
-
-
-def classical_distance(m0: Povm, m1: Povm) -> DistanceResult:
-    """Best single-state distinguishing bias between two POVMs.
-
-    Solved exactly by sign-vector enumeration, max_s lambda_max(sum_x s_x
-    (M0_x - M1_x))/2 over 2^(n-1) sign vectors. Qubit pairs with more than
-    24 matched outcomes fall back to a Bloch-sphere search (a certified
-    lower bound that is tight in practice); higher dimensions are rejected
-    beyond the enumeration guard.
-    """
-    diffs = _matched_differences(m0, m1)
-    n = len(diffs)
-    d = m0.dim
-    if n > ENUMERATION_LIMIT:
-        if d != 2:
-            raise ValueError(
-                f"{n} outcomes exceeds the exact enumeration guard ({ENUMERATION_LIMIT})"
-            )
-        t, v = _bloch_parts(diffs)
-        val, r = _qubit_sign_search(t, v)
-        rho = _bloch_to_state(r)
-        return DistanceResult(value=0.25 * val, witness={"rho": rho}, method="lower_bound")
-
-    if d == 2:
-        t, v = _bloch_parts(diffs)
-        best = (-np.inf, None)
-        free = n - 1
-        chunk = 1 << min(free, 18)
-        total = 1 << free
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            bits = ((idx[:, None] >> np.arange(free, dtype=np.uint64)[None, :]) & 1).astype(float)
-            signs = np.hstack([np.ones((idx.size, 1)), 1.0 - 2.0 * bits])
-            tt = signs @ t
-            vv = signs @ v
-            vals = np.abs(tt) + np.linalg.norm(vv, axis=1)
-            j = int(np.argmax(vals))
-            if vals[j] > best[0]:
-                best = (float(vals[j]), signs[j].copy())
-        val, s = best
-        h = sum(si * dd for si, dd in zip(s, diffs))
-        w, u = np.linalg.eigh(h)
-        vec = u[:, -1] if w[-1] >= -w[0] else u[:, 0]
-        return DistanceResult(
-            value=0.25 * val,
-            witness={"rho": np.outer(vec, vec.conj()), "signs": s},
-            method="exact",
-        )
-
-    # general dimension: batched eigenvalue sweep over sign vectors
-    free = n - 1
+    free = len(diffs) - 1
     total = 1 << free
-    stack = np.stack(diffs)
     best_val, best_s = -np.inf, None
     chunk = 1 << min(free, 12)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         bits = ((idx[:, None] >> np.arange(free, dtype=np.uint64)[None, :]) & 1).astype(float)
         signs = np.hstack([np.ones((idx.size, 1)), 1.0 - 2.0 * bits])
-        hs = np.einsum("ks,sij->kij", signs, stack)
-        w = np.linalg.eigvalsh(hs)
+        w = np.linalg.eigvalsh(np.einsum("ks,sij->kij", signs, diffs))
         vals = np.maximum(w[:, -1], -w[:, 0])
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val, best_s = float(vals[j]), signs[j].copy()
-    h = sum(si * dd for si, dd in zip(best_s, diffs))
-    w, u = np.linalg.eigh(h)
+    return best_s
+
+
+def _zonotope_signs(g) -> np.ndarray:
+    """The signs maximizing |s @ g[:, 0]| + ||s @ g[:, 1:]||, for any n.
+
+    The value is a convex function of the point s @ g of the zonotope with
+    generators g_x, so it peaks at a vertex. Zero generators keep s = +1,
+    and parallel ones share one segment, their aligned sum, so that each
+    hyperplane of the arrangement below is met once.
+    """
+    s = np.ones(len(g))
+    norms = np.linalg.norm(g, axis=1)
+    live = np.flatnonzero(norms > _TOL * norms.max(initial=0.0))
+    if live.size == 0:
+        return s
+    u = g[live] / norms[live, None]
+    gap = np.minimum(np.linalg.norm(u[:, None] - u[None], axis=2),
+                     np.linalg.norm(u[:, None] + u[None], axis=2))
+    heads = np.flatnonzero(~np.tril(gap <= _TOL, -1).any(axis=1))
+    group = np.argmax(np.abs(u @ u[heads].T), axis=1)
+    orient = np.sign(np.einsum("ij,ij->i", u, u[heads[group]]))
+    merged = np.zeros((heads.size, g.shape[1]))
+    np.add.at(merged, group, orient[:, None] * g[live])
+    s[live] = orient * _vertex_max(merged, np.zeros(g.shape[1]))[1][group]
+    return s
+
+
+def _vertex_max(g, offset) -> tuple[float, np.ndarray]:
+    """Max of |p_0| + ||p_1:|| over the vertices p = offset + s @ g.
+
+    A vertex is the sign pattern of a region of the central arrangement
+    {c : c.g_x = 0} in the span of the generators, of rank r. Every region
+    has an extreme ray, on a line orthogonal to r - 1 independent
+    generators; the regions round a line on which only those vanish differ
+    on them alone, so the two rays give 2^r patterns. A line on which more
+    generators vanish recurses on those, the others fixed by the line.
+    """
+    _, sv, vt = np.linalg.svd(g, full_matrices=False)
+    r = int(np.sum(sv > _TOL * sv[0]))
+    h = g @ vt[:r].T
+    h /= np.linalg.norm(h, axis=1)[:, None]
+    patterns = 1.0 - 2.0 * ((np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1)) & 1)
+    subsets = list(combinations(range(len(g)), r - 1))
+    subsets = np.array(subsets, dtype=int).reshape(len(subsets), r - 1)
+    best_val, best_s, seen = -np.inf, None, set()
+    for start in range(0, len(subsets), _CHUNK):
+        sub = subsets[start:start + _CHUNK]
+        a = h[sub]
+        c = np.stack([(-1) ** j * np.linalg.det(np.delete(a, j, axis=2))
+                      for j in range(r)], axis=1)
+        norm_c = np.linalg.norm(c, axis=1)
+        keep = norm_c > _TOL  # the subset is independent
+        sub, c = sub[keep], c[keep] / norm_c[keep, None]
+        dots = c @ h.T
+        on = np.abs(dots) <= _TOL
+        on[np.arange(len(sub))[:, None], sub] = True
+        fixed = np.where(on, 0.0, np.sign(dots))
+        plain = on.sum(axis=1) == r - 1
+        fp, sp = fixed[plain], sub[plain]
+        base = fp @ g
+        points = offset + np.stack([base, -base])[:, :, None] + np.einsum(
+            "pj,kjd->kpd", patterns, g[sp])
+        vals = np.abs(points[..., 0]) + np.linalg.norm(points[..., 1:], axis=-1)
+        if vals.size and vals.max() > best_val:
+            ray, k, p = np.unravel_index(np.argmax(vals), vals.shape)
+            best_val, best_s = float(vals[ray, k, p]), (1.0 - 2.0 * ray) * fp[k]
+            best_s[sp[k]] = patterns[p]
+        for i in np.flatnonzero(~plain):
+            on_line = np.flatnonzero(on[i])
+            if tuple(on_line) in seen:
+                continue
+            seen.add(tuple(on_line))
+            for ray in (1.0, -1.0):
+                val, s = _vertex_max(g[on_line], offset + ray * fixed[i] @ g)
+                if val > best_val:
+                    best_val, best_s = val, ray * fixed[i]
+                    best_s[on_line] = s
+    return best_val, best_s
+
+
+def classical_distance(m0: Povm, m1: Povm) -> DistanceResult:
+    """Best single-state distinguishing bias between two POVMs.
+
+    Half the largest |eigenvalue| of sum_x s_x (M0_x - M1_x), maximized
+    over the sign vectors s. Qubit pairs take the zonotope vertices, in
+    polynomial time for any outcome count; higher dimensions enumerate all
+    2^(n-1) sign vectors and reject more than ENUMERATION_LIMIT outcomes.
+    """
+    diffs = np.stack(_matched_differences(m0, m1))
+    if m0.dim == 2:
+        # D_x = (t_x + v_x . sigma) / 2 gives the generator (t_x, v_x) = tr(P D_x)
+        s = _zonotope_signs(np.einsum("kij,xji->xk", _PAULI, diffs).real)
+    elif len(diffs) > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"{len(diffs)} outcomes exceeds the exact enumeration guard ({ENUMERATION_LIMIT})"
+        )
+    else:
+        s = _enumerate_signs(diffs)
+    w, u = np.linalg.eigh(np.einsum("x,xij->ij", s, diffs))
     vec = u[:, -1] if w[-1] >= -w[0] else u[:, 0]
     return DistanceResult(
-        value=0.5 * best_val,
-        witness={"rho": np.outer(vec, vec.conj()), "signs": best_s},
+        value=0.5 * float(max(w[-1], -w[0])),
+        witness={"rho": np.outer(vec, vec.conj()), "signs": s},
         method="exact",
     )
 

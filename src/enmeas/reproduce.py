@@ -416,7 +416,9 @@ def check_non_universality() -> CheckResult:
         return CheckResult("non-universality", False, None,
                            "a reachable POVM infeasible for the fixed sin^2 state",
                            time.perf_counter() - t0)
-    member_ok = charact.verify_member_certificate(res["povm"], res["member_certificate"])
+    member_ok = charact.verify_member_certificate(
+        res["povm"], res["member_certificate"],
+        lambda: charact._assemble_ladder(res["povm"], 3, slack=False))
     farkas_ok = charact.verify_nonmember_certificate(
         res["povm"], res["fixed_certificate"],
         lambda: charact._assemble_ladder(res["povm"], 3, q_fixed=res["q"], slack=True))

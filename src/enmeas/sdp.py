@@ -149,6 +149,22 @@ class BlockSdp:
         """Maximize sum_b <coeffs[b], X_b>."""
         self.objective = {int(b): self._coeff(int(b), a) for b, a in coeffs.items()}
 
+    def primal_check(self, x) -> tuple[float, float]:
+        """Min eigenvalue over the blocks of x (one Hermitian matrix each) and
+        the worst row violation: the largest |lhs - rhs| of an equality or
+        lhs - rhs of an inequality, and 0 when no row is violated."""
+        if len(x) != len(self.block_dims):
+            raise SdpError(f"{len(x)} blocks given for {len(self.block_dims)}")
+        xs = [_hermitian(xb, d, f"block {b}")
+              for b, (xb, d) in enumerate(zip(x, self.block_dims))]
+
+        def excess(rows):
+            return _apply_a([cs for cs, _ in rows], xs) - np.array([r for _, r in rows])
+
+        worst = max(np.max(np.abs(excess(self.equalities)), initial=0.0),
+                    np.max(excess(self.inequalities), initial=0.0))
+        return min(float(np.linalg.eigvalsh(xb)[0]) for xb in xs), float(worst)
+
     # -- compiled view -----------------------------------------------------
 
     def compile(self):
@@ -169,8 +185,7 @@ class BlockSdp:
         for i, (cs, rhs) in enumerate(eqs):
             a_list.append(cs)
             b_vec[i] = rhs
-        return _Compiled(dims=dims, names=names, a_list=a_list, b=b_vec, c=cobj,
-                         n_orig_blocks=len(self.block_dims))
+        return _Compiled(dims=dims, names=names, a_list=a_list, b=b_vec, c=cobj)
 
     def to_json(self) -> dict:
         return {
@@ -200,7 +215,6 @@ class _Compiled:
     a_list: list[dict]
     b: np.ndarray
     c: list[np.ndarray]
-    n_orig_blocks: int
 
     def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
         """Min eigenvalue of A*(y) - C over the blocks, and b.y.

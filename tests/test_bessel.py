@@ -227,12 +227,22 @@ class TestPowerState:
         assert st.mean_energy() == pytest.approx(5.0, abs=1e-5)
 
     def test_window_retry_at_larger_energy(self):
-        # z = 25 needs a wider truncation than the first guess: exercises the
-        # retry loop and still meets the consistency tolerances
+        # z = 25 has a turning point far out on the ladder; the window past it
+        # still meets the consistency tolerances
         st = power_state(25.0, 1.0)
         chains = decompose_chains(st.levels, 1.0)
         assert tau_of_state(st, chains).tau == pytest.approx(phi(25.0).phi, abs=1e-6)
         assert st.mean_energy() == pytest.approx(25.0, abs=1e-4)
+
+    def test_no_raise_where_the_forward_recurrence_failed(self):
+        # the phi-curve grid points 10^2.3, 10^2.8, 10^2.9 and a log grid on
+        # [10, 1000], where a forward recurrence broke down on scattered z
+        zs = [10 ** 2.3, 10 ** 2.8, 10 ** 2.9] + list(np.geomspace(10.0, 1000.0, 101))
+        for z in zs:
+            st = power_state(float(z), 1.0)
+            amps = np.abs(st.amplitudes)
+            assert float(np.sum(amps[:-1] * amps[1:])) == pytest.approx(phi(z).phi, abs=1e-6)
+            assert st.mean_energy() == pytest.approx(z, abs=1e-6 * z)
 
 
 class TestEnergyOfLambda:

@@ -31,7 +31,8 @@ class TestMembershipFinite:
                            np.diag([0.7, 0.2]).astype(complex)])
         v = membership_finite(m, 1)
         assert v.is_member
-        assert verify_member_certificate(m, v.certificate)
+        assert verify_member_certificate(
+            m, v.certificate, lambda: charact._assemble_ladder(m, 1, slack=False))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_boundary_quality_is_member(self, d):
@@ -203,6 +204,28 @@ class TestMultilevel:
         v = membership_multilevel(m, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
         assert v.is_member
 
+    def test_forged_member_certificate_rejected(self):
+        # zero blocks whose claimed reconstruction is the target itself
+        m = sigma_x_povm()
+        forged = {"blocks": {0: [np.zeros((1, 1)), np.zeros((1, 1))]},
+                  "reconstruction": list(m.elements)}
+        assert not verify_member_certificate(
+            m, forged, lambda: charact._assemble_ladder(m, 1, slack=False))
+
+    def test_member_certificate_needs_every_entry(self):
+        m = degrade(sigma_x_povm(), 0.5)
+        v = membership_finite(m, 2)
+        assert v.is_member
+        build = lambda: charact._assemble_ladder(m, 2, slack=False)
+        assert verify_member_certificate(m, v.certificate, build)
+        no_p = {k: w for k, w in v.certificate.items() if k != "p"}
+        assert not verify_member_certificate(m, no_p, build)
+        short = dict(v.certificate, blocks=dict(list(v.certificate["blocks"].items())[:-1]))
+        assert not verify_member_certificate(m, short, build)
+        flat = dict(v.certificate, blocks={s: [b[:1, :1] for b in per_x]
+                                           for s, per_x in v.certificate["blocks"].items()})
+        assert not verify_member_certificate(m, flat, build)
+
     def test_verdicts_carry_verifying_certificates(self):
         target, battery = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
         r = random_rank_one_povm(np.random.default_rng(8), 3, 3)
@@ -212,7 +235,9 @@ class TestMultilevel:
             v = membership_multilevel(m, target, battery)
             assert v.verdict == verdict
             if v.is_member:
-                assert verify_member_certificate(m, v.certificate)
+                assert verify_member_certificate(
+                    m, v.certificate,
+                    lambda: charact._assemble_multilevel(m, target, battery, slack=False))
                 assert v.certificate["p"].shape == (3,)
             else:
                 assert verify_nonmember_certificate(
@@ -235,7 +260,9 @@ class TestUniversalStateCheck:
     def test_optimal_state_is_not_universal(self):
         res = universal_state_check(optimal_finite_state(3), 3, trials=40, seed=3)
         assert res is not None
-        assert verify_member_certificate(res["povm"], res["member_certificate"])
+        assert verify_member_certificate(
+            res["povm"], res["member_certificate"],
+            lambda: charact._assemble_ladder(res["povm"], 3, slack=False))
         assert verify_nonmember_certificate(
             res["povm"], res["fixed_certificate"],
             lambda: charact._assemble_ladder(res["povm"], 3, q_fixed=res["q"],
@@ -260,7 +287,9 @@ def test_verdicts_always_carry_verifying_certificates():
         d = int(rng.integers(2, 6))
         v = membership_finite(m, d)
         if v.is_member:
-            assert verify_member_certificate(m, v.certificate)
+            assert verify_member_certificate(
+                m, v.certificate,
+                lambda m=m, d=d: charact._assemble_ladder(m, d, slack=False))
         else:
             assert verify_nonmember_certificate(
                 m, v.certificate,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -19,6 +20,13 @@ def run_cli(args, capsys):
     return code, out, err
 
 
+def run_module(args):
+    # the child imports enmeas from wherever this process does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "enmeas.cli", *args],
+                          capture_output=True, env=env)
+
+
 def test_tau_finite_d2(capsys):
     code, out, _ = run_cli(["tau", "finite", "--d", "2"], capsys)
     assert code == 0
@@ -28,17 +36,12 @@ def test_tau_finite_d2(capsys):
 
 
 def test_unknown_flag_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "enmeas.cli", "tau", "finite", "--bogus"],
-        capture_output=True,
-    )
+    proc = run_module(["tau", "finite", "--bogus"])
     assert proc.returncode == 2
 
 
 def test_unknown_subcommand_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "enmeas.cli", "frobnicate"], capture_output=True
-    )
+    proc = run_module(["frobnicate"])
     assert proc.returncode == 2
 
 
@@ -236,6 +239,17 @@ def test_reproduce_single_check(capsys):
     code, out, _ = run_cli(["reproduce", "chsh-value"], capsys)
     assert code == 0
     assert "PASS" in out
+
+
+def test_reproduce_out_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    code, out, _ = run_cli(["reproduce", "chsh-value", "--out", str(path)], capsys)
+    assert code == 0
+    assert "PASS" in out  # the table still goes to stdout
+    records = json.loads(path.read_text())
+    assert len(records) == 1
+    assert records[0]["name"] == "chsh-value"
+    assert records[0]["passed"] is True
 
 
 def test_reproduce_requires_selection(capsys):

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from enmeas import distances
 from enmeas.distances import (
     classical_distance,
     quantum_distance,
@@ -10,8 +12,21 @@ from enmeas.distances import (
     set_distance_epsilon,
 )
 from enmeas.linalg import operator_norm
-from enmeas.povm import degrade, projective_qubit, random_rank_one_povm
+from enmeas.povm import Povm, degrade, projective_qubit, random_rank_one_povm
 from enmeas.reproduce import random_two_outcome, sphere_povm_pair
+
+
+def enumerated(m0, m1):
+    """The classical distance through the 2^(n-1) eigenvalue enumeration."""
+    diffs = distances._matched_differences(m0, m1)
+    s = distances._enumerate_signs(diffs)
+    return 0.5 * operator_norm(sum(x * d for x, d in zip(s, diffs)))
+
+
+def attained(m0, m1, rho):
+    """(1/2) sum_x |tr(rho (M0_x - M1_x))|, the bias the state rho attains."""
+    diffs = distances._matched_differences(m0, m1)
+    return 0.5 * sum(abs(np.trace(rho @ d).real) for d in diffs)
 
 
 class TestClassical:
@@ -62,22 +77,90 @@ class TestClassical:
         rng = np.random.default_rng(3)
         a = random_rank_one_povm(rng, 2, 12)
         b = random_rank_one_povm(rng, 2, 12)
-        exact = classical_distance(a, b)
-        from enmeas import distances as D
-
-        old = D.ENUMERATION_LIMIT
+        old = distances.ENUMERATION_LIMIT
         try:
-            D.ENUMERATION_LIMIT = 8  # force the Bloch-search path
-            approx = classical_distance(a, b)
+            distances.ENUMERATION_LIMIT = 8  # the guard holds for d > 2 only
+            r = classical_distance(a, b)
         finally:
-            D.ENUMERATION_LIMIT = old
-        assert approx.method == "lower_bound"
-        assert approx.value == pytest.approx(exact.value, abs=1e-9)
+            distances.ENUMERATION_LIMIT = old
+        assert r.method == "exact"
+        assert r.value == pytest.approx(enumerated(a, b), abs=1e-9)
 
     def test_sphere_discretization(self):
         m0, m1 = sphere_povm_pair(16)
         r = classical_distance(m0, m1)
         assert abs(r.value - 0.25) < 0.05
+
+
+class TestQubitZonotope:
+    """The qubit vertex search against the 2^(n-1) enumeration."""
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n0, n1 = (int(k) for k in rng.integers(2, 13, size=2))
+            a = random_rank_one_povm(rng, 2, n0)
+            b = random_rank_one_povm(rng, 2, n1)
+            assert classical_distance(a, b).value == pytest.approx(
+                enumerated(a, b), abs=1e-12)
+
+    def test_repeated_outcomes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            # split outcomes make equal differences: parallel generators
+            a, b = (Povm(elements=[0.5 * e for e in random_rank_one_povm(rng, 2, 3).elements
+                                   for _ in range(2)]) for _ in range(2))
+            assert classical_distance(a, b).value == pytest.approx(
+                enumerated(a, b), abs=1e-12)
+
+    def test_planar_bloch_vectors(self):
+        rng = np.random.default_rng(13)
+        for n in (3, 5, 8):
+            pair = []
+            for _ in range(2):
+                angles = rng.uniform(0, 2 * np.pi, n)
+                w = rng.dirichlet(np.ones(n))
+                # real rank-one elements, Bloch vectors in the x-z plane
+                vecs = np.stack([np.cos(angles / 2), np.sin(angles / 2)], axis=1)
+                elems = [wi * np.outer(v, v).astype(complex) for wi, v in zip(w, vecs)]
+                root = np.linalg.inv(np.linalg.cholesky(sum(elems)))
+                pair.append(Povm(elements=[root @ e @ root.conj().T for e in elems]))
+            a, b = pair
+            assert classical_distance(a, b).value == pytest.approx(
+                enumerated(a, b), abs=1e-12)
+
+    def test_identical_pairs_are_zero(self):
+        rng = np.random.default_rng(14)
+        for n in (2, 7, 30):
+            m = random_rank_one_povm(rng, 2, n)
+            assert classical_distance(m, m).value == 0.0
+
+    def test_sphere_pairs(self):
+        for n in range(2, 25, 2):
+            m0, m1 = sphere_povm_pair(n)
+            assert classical_distance(m0, m1).value == pytest.approx(
+                enumerated(m0, m1), abs=1e-12)
+
+    def test_continuous_example_is_exact(self):
+        m0, m1 = sphere_povm_pair(64)
+        r = classical_distance(m0, m1)
+        assert r.method == "exact"
+        assert r.value == pytest.approx(0.257948965569327, abs=1e-12)
+        assert attained(m0, m1, r.witness["rho"]) == pytest.approx(r.value, abs=1e-12)
+
+    def test_degenerate_arrangements_against_brute_force(self):
+        # small integer generators put many of them on common lines, which
+        # exercises the recursion on degenerate lines
+        rng = np.random.default_rng(15)
+        for trial in range(60):
+            g = rng.integers(-2, 3, size=(int(rng.integers(1, 10)), 4)).astype(float)
+            if trial % 3 == 1:
+                g[:, 2] = 0.0
+            t, v = g[:, 0], g[:, 1:]
+            s = distances._zonotope_signs(g)
+            best = max(abs(np.dot(sg, t)) + np.linalg.norm(np.dot(sg, v))
+                       for sg in itertools.product((1.0, -1.0), repeat=len(t)))
+            assert abs(s @ t) + np.linalg.norm(s @ v) == pytest.approx(best, abs=1e-12)
 
 
 class TestQuantum:
