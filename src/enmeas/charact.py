@@ -230,7 +230,7 @@ def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
 
 
 def _farkas_certificate(prog: _SectorProgram, sol: sdp.SdpSolution, slack: float) -> dict:
-    min_eig, b_dot_y = prog.problem.compile().dual_check(sol.y)
+    min_eig, b_dot_y = sol.program.dual_check(sol.y)
     return {"dual": sol.y.copy(), "dual_min_eig": min_eig,
             "dual_objective": b_dot_y, "margin": slack}
 
@@ -244,13 +244,13 @@ def _verdict(prog: _SectorProgram, slack: float, sol: sdp.SdpSolution,
 
 
 def verify_member_certificate(m: Povm, cert: dict, builder, tol: float = MEMBER_TOL) -> bool:
-    """Replay the decomposition in the raw (slack=False) program from builder.
+    """Replay the decomposition in the raw (slack=False) program builder(m).
 
     The certificate's blocks, populations p and tail weight take their
     places in it; every block must be PSD and every row must hold to 10 tol.
     A missing or mis-shaped entry fails the check.
     """
-    prog = builder()
+    prog = builder(m)
     x = [None] * len(prog.problem.block_dims)
     try:
         for per_x, given in zip(prog.blocks, cert["blocks"].values(), strict=True):
@@ -268,15 +268,15 @@ def verify_member_certificate(m: Povm, cert: dict, builder, tol: float = MEMBER_
 
 
 def verify_nonmember_certificate(m: Povm, cert: dict, builder, tol: float = 1e-7) -> bool:
-    """Replay the Farkas functional against a freshly assembled program.
+    """Replay the Farkas functional against the slack program builder(m).
 
-    The dual vector must be feasible for the slack program's dual
+    The dual vector must be feasible for that program's dual
     (A*(y) - C PSD on every block) and its objective b.y = -margin must be
     strictly negative; weak duality then bounds every decomposition's
     residual away from zero.
     """
     try:
-        min_eig, b_dot_y = builder().problem.compile().dual_check(cert["dual"])
+        min_eig, b_dot_y = builder(m).problem.compile().dual_check(cert["dual"])
     except sdp.SdpError:
         return False
     return min_eig >= -tol and b_dot_y < -max(tol, 0.5 * cert["margin"])

@@ -101,12 +101,15 @@ def _add_io(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _tau_rows(values, fn):
+def _emit_sweep(args, fn, param=float) -> int:
+    """Emit (parameter, tau, epsilon) of fn over the --sweep-* grid."""
     rows = []
-    for v in values:
-        t = fn(v)
-        rows.append((float(v), float(t), tau_mod.epsilon_from_tau(t)))
-    return rows
+    for v in map(param, _sweep_values(args)):
+        t = float(fn(v))
+        rows.append((v, t, tau_mod.epsilon_from_tau(t)))
+    header = ("parameter", "tau", "epsilon")
+    _emit(args, [dict(zip(header, r)) for r in rows], csv_rows=rows, csv_header=header)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +119,12 @@ def _tau_rows(values, fn):
 def _cmd_tau(args):
     if args.tau_cmd == "finite":
         if args.sweep_min is not None:
-            ds = [int(round(v)) for v in _sweep_values(args)]
-            rows = [(d, tau_mod.tau_finite(d), tau_mod.epsilon_from_tau(tau_mod.tau_finite(d)))
-                    for d in ds]
-            _emit(args, [dict(zip(("parameter", "tau", "epsilon"), r)) for r in rows],
-                  csv_rows=rows, csv_header=("parameter", "tau", "epsilon"))
-            return 0
+            return _emit_sweep(args, tau_mod.tau_finite, lambda v: int(round(v)))
         t = tau_mod.tau_finite(args.d)
         _emit(args, {"d": args.d, "tau": t, "epsilon": tau_mod.epsilon_from_tau(t)})
     elif args.tau_cmd == "coherent":
         if args.sweep_min is not None:
-            rows = _tau_rows(_sweep_values(args), tau_mod.tau_coherent)
-            _emit(args, [dict(zip(("parameter", "tau", "epsilon"), r)) for r in rows],
-                  csv_rows=rows, csv_header=("parameter", "tau", "epsilon"))
-            return 0
+            return _emit_sweep(args, tau_mod.tau_coherent)
         t = tau_mod.tau_coherent(args.alpha_sq)
         _emit(args, {"alpha_sq": args.alpha_sq, "tau": t,
                      "epsilon": tau_mod.epsilon_from_tau(t)})
@@ -150,10 +145,7 @@ def _cmd_tau(args):
     elif args.tau_cmd == "gaussian":
         fn = lambda s: tau_mod.tau_continuous(EnergyDensity.gaussian(0.0, s), args.delta)
         if args.sweep_min is not None:
-            rows = _tau_rows(_sweep_values(args), fn)
-            _emit(args, [dict(zip(("parameter", "tau", "epsilon"), r)) for r in rows],
-                  csv_rows=rows, csv_header=("parameter", "tau", "epsilon"))
-            return 0
+            return _emit_sweep(args, fn)
         t = fn(args.sigma)
         _emit(args, {"sigma": args.sigma, "delta": args.delta, "tau": t,
                      "epsilon": tau_mod.epsilon_from_tau(t)})
@@ -163,10 +155,7 @@ def _cmd_tau(args):
         clock = EnergyDensity.gaussian(args.clock_mean, args.clock_variance)
         fn = lambda e: tau_mod.tau_near_resonant(c0, c1, e, clock, args.delta)
         if args.sweep_min is not None:
-            rows = _tau_rows(_sweep_values(args), fn)
-            _emit(args, [dict(zip(("parameter", "tau", "epsilon"), r)) for r in rows],
-                  csv_rows=rows, csv_header=("parameter", "tau", "epsilon"))
-            return 0
+            return _emit_sweep(args, fn)
         t = fn(args.eps)
         _emit(args, {"eps": args.eps, "tau": t, "epsilon": tau_mod.epsilon_from_tau(t)})
     return 0

@@ -418,10 +418,10 @@ def check_non_universality() -> CheckResult:
                            time.perf_counter() - t0)
     member_ok = charact.verify_member_certificate(
         res["povm"], res["member_certificate"],
-        lambda: charact._assemble_ladder(res["povm"], 3, slack=False))
+        lambda m: charact._assemble_ladder(m, 3, slack=False))
     farkas_ok = charact.verify_nonmember_certificate(
         res["povm"], res["fixed_certificate"],
-        lambda: charact._assemble_ladder(res["povm"], 3, q_fixed=res["q"], slack=True))
+        lambda m: charact._assemble_ladder(m, 3, q_fixed=res["q"], slack=True))
     ok = member_ok and farkas_ok
     return CheckResult("non-universality", ok,
                        {"trial": res["trial"], "fixed_margin": res["fixed_margin"],

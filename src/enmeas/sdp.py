@@ -9,8 +9,16 @@ Hermitian PSD cones (1x1 blocks double as nonnegative scalars):
 
 with <A, X> = Re tr(A X). Inequalities get slack scalars at compile time.
 The solver is an infeasible-start primal-dual interior-point method with
-Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter;
-all blocks here are tiny, so dense factorizations are used throughout.
+Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
+
+The compiled program stacks the blocks of each size d into (n, d, d)
+arrays and holds the constraints as one sparse real m x N matrix over the
+blocks' d^2 real coordinates, those that hermitian_basis extracts. A(X),
+A*(y), the NT scaling, the step length and the Schur complement
+A (W x W) A^T are then a few batched matmul and eigh calls per size group,
+with closed forms for 1x1 blocks. The Schur complement, the one dense
+m x m matrix, is Q Q^T for the sparse scaled constraints Q, so it is
+symmetric to the last bit.
 Primal infeasibility is certified through an always-feasible phase-1
 program whose dual yields a Farkas functional y with A*(y) PSD and
 b.y < 0, both checkable directly on the raw problem data.
@@ -23,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sps
 
 from .linalg import matrix_to_json
 
@@ -134,9 +143,9 @@ class BlockSdp:
             else:
                 if self.block_dims[b] != 1:
                     raise SdpError(f"block {b} times a fixed matrix must be 1x1")
-                vals = _coords(basis, _hermitian(term[1], r.shape[0], f"matrix of block {b}"))
+                vals = _coords(_hermitian(term[1], r.shape[0], f"matrix of block {b}")[None])[0]
                 cols.append((b, vals[:, None, None].astype(complex), vals != 0))
-        for i, rhs_i in enumerate(_coords(basis, r)):
+        for i, rhs_i in enumerate(_coords(r[None])[0]):
             self.equalities.append(
                 ({b: coeffs[i] for b, coeffs, keep in cols if keep[i]}, float(rhs_i)))
 
@@ -157,35 +166,31 @@ class BlockSdp:
             raise SdpError(f"{len(x)} blocks given for {len(self.block_dims)}")
         xs = [_hermitian(xb, d, f"block {b}")
               for b, (xb, d) in enumerate(zip(x, self.block_dims))]
-
-        def excess(rows):
-            return _apply_a([cs for cs, _ in rows], xs) - np.array([r for _, r in rows])
-
-        worst = max(np.max(np.abs(excess(self.equalities)), initial=0.0),
-                    np.max(excess(self.inequalities), initial=0.0))
+        comp = self.compile()
+        # slack scalars stay 0, so inequality rows read lhs - rhs
+        excess = comp.apply_a(comp.stacks(xs + [np.zeros((1, 1))] * len(self.inequalities)))
+        excess -= comp.b
+        n_eq = len(self.equalities)
+        worst = max(np.max(np.abs(excess[:n_eq]), initial=0.0),
+                    np.max(excess[n_eq:], initial=0.0))
         return min(float(np.linalg.eigvalsh(xb)[0]) for xb in xs), float(worst)
 
     # -- compiled view -----------------------------------------------------
 
-    def compile(self):
-        dims = list(self.block_dims)
-        names = list(self.block_names)
-        eqs = [(dict(cs), rhs) for cs, rhs in self.equalities]
+    def _rows(self):
+        """Block sizes, names and equality rows, with a slack scalar closing
+        each inequality."""
+        dims, names = list(self.block_dims), list(self.block_names)
+        rows = list(self.equalities)
         for cs, rhs in self.inequalities:
             dims.append(1)
             names.append(f"slack{len(dims) - 1}")
-            cs = dict(cs)
-            cs[len(dims) - 1] = np.eye(1, dtype=complex)
-            eqs.append((cs, rhs))
-        cobj = [np.zeros((d, d), dtype=complex) for d in dims]
-        for b, a in self.objective.items():
-            cobj[b] = a
-        a_list = []
-        b_vec = np.empty(len(eqs))
-        for i, (cs, rhs) in enumerate(eqs):
-            a_list.append(cs)
-            b_vec[i] = rhs
-        return _Compiled(dims=dims, names=names, a_list=a_list, b=b_vec, c=cobj)
+            rows.append(({**cs, len(dims) - 1: np.eye(1, dtype=complex)}, rhs))
+        return dims, names, rows
+
+    def compile(self):
+        dims, _, rows = self._rows()
+        return _Compiled(dims, rows, self.objective)
 
     def to_json(self) -> dict:
         return {
@@ -203,18 +208,192 @@ class BlockSdp:
         }
 
 
-def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """<E, m> = Re tr(E m) for every E of a stacked hermitian_basis."""
-    return np.einsum("nij,ji->n", basis, m).real
+# ---------------------------------------------------------------------------
+# Stacked blocks and their real coordinates
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _triangle(d: int):
+    return np.arange(d), *np.triu_indices(d, 1)
 
 
-@dataclass
+def _coords(x: np.ndarray, off: float = 1.0) -> np.ndarray:
+    """Real coordinates of a stack of Hermitian d x d matrices, (n, d^2).
+
+    They follow hermitian_basis: X_ii, then Re X_ij and Im X_ij for i < j,
+    the off-diagonal ones times off. off=1 gives <E_k, X>; off=2 gives the
+    coefficients a of A with <A, X> = a . coords(X); sqrt(2) makes the
+    coordinates orthonormal.
+    """
+    n, d = x.shape[:2]
+    if d == 1:
+        return x.real.reshape(n, 1)
+    di, iu, ju = _triangle(d)
+    out = np.empty((n, d * d))
+    out[:, :d] = x.real[:, di, di]
+    u = x[:, iu, ju] if off == 1.0 else off * x[:, iu, ju]
+    out[:, d::2] = u.real
+    out[:, d + 1::2] = u.imag
+    return out
+
+
+def _from_coords(a: np.ndarray, d: int) -> np.ndarray:
+    """sum_k a_k E_k over hermitian_basis(d), for each row a of a stack."""
+    n = a.shape[0]
+    out = np.zeros((n, d, d), dtype=complex)
+    if d == 1:
+        out[:, 0, 0] = a[:, 0]
+        return out
+    di, iu, ju = _triangle(d)
+    out[:, di, di] = a[:, :d]
+    h = 0.5 * (a[:, d::2] + 1j * a[:, d + 1::2])
+    out[:, iu, ju] = h
+    out[:, ju, iu] = h.conj()
+    return out
+
+
+def _indptr(rows, m):
+    """CSR row pointers of sorted entries in the given rows."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+
+
+@lru_cache(maxsize=None)
+def _vec_maps(d: int):
+    """Row k: E_k of hermitian_basis(d) flattened; column c: the flattened
+    transpose of its c-th matrix scaled to orthonormal coordinates."""
+    basis = _basis_stack(d)
+    scaled = basis * np.where(np.arange(d * d) < d, 1.0, np.sqrt(2.0))[:, None, None]
+    return basis.reshape(d * d, d * d), scaled.transpose(0, 2, 1).reshape(d * d, d * d).T
+
+
+def _scaled_coords(r: np.ndarray) -> np.ndarray:
+    """Per block, the real d^2 x d^2 map from the coefficients a of A
+    (A = sum_k a_k E_k) to the orthonormal coordinates of R^H A R."""
+    n, d = r.shape[:2]
+    rows, cols = _vec_maps(d)
+    # (R^H E R)_ab = sum_ij conj(R_ia) R_jb E_ij
+    kron = np.einsum("nia,njb->nijab", r.conj(), r).reshape(n, d * d, d * d)
+    return (rows @ kron @ cols).real
+
+
+def _ct(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+def _sym(m):
+    return 0.5 * (m + _ct(m))
+
+
+def _inner(x, z) -> float:
+    """sum_b Re tr(X_b Z_b) over group stacks of Hermitian blocks."""
+    return float(sum(np.vdot(zg, xg).real for xg, zg in zip(x, z)))
+
+
 class _Compiled:
-    dims: list[int]
-    names: list[str]
-    a_list: list[dict]
-    b: np.ndarray
-    c: list[np.ndarray]
+    """A program in the solver's layout.
+
+    Blocks of one size d form a group, stacked in block order into (n, d, d)
+    arrays; x[g][k] is block members[g][k]. The constraint matrix a is m x N
+    sparse real over the groups' coordinates, group after group and block
+    after block, so that row i of A(X) is a[i] . coords(X). It stores each
+    (row, block) coefficient as a whole d^2 segment, zeros included, so the
+    scaled constraints of schur() share its pattern. c is the objective as
+    one stack per group.
+    """
+
+    def __init__(self, dims, rows, objective):
+        self.dims = dims
+        m = len(rows)
+        self.b = np.array([rhs for _, rhs in rows], dtype=float)
+        self.sizes = sorted(set(dims))
+        group = {d: g for g, d in enumerate(self.sizes)}
+        self.members = [[] for _ in self.sizes]
+        self.where = []  # (group, position) of every block
+        for bi, d in enumerate(dims):
+            self.where.append((group[d], len(self.members[group[d]])))
+            self.members[group[d]].append(bi)
+        counts = [len(mem) * d * d for mem, d in zip(self.members, self.sizes)]
+        self.starts = np.concatenate(([0], np.cumsum(counts))).astype(int)
+        n = int(self.starts[-1])
+
+        # the (row, block) coefficients of each group: rows, block positions, matrices
+        found = [([], [], []) for _ in self.sizes]
+        for i, (cs, _) in enumerate(rows):
+            for bi, coeff in cs.items():
+                g, k = self.where[bi]
+                found[g][0].append(i)
+                found[g][1].append(k)
+                found[g][2].append(coeff)
+        self.entries = []  # per group: block positions and coefficient coordinates
+        seg_rows, seg_cols = [], []
+        for (ids, pos, mats), d, start in zip(found, self.sizes, self.starts):
+            pos = np.array(pos, dtype=int)
+            mats = np.array(mats, dtype=complex).reshape(-1, d, d)
+            self.entries.append((pos, _coords(mats, 2.0)))
+            seg_rows.append(np.repeat(np.array(ids, dtype=int), d * d))
+            seg_cols.append((start + pos[:, None] * d * d + np.arange(d * d)).ravel())
+        rows_, cols = np.concatenate(seg_rows), np.concatenate(seg_cols)
+        self._order = np.lexsort((cols, rows_))  # segment values -> CSR order
+        self._order_t = np.lexsort((rows_[self._order], cols[self._order]))
+        self.a = sps.csr_matrix((self._segments(coef for _, coef in self.entries),
+                                 cols[self._order], _indptr(rows_, m)), shape=(m, n))
+        self.at = sps.csr_matrix((self.a.data[self._order_t], rows_[self._order][self._order_t],
+                                  _indptr(cols, n)), shape=(n, m))
+
+        self.c = [np.zeros((len(mem), d, d), dtype=complex)
+                  for mem, d in zip(self.members, self.sizes)]
+        for bi, coeff in objective.items():
+            g, k = self.where[bi]
+            self.c[g][k] = coeff
+
+    def stacks(self, blocks) -> list[np.ndarray]:
+        """Group stacks from one matrix per block."""
+        return [np.array([blocks[bi] for bi in mem], dtype=complex).reshape(len(mem), d, d)
+                for mem, d in zip(self.members, self.sizes)]
+
+    def blocks(self, stacks) -> list[np.ndarray]:
+        """One matrix per block from group stacks; copies, so that a block
+        kept by a caller does not keep its whole group alive."""
+        return [stacks[g][k].copy() for g, k in self.where]
+
+    def eye(self, eta: float) -> list[np.ndarray]:
+        return [np.tile(eta * np.eye(d, dtype=complex), (len(mem), 1, 1))
+                for mem, d in zip(self.members, self.sizes)]
+
+    def apply_a(self, x) -> np.ndarray:
+        """A(X): row i is sum_b <A_ib, X_b>."""
+        return self.a @ np.concatenate([_coords(xg).ravel() for xg in x])
+
+    def apply_at(self, y) -> list[np.ndarray]:
+        """A*(y) = sum_i y_i A_i, as group stacks."""
+        v = self.at @ np.asarray(y, dtype=float)
+        return [_from_coords(v[s:e].reshape(-1, d * d), d)
+                for s, e, d in zip(self.starts, self.starts[1:], self.sizes)]
+
+    def _segments(self, per_group) -> np.ndarray:
+        """CSR data in a's pattern from each group's (entries, d^2) values."""
+        return np.concatenate([v.ravel() for v in per_group])[self._order]
+
+    def schur(self, r) -> np.ndarray:
+        """A (W x W) A^T for W_b = R_b R_b^H: entry (i, j) is
+        sum_b <A_ib, W_b A_jb W_b> = sum_b <R^H A_ib R, R^H A_jb R>.
+
+        Q holds the orthonormal coordinates of R^H A_ib R in the pattern of
+        a; Q Q^T is the one dense m x m array, and both of its triangles
+        sum the same products in the same order, so it is exactly symmetric.
+        """
+        maps = [_scaled_coords(rg) for rg in r]
+        q = sps.csr_matrix((self._segments(np.einsum("ek,ekc->ec", coef, lg[pos])
+                                           for (pos, coef), lg in zip(self.entries, maps)),
+                            self.a.indices, self.a.indptr), shape=self.a.shape)
+        qt = sps.csr_matrix((q.data[self._order_t], self.at.indices, self.at.indptr),
+                            shape=self.at.shape)
+        m = q.shape[0]
+        s = np.zeros((m, m))
+        step = max(1, 2 ** 15 // m)  # rows per sparse product, to bound its size
+        for i in range(0, m, step):
+            (q[i:i + step] @ qt).toarray(out=s[i:i + step])
+        return s
 
     def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
         """Min eigenvalue of A*(y) - C over the blocks, and b.y.
@@ -226,10 +405,11 @@ class _Compiled:
         y = np.asarray(y, dtype=float)
         if y.shape != self.b.shape:
             raise SdpError(f"dual vector has {y.size} entries for {self.b.size} rows")
-        aty = _apply_at(self.a_list, self.dims, y)
+        aty = self.apply_at(y)
         if not farkas:
             aty = [a - c for a, c in zip(aty, self.c)]
-        return min(float(np.linalg.eigvalsh(a)[0]) for a in aty), float(np.dot(self.b, y))
+        min_eig = min(float(np.linalg.eigvalsh(a)[:, 0].min()) for a in aty)
+        return min_eig, float(np.dot(self.b, y))
 
 
 @dataclass
@@ -257,6 +437,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     certificate: InfeasibilityCertificate | None = None
+    program: _Compiled | None = field(default=None, repr=False)  # the program solved
 
     def block(self, idx: int) -> np.ndarray:
         return self.x[idx]
@@ -286,95 +467,56 @@ class SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Core iteration
+# Core iteration, one size group at a time
 # ---------------------------------------------------------------------------
 
-def _apply_a(a_list, x):
-    out = np.empty(len(a_list))
-    for i, cs in enumerate(a_list):
-        s = 0.0
-        for b, a in cs.items():
-            s += float(np.trace(a @ x[b]).real)
-        out[i] = s
-    return out
+def _floor(w):
+    """Eigenvalues raised to at least 1e-17 of the largest."""
+    return np.maximum(w, np.maximum(w[:, -1:], 1e-128) * 1e-17)
 
 
-def _apply_at(a_list, dims, y):
-    out = [np.zeros((d, d), dtype=complex) for d in dims]
-    for i, cs in enumerate(a_list):
-        yi = y[i]
-        if yi == 0.0:
-            continue
-        for b, a in cs.items():
-            out[b] += yi * a
-    return out
+def _nt_scaling(x, z):
+    """NT scaling of one group: R with W = R R^H and W Z W = X, W, Z^{-1},
+    and the X^{-1/2}, Z^{-1/2} that the step lengths use."""
+    n, d = x.shape[:2]
+    if d == 1:
+        wx, wz = _floor(x.real.reshape(n, 1)), _floor(z.real.reshape(n, 1))
+        xh = np.sqrt(wx)
+        r = xh / np.sqrt(np.sqrt(_floor(xh * z.real.reshape(n, 1) * xh)))
+        r, wx, wz = (v.reshape(n, 1, 1) for v in (r, wx, wz))
+        return r, r * r + 0j, 1.0 / wz + 0j, 1.0 / np.sqrt(wx), 1.0 / np.sqrt(wz)
+    wx, ux = np.linalg.eigh(x)
+    wx = _floor(wx)[:, None, :]
+    xh = (ux * np.sqrt(wx)) @ _ct(ux)
+    wm, um = np.linalg.eigh(_sym(xh @ z @ xh))
+    r = xh @ (um / np.sqrt(np.sqrt(_floor(wm)))[:, None, :])
+    wz, uz = np.linalg.eigh(z)
+    wz = _floor(wz)[:, None, :]
+    return (r, r @ _ct(r), (uz / wz) @ _ct(uz),
+            (ux / np.sqrt(wx)) @ _ct(ux), (uz / np.sqrt(wz)) @ _ct(uz))
 
 
-def _inner(x, z) -> float:
-    return float(sum(np.trace(xb @ zb).real for xb, zb in zip(x, z)))
-
-
-def _sym(m):
-    return 0.5 * (m + m.conj().T)
-
-
-def _nt_scaling(xb, zb):
-    """NT scaling point W with W Z W = X, plus Z^{-1}."""
-    wx, ux = np.linalg.eigh(xb)
-    wx = np.maximum(wx, max(float(wx[-1]), 1e-128) * 1e-17)
-    xh = (ux * np.sqrt(wx)) @ ux.conj().T
-    mid = _sym(xh @ zb @ xh)
-    wm, um = np.linalg.eigh(mid)
-    wm = np.maximum(wm, max(float(wm[-1]), 1e-128) * 1e-17)
-    midmh = (um / np.sqrt(wm)) @ um.conj().T
-    w = _sym(xh @ midmh @ xh)
-    wz, uz = np.linalg.eigh(zb)
-    wz = np.maximum(wz, max(float(wz[-1]), 1e-128) * 1e-17)
-    zinv = (uz / wz) @ uz.conj().T
-    return w, zinv
-
-
-def _max_step(x, dx) -> float:
-    """Largest alpha with X + alpha dX staying PSD (per block, then min)."""
+def _max_step(x, dx, xmh) -> float:
+    """Largest alpha with X + alpha dX staying PSD (per block, then min),
+    given X^{-1/2} of every group."""
     alpha = np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for xb, dxb in zip(x, dx):
-            if not np.all(np.isfinite(dxb)):
+        for xg, dxg, mh in zip(x, dx, xmh):
+            if not np.all(np.isfinite(dxg)):
                 return 0.0
-            if xb.shape[0] == 1:
-                xv = xb[0, 0].real
-                dv = dxb[0, 0].real
-                if dv < 0:
-                    alpha = min(alpha, -xv / dv)
+            if xg.shape[1] == 1:
+                dv = dxg.real.ravel()
+                neg = dv < 0
+                if np.any(neg):
+                    alpha = min(alpha, float(np.min(-xg.real.ravel()[neg] / dv[neg])))
                 continue
-            w, u = np.linalg.eigh(xb)
-            w = np.maximum(w, max(float(w[-1]), 1e-128) * 1e-17)
-            xmh = (u / np.sqrt(w)) @ u.conj().T
-            g = _sym(xmh @ dxb @ xmh)
+            g = _sym(mh @ dxg @ mh)
             if not np.all(np.isfinite(g)):
                 return 0.0
-            lmin = float(np.linalg.eigvalsh(g)[0])
+            lmin = float(np.linalg.eigvalsh(g)[:, 0].min())
             if lmin < 0:
                 alpha = min(alpha, -1.0 / lmin)
     return alpha
-
-
-def _schur(a_list, dims, w):
-    m = len(a_list)
-    s = np.zeros((m, m))
-    # group constraints by block for vectorized accumulation
-    by_block: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, cs in enumerate(a_list):
-        for b, a in cs.items():
-            by_block.setdefault(b, []).append((i, a))
-    for b, entries in by_block.items():
-        idx = np.array([i for i, _ in entries])
-        mats = np.stack([a for _, a in entries])
-        wb = w[b]
-        waw = np.einsum("ab,ibc,cd->iad", wb, mats, wb, optimize=True)
-        sb = np.real(np.einsum("iab,jba->ij", mats, waw, optimize=True))
-        s[np.ix_(idx, idx)] += sb
-    return 0.5 * (s + s.T)
 
 
 def _factor_schur(s):
@@ -383,7 +525,12 @@ def _factor_schur(s):
     base = 1e-14 * (np.trace(s) / m + 1.0)
     for _ in range(4):
         try:
-            cf = sla.cho_factor(s + jitter * np.eye(m), lower=True)
+            if jitter == 0.0:
+                cf = sla.cho_factor(s, lower=True)
+            else:
+                shifted = s.copy()
+                shifted.flat[::m + 1] += jitter
+                cf = sla.cho_factor(shifted, lower=True, overwrite_a=True)
             return lambda r: sla.cho_solve(cf, r)
         except (np.linalg.LinAlgError, sla.LinAlgError):
             jitter = base if jitter == 0.0 else jitter * 1e3
@@ -400,42 +547,41 @@ def _solve_schur_refined(s, solve_fn, rhs):
 
 
 def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
-    dims, a_list, b, c = comp.dims, comp.a_list, comp.b, comp.c
-    m = len(a_list)
-    ntot = sum(dims)
+    b, c = comp.b, comp.c
+    m = b.size
+    ntot = sum(comp.dims)
     scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0,
-                max((float(np.max(np.abs(cb))) for cb in c if cb.size), default=1.0))
+                max((float(np.max(np.abs(cg))) for cg in c if cg.size), default=1.0))
     eta = 10.0 * scale
-    x = [eta * np.eye(d, dtype=complex) for d in dims]
-    z = [eta * np.eye(d, dtype=complex) for d in dims]
+    x = comp.eye(eta)
+    z = comp.eye(eta)
     y = np.zeros(m)
 
     norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_c = 1.0 + float(np.sqrt(sum(np.linalg.norm(cb) ** 2 for cb in c)))
+    norm_c = 1.0 + float(np.sqrt(_inner(c, c)))
 
     best = (x, y, z, 0.0, 0.0, _inner(x, z), np.inf, np.inf)
     best_merit = np.inf
     stall = 0
     status = "max_iter"
     it = 0
+    s = solve_fn = None
     errstate = np.errstate(over="ignore", invalid="ignore", divide="ignore")
     errstate.__enter__()
     for it in range(1, max_iter + 1):
-        ax = _apply_a(a_list, x)
-        rp = b - ax
-        aty = _apply_at(a_list, dims, y)
-        rd = [c[bi] + z[bi] - aty[bi] for bi in range(len(dims))]
+        rp = b - comp.apply_a(x)
+        rd = [cg + zg - ag for cg, zg, ag in zip(c, z, comp.apply_at(y))]
         gap = _inner(x, z)
         mu = gap / ntot
-        pobj = float(sum(np.trace(c[bi] @ x[bi]).real for bi in range(len(dims))))
+        pobj = _inner(c, x)
         dobj = float(np.dot(b, y))
         rel_p = float(np.linalg.norm(rp)) / norm_b
-        rel_d = float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rd))) / norm_c
+        rel_d = float(np.sqrt(_inner(rd, rd))) / norm_c
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
 
         finite = (np.isfinite(rel_p) and np.isfinite(rel_d) and np.isfinite(gap)
-                  and all(np.all(np.isfinite(xb)) for xb in x)
-                  and all(np.all(np.isfinite(zb)) for zb in z))
+                  and all(np.all(np.isfinite(xg)) for xg in x)
+                  and all(np.all(np.isfinite(zg)) for zg in z))
         if not finite:
             status = "diverged"
             break
@@ -457,44 +603,37 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
             status = "diverged"
             break
 
-        w = []
-        zinv = []
-        for bi in range(len(dims)):
-            wb, zib = _nt_scaling(x[bi], z[bi])
-            w.append(wb)
-            zinv.append(zib)
-
-        s = _schur(a_list, dims, w)
+        r, w, zinv, xmh, zmh = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
+        s = solve_fn = None  # the last Schur matrix and factor go before the next
+        s = comp.schur(r)
         solve_fn = _factor_schur(s)
-        wrdw = [_sym(w[bi] @ rd[bi] @ w[bi]) for bi in range(len(dims))]
-        a_wrdw = _apply_a(a_list, wrdw)
+        a_wrdw = comp.apply_a([_sym(wg @ rg @ wg) for wg, rg in zip(w, rd)])
 
         def direction(sigma_mu):
-            rc = [sigma_mu * zinv[bi] - x[bi] for bi in range(len(dims))]
-            rhs = _apply_a(a_list, rc) + a_wrdw - rp
+            rc = [sigma_mu * zi - xg for zi, xg in zip(zinv, x)]
+            rhs = comp.apply_a(rc) + a_wrdw - rp
             dy = _solve_schur_refined(s, solve_fn, rhs)
-            atdy = _apply_at(a_list, dims, dy)
-            dz = [atdy[bi] - rd[bi] for bi in range(len(dims))]
-            dx = [_sym(rc[bi] - w[bi] @ dz[bi] @ w[bi]) for bi in range(len(dims))]
+            dz = [ag - rg for ag, rg in zip(comp.apply_at(dy), rd)]
+            dx = [_sym(rcg - wg @ dzg @ wg) for rcg, wg, dzg in zip(rc, w, dz)]
             # refine against the primal Newton equation A(dx) = rp; the
             # correction keeps the dual and complementarity equations exact
             for _ in range(2):
-                r1 = rp - _apply_a(a_list, dx)
+                r1 = rp - comp.apply_a(dx)
                 if float(np.linalg.norm(r1)) <= 1e-13 * (1.0 + float(np.linalg.norm(rp))):
                     break
                 ddy = _solve_schur_refined(s, solve_fn, -r1)
-                atddy = _apply_at(a_list, dims, ddy)
+                atddy = comp.apply_at(ddy)
                 dy = dy + ddy
-                dz = [dz[bi] + atddy[bi] for bi in range(len(dims))]
-                dx = [_sym(dx[bi] - w[bi] @ atddy[bi] @ w[bi]) for bi in range(len(dims))]
+                dz = [dzg + ag for dzg, ag in zip(dz, atddy)]
+                dx = [_sym(dxg - wg @ ag @ wg) for dxg, wg, ag in zip(dx, w, atddy)]
             return dx, dy, dz
 
         # predictor chooses the centering weight
         dxa, dya, dza = direction(0.0)
-        ap = min(1.0, 0.98 * _max_step(x, dxa))
-        ad = min(1.0, 0.98 * _max_step(z, dza))
-        xa = [x[bi] + ap * dxa[bi] for bi in range(len(dims))]
-        za = [z[bi] + ad * dza[bi] for bi in range(len(dims))]
+        ap = min(1.0, 0.98 * _max_step(x, dxa, xmh))
+        ad = min(1.0, 0.98 * _max_step(z, dza, zmh))
+        xa = [xg + ap * dg for xg, dg in zip(x, dxa)]
+        za = [zg + ad * dg for zg, dg in zip(z, dza)]
         gap_aff = max(_inner(xa, za), 0.0)
         sigma = min(1.0, max((gap_aff / gap) ** 3 if gap > 0 else 0.0, 1e-10))
 
@@ -504,13 +643,13 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
             sigma = min(sigma, 0.99)
 
         dx, dy, dz = direction(sigma * mu)
-        ap = min(1.0, 0.98 * _max_step(x, dx))
-        ad = min(1.0, 0.98 * _max_step(z, dz))
+        ap = min(1.0, 0.98 * _max_step(x, dx, xmh))
+        ad = min(1.0, 0.98 * _max_step(z, dz, zmh))
         if ap < 1e-12 and ad < 1e-12:
             status = "stalled"
             break
-        x = [_sym(x[bi] + ap * dx[bi]) for bi in range(len(dims))]
-        z = [_sym(z[bi] + ad * dz[bi]) for bi in range(len(dims))]
+        x = [_sym(xg + ap * dg) for xg, dg in zip(x, dx)]
+        z = [_sym(zg + ad * dg) for zg, dg in zip(z, dz)]
         y = y + ad * dy
 
     errstate.__exit__(None, None, None)
@@ -519,32 +658,35 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
         rel_gap_best = gap / (1.0 + abs(pobj) + abs(dobj))
         if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap_best <= gap_tol:
             status = "optimal"
-    return status, x, y, z, pobj, dobj, gap, rel_p, rel_d, it
+    return status, comp.blocks(x), y, comp.blocks(z), pobj, dobj, gap, rel_p, rel_d, it
 
 
 # ---------------------------------------------------------------------------
 # Public solve with phase-1 infeasibility certification
 # ---------------------------------------------------------------------------
 
-def _phase1(comp: _Compiled):
+def _phase1(problem: BlockSdp) -> BlockSdp:
     """min sum of |residual| slacks; optimum > 0 certifies infeasibility."""
-    p = BlockSdp()
-    for d, name in zip(comp.dims, comp.names):
-        p.add_block(d, name)
-    m = len(comp.a_list)
+    dims, names, rows = problem._rows()
+    p = BlockSdp(block_dims=dims, block_names=names)
+    m = len(rows)
     sp = [p.add_scalar(f"r+{i}") for i in range(m)]
     sm = [p.add_scalar(f"r-{i}") for i in range(m)]
-    for i, (cs, rhs) in enumerate(zip(comp.a_list, comp.b)):
-        cs = dict(cs)
-        cs[sp[i]] = np.eye(1, dtype=complex)
-        cs[sm[i]] = -np.eye(1, dtype=complex)
-        p.add_equality(cs, rhs)
-    obj = {}
-    for i in range(m):
-        obj[sp[i]] = -np.eye(1, dtype=complex)
-        obj[sm[i]] = -np.eye(1, dtype=complex)
-    p.set_objective(obj)
+    one = np.eye(1, dtype=complex)
+    p.equalities = [({**cs, sp[i]: one, sm[i]: -one}, rhs) for i, (cs, rhs) in enumerate(rows)]
+    p.objective = {v: -one for v in sp + sm}
     return p
+
+
+def _ray(problem: BlockSdp) -> BlockSdp:
+    """max <C, X> s.t. A(X) = 0 and total trace 1: a positive value is an
+    improving ray of the problem."""
+    dims, names, rows = problem._rows()
+    ray = BlockSdp(block_dims=dims, block_names=names,
+                   equalities=[(cs, 0.0) for cs, _ in rows])
+    ray.add_equality({bi: np.eye(d, dtype=complex) for bi, d in enumerate(dims)}, 1.0)
+    ray.objective = {bi: a for bi, a in problem.objective.items() if np.max(np.abs(a)) > 0}
+    return ray
 
 
 def verify_infeasibility_certificate(problem: BlockSdp, cert: InfeasibilityCertificate,
@@ -569,54 +711,35 @@ def solve(problem: BlockSdp,
     'max_iter' (best iterate returned).
     """
     comp = problem.compile()
-    if len(comp.a_list) == 0:
+    if comp.b.size == 0:
         raise SdpError("problem has no constraints")
-    has_objective = any(np.max(np.abs(cb)) > 0 for cb in comp.c if cb.size)
+    c_max = max(float(np.max(np.abs(cg))) for cg in comp.c)
 
     status, x, y, z, pobj, dobj, gap, rel_p, rel_d, it = _ipm(
         comp, feas_tol, gap_tol, max_iter)
 
-    scale = 1.0 + float(np.max(np.abs(comp.b))) if comp.b.size else 1.0
+    scale = 1.0 + float(np.max(np.abs(comp.b)))
     if status != "optimal" and rel_p <= 1e-4 and pobj > 10.0 * scale:
         # certify unboundedness: an improving ray is a feasible point of
         # max <C, X> s.t. A(X) = 0, total trace 1 with positive value
-        ray = BlockSdp()
-        for d, name in zip(comp.dims, comp.names):
-            ray.add_block(d, name)
-        for cs, _ in zip(comp.a_list, comp.b):
-            ray.add_equality(dict(cs), 0.0)
-        ray.add_equality({bi: np.eye(comp.dims[bi], dtype=complex)
-                          for bi in range(len(comp.dims))}, 1.0)
-        ray.set_objective({bi: comp.c[bi] for bi in range(len(comp.dims))
-                           if np.max(np.abs(comp.c[bi])) > 0})
-        rcomp = ray.compile()
-        rstat, *_rest = _ipm(rcomp, 1e-9, 1e-9, max_iter)
+        rstat, *_rest = _ipm(_ray(problem).compile(), 1e-9, 1e-9, max_iter)
         rval = _rest[3]
-        if rstat == "optimal" and rval > 1e-6 * (1.0 + max(
-                float(np.max(np.abs(cb))) for cb in comp.c if cb.size)):
+        if rstat == "optimal" and rval > 1e-6 * (1.0 + c_max):
             raise SdpError(
                 f"problem is unbounded: improving ray with slope {rval:.3e}")
 
+    point = dict(x=x, y=y, z=z, objective=pobj, dual_objective=dobj, gap=gap,
+                 primal_residual=rel_p, dual_residual=rel_d, program=comp)
     if status == "optimal":
-        return SdpSolution(
-            status="optimal" if has_objective else "feasible",
-            x=x, y=y, z=z, objective=pobj, dual_objective=dobj, gap=gap,
-            primal_residual=rel_p, dual_residual=rel_d, iterations=it)
+        return SdpSolution(status="optimal" if c_max > 0 else "feasible",
+                           iterations=it, **point)
 
     # did not converge: decide feasibility through phase 1
-    p1 = _phase1(comp)
-    c1 = p1.compile()
     s1, x1, y1, z1, pobj1, dobj1, gap1, rp1, rd1, it1 = _ipm(
-        c1, min(feas_tol, 1e-9), min(gap_tol, 1e-9), max_iter)
+        _phase1(problem).compile(), min(feas_tol, 1e-9), min(gap_tol, 1e-9), max_iter)
     resid_l1 = -pobj1  # phase-1 maximizes minus the total residual
     if s1 == "optimal" and resid_l1 > 10.0 * feas_tol * (1.0 + float(np.linalg.norm(comp.b))):
         min_eig, b_dot_y = comp.dual_check(y1, farkas=True)
         cert = InfeasibilityCertificate(y=y1.copy(), min_eig=min_eig, objective=b_dot_y)
-        return SdpSolution(
-            status="infeasible", x=x, y=y, z=z, objective=pobj,
-            dual_objective=dobj, gap=gap, primal_residual=rel_p,
-            dual_residual=rel_d, iterations=it + it1, certificate=cert)
-    return SdpSolution(
-        status="max_iter", x=x, y=y, z=z, objective=pobj,
-        dual_objective=dobj, gap=gap, primal_residual=rel_p,
-        dual_residual=rel_d, iterations=it + it1)
+        return SdpSolution(status="infeasible", iterations=it + it1, certificate=cert, **point)
+    return SdpSolution(status="max_iter", iterations=it + it1, **point)

@@ -32,7 +32,7 @@ class TestMembershipFinite:
         v = membership_finite(m, 1)
         assert v.is_member
         assert verify_member_certificate(
-            m, v.certificate, lambda: charact._assemble_ladder(m, 1, slack=False))
+            m, v.certificate, lambda m: charact._assemble_ladder(m, 1, slack=False))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_boundary_quality_is_member(self, d):
@@ -49,7 +49,21 @@ class TestMembershipFinite:
         assert v.slack > 1e-7
         assert verify_nonmember_certificate(
             m, v.certificate,
-            lambda: charact._assemble_ladder(m, d, slack=True))
+            lambda m: charact._assemble_ladder(m, d, slack=True))
+
+    def test_certificates_checked_against_the_given_povm(self):
+        # each verdict's certificate verifies for its own POVM only
+        x = sigma_x_povm()
+        half = degrade(x, 0.5)
+        raw = lambda m: charact._assemble_ladder(m, 2, slack=False)
+        member = membership_finite(half, 2)
+        assert verify_member_certificate(half, member.certificate, raw)
+        assert not verify_member_certificate(x, member.certificate, raw)
+        above = degrade(x, math.cos(math.pi / 3) + 1e-3)
+        slack = lambda m: charact._assemble_ladder(m, 2, slack=True)
+        outside = membership_finite(above, 2)
+        assert verify_nonmember_certificate(above, outside.certificate, slack)
+        assert not verify_nonmember_certificate(degrade(x, 0.3), outside.certificate, slack)
 
     def test_member_certificate_reconstructs(self):
         rng = np.random.default_rng(0)
@@ -210,13 +224,13 @@ class TestMultilevel:
         forged = {"blocks": {0: [np.zeros((1, 1)), np.zeros((1, 1))]},
                   "reconstruction": list(m.elements)}
         assert not verify_member_certificate(
-            m, forged, lambda: charact._assemble_ladder(m, 1, slack=False))
+            m, forged, lambda m: charact._assemble_ladder(m, 1, slack=False))
 
     def test_member_certificate_needs_every_entry(self):
         m = degrade(sigma_x_povm(), 0.5)
         v = membership_finite(m, 2)
         assert v.is_member
-        build = lambda: charact._assemble_ladder(m, 2, slack=False)
+        build = lambda m: charact._assemble_ladder(m, 2, slack=False)
         assert verify_member_certificate(m, v.certificate, build)
         no_p = {k: w for k, w in v.certificate.items() if k != "p"}
         assert not verify_member_certificate(m, no_p, build)
@@ -237,12 +251,12 @@ class TestMultilevel:
             if v.is_member:
                 assert verify_member_certificate(
                     m, v.certificate,
-                    lambda: charact._assemble_multilevel(m, target, battery, slack=False))
+                    lambda m: charact._assemble_multilevel(m, target, battery, slack=False))
                 assert v.certificate["p"].shape == (3,)
             else:
                 assert verify_nonmember_certificate(
                     m, v.certificate,
-                    lambda: charact._assemble_multilevel(m, target, battery))
+                    lambda m: charact._assemble_multilevel(m, target, battery))
 
     def test_nonresonant_battery_accepts_only_diagonal(self):
         rng = np.random.default_rng(4)
@@ -262,10 +276,10 @@ class TestUniversalStateCheck:
         assert res is not None
         assert verify_member_certificate(
             res["povm"], res["member_certificate"],
-            lambda: charact._assemble_ladder(res["povm"], 3, slack=False))
+            lambda m: charact._assemble_ladder(m, 3, slack=False))
         assert verify_nonmember_certificate(
             res["povm"], res["fixed_certificate"],
-            lambda: charact._assemble_ladder(res["povm"], 3, q_fixed=res["q"],
+            lambda m: charact._assemble_ladder(m, 3, q_fixed=res["q"],
                                              slack=True))
 
     def test_uniform_distribution_accepts_half_degraded(self):
@@ -289,11 +303,11 @@ def test_verdicts_always_carry_verifying_certificates():
         if v.is_member:
             assert verify_member_certificate(
                 m, v.certificate,
-                lambda m=m, d=d: charact._assemble_ladder(m, d, slack=False))
+                lambda m, d=d: charact._assemble_ladder(m, d, slack=False))
         else:
             assert verify_nonmember_certificate(
                 m, v.certificate,
-                lambda m=m, d=d: charact._assemble_ladder(m, d, slack=True))
+                lambda m, d=d: charact._assemble_ladder(m, d, slack=True))
 
 
 def test_membership_monotone_in_energy():

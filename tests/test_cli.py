@@ -170,6 +170,30 @@ def test_tau_sweep_csv(capsys):
             epsilon_from_tau(float(r["tau"])), abs=1e-15)
 
 
+def test_tau_finite_sweep_json(capsys):
+    code, out, _ = run_cli(
+        ["tau", "finite", "--sweep-min", "1", "--sweep-max", "4", "--sweep-steps", "4"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["parameter"] for r in rows] == [1, 2, 3, 4]
+    for r in rows:
+        assert isinstance(r["parameter"], int)
+        assert r["tau"] == pytest.approx(math.cos(math.pi / (r["parameter"] + 1)), abs=1e-12)
+
+
+def test_tau_gaussian_sweep_csv(capsys):
+    code, out, _ = run_cli(
+        ["tau", "gaussian", "--delta", "1.0", "--sweep-min", "0.5", "--sweep-max", "1.5",
+         "--sweep-steps", "3", "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [r["parameter"] for r in rows] == ["0.5", "1", "1.5"]
+    for r in rows:
+        # the swept value is the Gaussian's variance v: tau = exp(-delta^2 / (8 v))
+        assert float(r["tau"]) == pytest.approx(math.exp(-1 / (8 * float(r["parameter"]))),
+                                                abs=1e-6)
+
+
 def test_distance_cli(tmp_path, capsys):
     p0 = tmp_path / "m0.json"
     p1 = tmp_path / "m1.json"

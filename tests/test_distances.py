@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ class TestQuantum:
             a = random_rank_one_povm(rng, 2, 3)
             b = random_rank_one_povm(rng, 2, 3)
             assert quantum_distance(a, b).value >= classical_distance(a, b).value - 1e-7
+
+    def test_sphere_pair_memory(self):
+        # 257 rows on 129 2x2 blocks: one dense 257 x 257 array is 0.53 MB
+        m0, m1 = sphere_povm_pair(64)
+        tracemalloc.start()
+        try:
+            value = quantum_distance(m0, m1).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(0.4999999995, abs=1e-8)
+        assert peak < 3.0e6
 
 
 class TestSeesaw:

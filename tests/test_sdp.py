@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from enmeas import charact
+from enmeas import charact, distances, sdp
 from enmeas.povm import degrade, projective_qubit
+from enmeas.reproduce import sphere_povm_pair
 from enmeas.sdp import (
     BlockSdp,
     SdpError,
@@ -221,3 +222,137 @@ def test_problem_json_dump():
     sol = solve(p)
     dumped = sol.to_json()
     assert dumped["status"] == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# The compiled operators against per-row references
+# ---------------------------------------------------------------------------
+
+def reference_rows(p):
+    """Block sizes and {block: coefficient} rows, one slack scalar per inequality."""
+    dims = list(p.block_dims)
+    rows = [dict(cs) for cs, _ in p.equalities]
+    for cs, _ in p.inequalities:
+        dims.append(1)
+        rows.append({**cs, len(dims) - 1: np.eye(1, dtype=complex)})
+    return dims, rows
+
+
+def reference_apply_a(a_list, x):
+    out = np.empty(len(a_list))
+    for i, cs in enumerate(a_list):
+        s = 0.0
+        for b, a in cs.items():
+            s += float(np.trace(a @ x[b]).real)
+        out[i] = s
+    return out
+
+
+def reference_apply_at(a_list, dims, y):
+    out = [np.zeros((d, d), dtype=complex) for d in dims]
+    for i, cs in enumerate(a_list):
+        for b, a in cs.items():
+            out[b] += y[i] * a
+    return out
+
+
+def reference_schur(a_list, dims, w):
+    m = len(a_list)
+    s = np.zeros((m, m))
+    by_block: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, cs in enumerate(a_list):
+        for b, a in cs.items():
+            by_block.setdefault(b, []).append((i, a))
+    for b, entries in by_block.items():
+        idx = np.array([i for i, _ in entries])
+        mats = np.stack([a for _, a in entries])
+        waw = np.einsum("ab,ibc,cd->iad", w[b], mats, w[b])
+        s[np.ix_(idx, idx)] += np.real(np.einsum("iab,jba->ij", mats, waw))
+    return 0.5 * (s + s.T)
+
+
+def herm(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (g + g.conj().T)
+
+
+def random_program(rng):
+    """Blocks of sizes 1 to 4; scalar rows, inequalities, matrix equalities
+    with placed sub-blocks and scalar x F terms, and an objective."""
+    p = BlockSdp()
+    sizes = [1, 1, 2, 3, 4] + [int(v) for v in rng.integers(1, 5, size=5)]
+    blocks = [p.add_block(d) for d in sizes]
+    scalars = [b for b in blocks if sizes[b] == 1]
+    for _ in range(5):
+        chosen = rng.choice(blocks, size=3, replace=False)
+        p.add_equality({b: herm(rng, sizes[b]) for b in chosen}, rng.standard_normal())
+    for _ in range(3):
+        chosen = rng.choice(blocks, size=2, replace=False)
+        p.add_inequality({b: herm(rng, sizes[b]) for b in chosen}, rng.standard_normal())
+    for dim in (3, 4):
+        terms = [(b, sorted(rng.choice(dim, size=sizes[b], replace=False)),
+                  float(rng.choice([1.0, -2.0]))) for b in blocks if sizes[b] <= dim][:4]
+        terms.append((int(rng.choice(scalars)), herm(rng, dim)))
+        p.add_matrix_equality(terms, herm(rng, dim))
+    p.set_objective({b: herm(rng, sizes[b]) for b in rng.choice(blocks, size=4, replace=False)})
+    return p
+
+
+def sphere_program():
+    """The 257-row diamond-norm program of the 64-outcome sphere pair."""
+    captured = []
+
+    def capture(problem, **kwargs):
+        captured.append(problem)
+        raise StopIteration
+
+    solve_fn, sdp.solve = sdp.solve, capture
+    try:
+        with pytest.raises(StopIteration):
+            distances.quantum_distance(*sphere_povm_pair(64))
+    finally:
+        sdp.solve = solve_fn
+    return captured[0]
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("case", list(range(6)) + ["sphere"])
+def test_compiled_operators_match_per_row_reference(case):
+    rng = np.random.default_rng(40 + (0 if case == "sphere" else case))
+    p = sphere_program() if case == "sphere" else random_program(rng)
+    comp = p.compile()
+    dims, rows = reference_rows(p)
+    rhs = [r for _, r in p.equalities + p.inequalities]
+    assert comp.dims == dims and np.array_equal(comp.b, rhs)
+    if case == "sphere":
+        assert len(rows) == 257 and len(dims) == 129
+
+    x = [herm(rng, d) for d in dims]
+    z = [herm(rng, d) for d in dims]
+    y = rng.standard_normal(len(rows))
+    assert_close(comp.apply_a(comp.stacks(x)), reference_apply_a(rows, x))
+    for got, want in zip(comp.blocks(comp.apply_at(y)), reference_apply_at(rows, dims, y)):
+        assert_close(got, want)
+    assert_close(sdp._inner(comp.stacks(x), comp.stacks(z)),
+                 sum(np.trace(a @ b).real for a, b in zip(x, z)))
+
+    # W = R R^H, with the real positive R that 1x1 blocks have
+    r = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) if d > 1
+         else rng.uniform(0.5, 2.0, (1, 1)) for d in dims]
+    s = comp.schur(comp.stacks(r))
+    assert_close(s, reference_schur(rows, dims, [a @ a.conj().T for a in r]))
+    assert np.array_equal(s, s.T)
+
+    c = [np.asarray(p.objective.get(b, np.zeros((d, d))), dtype=complex)
+         for b, d in enumerate(dims)]
+    aty = reference_apply_at(rows, dims, y)
+    for farkas in (False, True):
+        want = min(np.linalg.eigvalsh(a if farkas else a - cb)[0] for a, cb in zip(aty, c))
+        min_eig, b_dot_y = comp.dual_check(y, farkas=farkas)
+        assert_close(min_eig, want)
+        assert_close(b_dot_y, np.dot(rhs, y))
