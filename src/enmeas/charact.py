@@ -197,24 +197,26 @@ def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]
     return out
 
 
-def _solve_slack(prog, feas_tol: float, gap_tol: float):
-    """Solve a slack program; the slack estimate is the certified dual bound.
+def _solve_slack(prog, feas_tol: float, gap_tol: float, member_tol: float = MEMBER_TOL):
+    """Solve a slack program; the slack is the dual bound max(0, -b.y).
 
-    Weak duality makes -b.y a lower bound on the optimal residual whenever
-    the dual residual is tiny, so a stalled-but-dual-converged solve (which
-    happens exactly on the membership boundary, where the optimal face is
-    degenerate) still yields a trustworthy verdict.
+    The verdict that slack gives is checked on the solved program, whatever
+    the solver's status: a member's primal point must be PSD, hold every row
+    and have a slack t, all to 10 member_tol; a non-member's y must be dual
+    feasible to member_tol, so that weak duality makes -b.y a lower bound on
+    every decomposition's residual. A failed check raises.
     """
     sol = sdp.solve(prog.problem, feas_tol=feas_tol, gap_tol=gap_tol)
-    if sol.status in ("optimal", "feasible"):
-        return max(0.0, -sol.dual_objective), sol
-    near_optimal = (
-        sol.dual_residual <= 1e-7
-        and abs(sol.objective - sol.dual_objective) <= 1e-5
-    )
-    if near_optimal:
-        return max(0.0, -sol.dual_objective), sol
-    raise RuntimeError(f"membership program did not converge: {sol.status}")
+    slack = max(0.0, -sol.dual_objective)
+    if slack <= member_tol:
+        min_eig, worst = sol.program.primal_check(sol.x)
+        checked = max(-min_eig, worst, -sol.objective) <= 10 * member_tol
+    else:
+        checked = sol.program.dual_check(sol.y)[0] >= -member_tol
+    if not checked:
+        raise RuntimeError(f"membership program gave no checked verdict: status "
+                           f"{sol.status}, bounds ({-sol.objective}, {slack})")
+    return slack, sol
 
 
 def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
@@ -297,7 +299,7 @@ def membership_finite(m: Povm, d: int,
                       gap_tol: float = 1e-8) -> MembershipVerdict:
     """Decide whether a qubit POVM is reachable with a d-level battery."""
     prog = _assemble_ladder(m, d, slack=True)
-    slack, sol = _solve_slack(prog, feas_tol, gap_tol)
+    slack, sol = _solve_slack(prog, feas_tol, gap_tol, member_tol)
     return _verdict(prog, slack, sol, member_tol)
 
 
@@ -311,7 +313,7 @@ def optimize_finite(v: list[np.ndarray], d: int,
     v = [np.asarray(x, dtype=complex) for x in v]
     prog = _assemble_ladder(None, d, n_out=len(v), slack=False, objective=v)
     sol = sdp.solve(prog.problem, feas_tol=feas_tol, gap_tol=gap_tol)
-    if sol.status not in ("optimal", "feasible"):
+    if sol.status != "optimal":
         raise RuntimeError(f"optimization did not converge: {sol.status}")
     elems = _reconstruct(prog, sol)
     return sol.objective, Povm(elements=elems, tol=1e-6), sol
@@ -333,11 +335,11 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int,
         raise ValueError("d must be >= 2")
     z = ebar / delta
     inner = _assemble_ladder(m, d, energy_cap=z, slack=True)
-    s_in, sol_in = _solve_slack(inner, feas_tol, gap_tol)
+    s_in, sol_in = _solve_slack(inner, feas_tol, gap_tol, member_tol)
     if s_in <= member_tol:
         return _verdict(inner, s_in, sol_in, member_tol, z / (d - 1))
     outer = _assemble_ladder(m, d, outer=True, energy_cap=z, slack=True)
-    s_out, sol_out = _solve_slack(outer, feas_tol, gap_tol)
+    s_out, sol_out = _solve_slack(outer, feas_tol, gap_tol, member_tol)
     if s_out > member_tol:
         return _verdict(outer, s_out, sol_out, member_tol, z / (d - 1))
     return MembershipVerdict(
@@ -367,7 +369,7 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int,
     inner = _assemble_ladder(None, d, n_out=len(v), energy_cap=z,
                              slack=False, objective=v)
     sol_i = sdp.solve(inner.problem, feas_tol=feas_tol, gap_tol=gap_tol)
-    if sol_o.status not in ("optimal", "feasible") or sol_i.status not in ("optimal", "feasible"):
+    if sol_o.status != "optimal" or sol_i.status != "optimal":
         raise RuntimeError(
             f"energy optimization did not converge: outer {sol_o.status}, inner {sol_i.status}")
     # certified bracket: the outer dual bounds the relaxation from above,
@@ -384,7 +386,7 @@ def fixed_distribution_feasible(m: Povm, q, member_tol: float = MEMBER_TOL,
     q = np.asarray(q, dtype=float)
     d = q.size
     prog = _assemble_ladder(m, d, q_fixed=q, slack=True)
-    slack, sol = _solve_slack(prog, feas_tol, gap_tol)
+    slack, sol = _solve_slack(prog, feas_tol, gap_tol, member_tol)
     v = _verdict(prog, slack, sol, member_tol)
     return v.is_member, slack, v.certificate
 
@@ -404,7 +406,7 @@ def membership_multilevel(m: Povm, target_levels, battery_levels,
     occupations it touches.
     """
     prog = _assemble_multilevel(m, target_levels, battery_levels)
-    slack, sol = _solve_slack(prog, feas_tol, gap_tol)
+    slack, sol = _solve_slack(prog, feas_tol, gap_tol, member_tol)
     return _verdict(prog, slack, sol, member_tol)
 
 

@@ -196,7 +196,7 @@ def quantum_distance(m0: Povm, m1: Povm,
         obj[us[x]] = -0.5 * dt
     p.set_objective(obj)
     sol = sdp.solve(p, feas_tol=feas_tol, gap_tol=gap_tol)
-    if sol.status not in ("optimal", "feasible"):
+    if sol.status != "optimal":
         raise RuntimeError(
             f"diamond norm SDP did not converge: status {sol.status}, "
             f"bounds ({sol.objective}, {sol.dual_objective})"

@@ -8,8 +8,10 @@ Hermitian PSD cones (1x1 blocks double as nonnegative scalars):
                 X_b PSD for every block b
 
 with <A, X> = Re tr(A X). Inequalities get slack scalars at compile time.
-The solver is an infeasible-start primal-dual interior-point method with
-Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
+The solver is a primal-dual interior-point method on the homogeneous
+self-dual embedding of the program and its dual (Ye, Todd & Mizuno 1994),
+with Nesterov-Todd scaling and Mehrotra's predictor-corrector. One run
+ends at an optimum, a Farkas functional or an improving ray.
 
 The compiled program stacks the blocks of each size d into (n, d, d)
 arrays and holds the constraints as one sparse real m x N matrix over the
@@ -19,9 +21,9 @@ A (W x W) A^T are then a few batched matmul and eigh calls per size group,
 with closed forms for 1x1 blocks. The Schur complement, the one dense
 m x m matrix, is Q Q^T for the sparse scaled constraints Q, so it is
 symmetric to the last bit.
-Primal infeasibility is certified through an always-feasible phase-1
-program whose dual yields a Farkas functional y with A*(y) PSD and
-b.y < 0, both checkable directly on the raw problem data.
+Once the embedding has proved a program infeasible, an always-feasible
+phase-1 program gives its l1-optimal Farkas functional: y with A*(y) PSD,
+b.y < 0 and |y_i| <= 1, checkable directly on the raw problem data.
 """
 
 from __future__ import annotations
@@ -159,21 +161,16 @@ class BlockSdp:
         self.objective = {int(b): self._coeff(int(b), a) for b, a in coeffs.items()}
 
     def primal_check(self, x) -> tuple[float, float]:
-        """Min eigenvalue over the blocks of x (one Hermitian matrix each) and
-        the worst row violation: the largest |lhs - rhs| of an equality or
-        lhs - rhs of an inequality, and 0 when no row is violated."""
+        """The compiled program's primal_check of x (one Hermitian matrix
+        per block), with each inequality's slack scalar at rhs - lhs, so
+        that a violated inequality shows as a negative eigenvalue."""
         if len(x) != len(self.block_dims):
             raise SdpError(f"{len(x)} blocks given for {len(self.block_dims)}")
         xs = [_hermitian(xb, d, f"block {b}")
               for b, (xb, d) in enumerate(zip(x, self.block_dims))]
         comp = self.compile()
-        # slack scalars stay 0, so inequality rows read lhs - rhs
-        excess = comp.apply_a(comp.stacks(xs + [np.zeros((1, 1))] * len(self.inequalities)))
-        excess -= comp.b
-        n_eq = len(self.equalities)
-        worst = max(np.max(np.abs(excess[:n_eq]), initial=0.0),
-                    np.max(excess[n_eq:], initial=0.0))
-        return min(float(np.linalg.eigvalsh(xb)[0]) for xb in xs), float(worst)
+        slack = comp.b - comp.apply_a(comp.stacks(xs + [np.zeros((1, 1))] * len(self.inequalities)))
+        return comp.primal_check(xs + [np.eye(1) * v for v in slack[len(self.equalities):]])
 
     # -- compiled view -----------------------------------------------------
 
@@ -356,8 +353,8 @@ class _Compiled:
         kept by a caller does not keep its whole group alive."""
         return [stacks[g][k].copy() for g, k in self.where]
 
-    def eye(self, eta: float) -> list[np.ndarray]:
-        return [np.tile(eta * np.eye(d, dtype=complex), (len(mem), 1, 1))
+    def eye(self) -> list[np.ndarray]:
+        return [np.tile(np.eye(d, dtype=complex), (len(mem), 1, 1))
                 for mem, d in zip(self.members, self.sizes)]
 
     def apply_a(self, x) -> np.ndarray:
@@ -395,6 +392,13 @@ class _Compiled:
             (q[i:i + step] @ qt).toarray(out=s[i:i + step])
         return s
 
+    def primal_check(self, x) -> tuple[float, float]:
+        """Min eigenvalue over the blocks of x (one matrix per block, the
+        compiled slack scalars included) and the largest |A(X) - b|."""
+        stacks = self.stacks(x)
+        worst = np.max(np.abs(self.apply_a(stacks) - self.b))
+        return min(float(np.linalg.eigvalsh(g)[:, 0].min()) for g in stacks), float(worst)
+
     def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
         """Min eigenvalue of A*(y) - C over the blocks, and b.y.
 
@@ -420,13 +424,10 @@ class InfeasibilityCertificate:
     min_eig: float  # most negative eigenvalue of A*(y) across blocks
     objective: float  # b . y
 
-    def margin(self) -> float:
-        return -self.objective - max(0.0, -self.min_eig)
-
 
 @dataclass
 class SdpSolution:
-    status: str  # optimal | feasible | infeasible | max_iter
+    status: str  # optimal | infeasible | stalled | diverged | max_iter
     x: list[np.ndarray]
     y: np.ndarray
     z: list[np.ndarray]
@@ -483,8 +484,9 @@ def _nt_scaling(x, z):
         wx, wz = _floor(x.real.reshape(n, 1)), _floor(z.real.reshape(n, 1))
         xh = np.sqrt(wx)
         r = xh / np.sqrt(np.sqrt(_floor(xh * z.real.reshape(n, 1) * xh)))
+        lam = r * r * z.real.reshape(n, 1)
         r, wx, wz = (v.reshape(n, 1, 1) for v in (r, wx, wz))
-        return r, r * r + 0j, 1.0 / wz + 0j, 1.0 / np.sqrt(wx), 1.0 / np.sqrt(wz)
+        return r, r * r + 0j, 1.0 / wz + 0j, 1.0 / np.sqrt(wx), 1.0 / np.sqrt(wz), lam
     wx, ux = np.linalg.eigh(x)
     wx = _floor(wx)[:, None, :]
     xh = (ux * np.sqrt(wx)) @ _ct(ux)
@@ -493,7 +495,16 @@ def _nt_scaling(x, z):
     wz, uz = np.linalg.eigh(z)
     wz = _floor(wz)[:, None, :]
     return (r, r @ _ct(r), (uz / wz) @ _ct(uz),
-            (ux / np.sqrt(wx)) @ _ct(ux), (uz / np.sqrt(wz)) @ _ct(uz))
+            (ux / np.sqrt(wx)) @ _ct(ux), (uz / np.sqrt(wz)) @ _ct(uz), np.sqrt(_floor(wm)))
+
+
+def _second_order(r, lam, z, dx, dz):
+    """Mehrotra's term of one group in the NT-scaled space, where
+    R^H Z R = R^-1 X R^-H = lam: -R (dX~ dZ~ + dZ~ dX~)_ij / (lam_i + lam_j) R^H
+    for dX~ = R^-1 dX R^-H = lam^-1 R^H Z dX Z R lam^-1 and dZ~ = R^H dZ R."""
+    rz = _ct(r) @ z
+    p = (rz @ dx @ _ct(rz)) / (lam[:, :, None] * lam[:, None, :]) @ (_ct(r) @ dz @ r)
+    return -(r @ ((p + _ct(p)) / (lam[:, :, None] + lam[:, None, :])) @ _ct(r))
 
 
 def _max_step(x, dx, xmh) -> float:
@@ -520,153 +531,167 @@ def _max_step(x, dx, xmh) -> float:
 
 
 def _factor_schur(s):
+    """A solve with s: its Cholesky factor, shifted on the diagonal when
+    rounding leaves s indefinite, and one step of iterative refinement,
+    which keeps the Newton residual small when s becomes ill-conditioned
+    near the optimum."""
     m = s.shape[0]
-    jitter = 0.0
     base = 1e-14 * (np.trace(s) / m + 1.0)
-    for _ in range(4):
+    solve = lambda r: np.linalg.lstsq(s, r, rcond=None)[0]
+    for jitter in (0.0, base, 1e3 * base, 1e6 * base):
         try:
-            if jitter == 0.0:
-                cf = sla.cho_factor(s, lower=True)
-            else:
-                shifted = s.copy()
-                shifted.flat[::m + 1] += jitter
-                cf = sla.cho_factor(shifted, lower=True, overwrite_a=True)
-            return lambda r: sla.cho_solve(cf, r)
+            shifted = s if jitter == 0.0 else s.copy()
+            shifted.flat[::m + 1] += jitter
+            cf = sla.cho_factor(shifted, lower=True, overwrite_a=bool(jitter))
+            solve = lambda r: sla.cho_solve(cf, r)
+            break
         except (np.linalg.LinAlgError, sla.LinAlgError):
-            jitter = base if jitter == 0.0 else jitter * 1e3
-    return lambda r: np.linalg.lstsq(s, r, rcond=None)[0]
-
-
-def _solve_schur_refined(s, solve_fn, rhs):
-    # one step of iterative refinement keeps the Newton residual small when
-    # the scaled system becomes ill-conditioned near the optimum
-    sol = solve_fn(rhs)
-    resid = rhs - s @ sol
-    sol = sol + solve_fn(resid)
-    return sol
+            pass
+    return lambda r: (u := solve(r)) + solve(r - s @ u)
 
 
 def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
-    b, c = comp.b, comp.c
-    m = b.size
-    ntot = sum(comp.dims)
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0,
-                max((float(np.max(np.abs(cg))) for cg in c if cg.size), default=1.0))
-    eta = 10.0 * scale
-    x = comp.eye(eta)
-    z = comp.eye(eta)
-    y = np.zeros(m)
+    """Homogeneous self-dual embedding of the program and its dual.
 
+    X, Z PSD and tau, kappa >= 0 with A(X) = tau b, A*(y) - Z = tau C and
+    kappa = <C, X> - b.y; then <X, Z> + tau kappa = 0, so a solution has
+    tau > 0 and gives the optimum (X, y, Z) / tau, or kappa > 0 and gives a
+    Farkas functional (b.y < 0, A*(y) = Z PSD) or an improving ray
+    (<C, X> > 0, A(X) = 0). Each step is one Cholesky factor of the Schur
+    complement, solved for the tau column and for the Mehrotra predictor
+    and corrector, and (X, tau) and (y, Z, kappa) share one step length.
+    """
+    b, c = comp.b, comp.c
+    nu = sum(comp.dims) + 1
+    x, z = comp.eye(), comp.eye()
+    y = np.zeros(b.size)
+    tau = kappa = 1.0
     norm_b = 1.0 + float(np.linalg.norm(b))
     norm_c = 1.0 + float(np.sqrt(_inner(c, c)))
-
-    best = (x, y, z, 0.0, 0.0, _inner(x, z), np.inf, np.inf)
-    best_merit = np.inf
-    stall = 0
     status = "max_iter"
-    it = 0
-    s = solve_fn = None
-    errstate = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    errstate.__enter__()
-    for it in range(1, max_iter + 1):
-        rp = b - comp.apply_a(x)
-        rd = [cg + zg - ag for cg, zg, ag in zip(c, z, comp.apply_at(y))]
-        gap = _inner(x, z)
-        mu = gap / ntot
-        pobj = _inner(c, x)
-        dobj = float(np.dot(b, y))
-        rel_p = float(np.linalg.norm(rp)) / norm_b
-        rel_d = float(np.sqrt(_inner(rd, rd))) / norm_c
-        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-
-        finite = (np.isfinite(rel_p) and np.isfinite(rel_d) and np.isfinite(gap)
-                  and all(np.all(np.isfinite(xg)) for xg in x)
-                  and all(np.all(np.isfinite(zg)) for zg in z))
-        if not finite:
-            status = "diverged"
-            break
-        merit = max(rel_p, rel_d, rel_gap)
-        if merit < 0.9 * best_merit:
-            best_merit = merit
-            best = (x, y, z, pobj, dobj, gap, rel_p, rel_d)
-            stall = 0
-        else:
-            stall += 1
-        if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
-            best = (x, y, z, pobj, dobj, gap, rel_p, rel_d)
-            status = "optimal"
-            break
-        if stall >= 12:
-            status = "stalled"
-            break
-        if np.linalg.norm(y) > 1e14 * scale:
-            status = "diverged"
-            break
-
-        r, w, zinv, xmh, zmh = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
-        s = solve_fn = None  # the last Schur matrix and factor go before the next
-        s = comp.schur(r)
-        solve_fn = _factor_schur(s)
-        a_wrdw = comp.apply_a([_sym(wg @ rg @ wg) for wg, rg in zip(w, rd)])
-
-        def direction(sigma_mu):
-            rc = [sigma_mu * zi - xg for zi, xg in zip(zinv, x)]
-            rhs = comp.apply_a(rc) + a_wrdw - rp
-            dy = _solve_schur_refined(s, solve_fn, rhs)
-            dz = [ag - rg for ag, rg in zip(comp.apply_at(dy), rd)]
-            dx = [_sym(rcg - wg @ dzg @ wg) for rcg, wg, dzg in zip(rc, w, dz)]
-            # refine against the primal Newton equation A(dx) = rp; the
-            # correction keeps the dual and complementarity equations exact
-            for _ in range(2):
-                r1 = rp - comp.apply_a(dx)
-                if float(np.linalg.norm(r1)) <= 1e-13 * (1.0 + float(np.linalg.norm(rp))):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, max_iter + 1):
+            ax, aty = comp.apply_a(x), comp.apply_at(y)
+            rp = tau * b - ax
+            rd = [tau * cg + zg - ag for cg, zg, ag in zip(c, z, aty)]
+            cx, by, xz = _inner(c, x), float(np.dot(b, y)), _inner(x, z)
+            rg = kappa - cx + by
+            mu = (xz + tau * kappa) / nu
+            norm_rp = float(np.linalg.norm(rp))
+            rel_p = norm_rp / (tau * norm_b)
+            rel_d = float(np.sqrt(_inner(rd, rd))) / (tau * norm_c)
+            rel_gap = xz / (tau * (tau + abs(cx) + abs(by)))
+            if not (np.isfinite(rel_p) and np.isfinite(rel_d) and np.isfinite(mu)):
+                status = "diverged"
+                break
+            if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
+                status = "optimal"
+                break
+            if by < 0:
+                farkas = [ag - zg for ag, zg in zip(aty, z)]
+                if np.sqrt(_inner(farkas, farkas)) <= -feas_tol * by:
+                    status = "infeasible"
                     break
-                ddy = _solve_schur_refined(s, solve_fn, -r1)
-                atddy = comp.apply_at(ddy)
-                dy = dy + ddy
-                dz = [dzg + ag for dzg, ag in zip(dz, atddy)]
-                dx = [_sym(dxg - wg @ ag @ wg) for dxg, wg, ag in zip(dx, w, atddy)]
-            return dx, dy, dz
+            if cx > 0 and np.linalg.norm(ax) <= feas_tol * cx:
+                slope = cx / sum(float(np.trace(xg, axis1=1, axis2=2).real.sum()) for xg in x)
+                raise SdpError(f"problem is unbounded: improving ray with slope {slope:.3e}")
+            # past this, steps only shrink mu against rounding-level residuals
+            if mu <= 1e-13 * (tau + kappa) ** 2:
+                status = "stalled"
+                break
+            if it == max_iter:
+                break
 
-        # predictor chooses the centering weight
-        dxa, dya, dza = direction(0.0)
-        ap = min(1.0, 0.98 * _max_step(x, dxa, xmh))
-        ad = min(1.0, 0.98 * _max_step(z, dza, zmh))
-        xa = [xg + ap * dg for xg, dg in zip(x, dxa)]
-        za = [zg + ad * dg for zg, dg in zip(z, dza)]
-        gap_aff = max(_inner(xa, za), 0.0)
-        sigma = min(1.0, max((gap_aff / gap) ** 3 if gap > 0 else 0.0, 1e-10))
+            r, w, zinv, xmh, zmh, lam = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
+            s = solve_fn = None  # the last Schur matrix and factor go before the next
+            s = comp.schur(r)
+            solve_fn = _factor_schur(s)
+            # the tau column: dX = W V W moves A(X) by b for V = C - A*(dy_tau),
+            # and den is the pivot of the tau row after eliminating dy
+            g = comp.apply_a([_sym(wg @ cg @ wg) for wg, cg in zip(w, c)])
+            dy_tau = solve_fn(g - b)
+            v = [cg - ag for cg, ag in zip(c, comp.apply_at(dy_tau))]
+            wvw = [_sym(wg @ vg @ wg) for wg, vg in zip(w, v)]
+            den = _inner(c, wvw) - float(np.dot(b, dy_tau)) + kappa / tau
+            wrw = [wg @ rdg @ wg for wg, rdg in zip(w, rd)]
 
-        # keep complementarity from collapsing while feasibility lags
-        if rel_p > 100.0 * feas_tol or rel_d > 100.0 * feas_tol:
-            sigma = max(sigma, min(0.9, 10.0 * max(rel_p, rel_d) / max(rel_gap, 1e-16)))
-            sigma = min(sigma, 0.99)
+            def newton(h, rp_, rg_, rtk):
+                """dX, dy, A*(dy) - dtau C and dtau for the Newton equations
+                A(dX) - dtau b = rp_, dX + W dZ W = h with the dual
+                residual folded into h, <C, dX> - b.dy - dkappa = rg_ and
+                kappa dtau + tau dkappa = rtk; h = None stands for 0."""
+                dy = solve_fn(-rp_ if h is None else comp.apply_a(h) - rp_)
+                aty_ = comp.apply_at(dy)
+                dx = [-_sym(wg @ ag @ wg) for wg, ag in zip(w, aty_)]
+                if h is not None:
+                    dx = [u + _sym(hg) for u, hg in zip(dx, h)]
+                dtau = (rg_ + float(np.dot(b, dy)) + rtk / tau - _inner(c, dx)) / den
+                return ([u + dtau * t for u, t in zip(dx, wvw)], dy + dtau * dy_tau,
+                        [ag - dtau * vg for ag, vg in zip(aty_, v)], dtau)
 
-        dx, dy, dz = direction(sigma * mu)
-        ap = min(1.0, 0.98 * _max_step(x, dx, xmh))
-        ad = min(1.0, 0.98 * _max_step(z, dz, zmh))
-        if ap < 1e-12 and ad < 1e-12:
-            status = "stalled"
-            break
-        x = [_sym(xg + ap * dg) for xg, dg in zip(x, dx)]
-        z = [_sym(zg + ad * dg) for zg, dg in zip(z, dz)]
-        y = y + ad * dy
+            def residual(dx, dy, dtau, rtk):
+                e_p = rp - comp.apply_a(dx) + dtau * b
+                e_g = rg - _inner(c, dx) + float(np.dot(b, dy)) + (rtk - kappa * dtau) / tau
+                err = max(float(np.linalg.norm(e_p)) / (1.0 + norm_rp), abs(e_g) / (1.0 + abs(rg)))
+                return e_p, e_g, err
 
-    errstate.__exit__(None, None, None)
-    x, y, z, pobj, dobj, gap, rel_p, rel_d = best
-    if status != "optimal":
-        rel_gap_best = gap / (1.0 + abs(pobj) + abs(dobj))
-        if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap_best <= gap_tol:
-            status = "optimal"
-    return status, comp.blocks(x), y, comp.blocks(z), pobj, dobj, gap, rel_p, rel_d, it
+            def direction(h, rtk):
+                """The Newton direction for dX + W dZ W = h and kappa dtau +
+                tau dkappa = rtk. It is refined against the equations that
+                carry b and C, for as long as that lowers their residual;
+                the correction keeps the other equations exact."""
+                dx, dy, dzc, dtau = newton([u + v for u, v in zip(h, wrw)], rp, rg, rtk)
+                e_p, e_g, err = residual(dx, dy, dtau, rtk)
+                for _ in range(2):
+                    if err <= 1e-13:
+                        break
+                    ddx, ddy, ddzc, ddtau = newton(None, e_p, e_g, 0.0)
+                    cand = [u + v for u, v in zip(dx, ddx)], dy + ddy, dtau + ddtau
+                    e_p, e_g, new_err = residual(*cand, rtk)
+                    if new_err >= err:
+                        break
+                    (dx, dy, dtau), err = cand, new_err
+                    dzc = [u + v for u, v in zip(dzc, ddzc)]
+                return (dx, dy, [u - v for u, v in zip(dzc, rd)], dtau,
+                        (rtk - kappa * dtau) / tau)
+
+            def step(dx, dz, dtau, dkappa):
+                limit = min(_max_step(x, dx, xmh), _max_step(z, dz, zmh),
+                            *(-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0))
+                return min(1.0, 0.98 * limit)
+
+            # the affine predictor chooses the centering weight, the
+            # corrector adds its second-order term
+            dx, dy, dz, dtau, dkappa = direction([-xg for xg in x], -tau * kappa)
+            a = step(dx, dz, dtau, dkappa)
+            mu_aff = (_inner([xg + a * dg for xg, dg in zip(x, dx)],
+                             [zg + a * dg for zg, dg in zip(z, dz)])
+                      + (tau + a * dtau) * (kappa + a * dkappa)) / nu
+            sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
+            h = [sigma * mu * zi - xg + _second_order(*v)
+                 for zi, xg, *v in zip(zinv, x, r, lam, z, dx, dz)]
+            dx, dy, dz, dtau, dkappa = direction(h, sigma * mu - tau * kappa - dtau * dkappa)
+            a = step(dx, dz, dtau, dkappa)
+            if a < 1e-12:
+                status = "stalled"
+                break
+            x = [_sym(xg + a * dg) for xg, dg in zip(x, dx)]
+            z = [_sym(zg + a * dg) for zg, dg in zip(z, dz)]
+            y = y + a * dy
+            tau, kappa = tau + a * dtau, kappa + a * dkappa
+
+    return (status, comp.blocks([xg / tau for xg in x]), y / tau,
+            comp.blocks([zg / tau for zg in z]), cx / tau, by / tau, xz / tau ** 2,
+            rel_p, rel_d, it)
 
 
 # ---------------------------------------------------------------------------
-# Public solve with phase-1 infeasibility certification
+# Public solve
 # ---------------------------------------------------------------------------
 
 def _phase1(problem: BlockSdp) -> BlockSdp:
-    """min sum of |residual| slacks; optimum > 0 certifies infeasibility."""
+    """min sum of |residual| slacks. Its dual optimum is the l1-optimal
+    Farkas functional: |y_i| <= 1, A*(y) PSD and b.y = -(least residual)."""
     dims, names, rows = problem._rows()
     p = BlockSdp(block_dims=dims, block_names=names)
     m = len(rows)
@@ -676,17 +701,6 @@ def _phase1(problem: BlockSdp) -> BlockSdp:
     p.equalities = [({**cs, sp[i]: one, sm[i]: -one}, rhs) for i, (cs, rhs) in enumerate(rows)]
     p.objective = {v: -one for v in sp + sm}
     return p
-
-
-def _ray(problem: BlockSdp) -> BlockSdp:
-    """max <C, X> s.t. A(X) = 0 and total trace 1: a positive value is an
-    improving ray of the problem."""
-    dims, names, rows = problem._rows()
-    ray = BlockSdp(block_dims=dims, block_names=names,
-                   equalities=[(cs, 0.0) for cs, _ in rows])
-    ray.add_equality({bi: np.eye(d, dtype=complex) for bi, d in enumerate(dims)}, 1.0)
-    ray.objective = {bi: a for bi, a in problem.objective.items() if np.max(np.abs(a)) > 0}
-    return ray
 
 
 def verify_infeasibility_certificate(problem: BlockSdp, cert: InfeasibilityCertificate,
@@ -703,43 +717,25 @@ def solve(problem: BlockSdp,
           feas_tol: float = DEFAULT_FEAS_TOL,
           gap_tol: float = DEFAULT_GAP_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
-    """Solve a BlockSdp; returns certificates on both success and failure.
+    """Solve a BlockSdp through its homogeneous self-dual embedding.
 
-    Deterministic for identical inputs. If the interior-point iteration
-    cannot reach the requested tolerances, an always-feasible phase-1
-    program decides between 'infeasible' (with a Farkas certificate) and
-    'max_iter' (best iterate returned).
+    Deterministic for identical inputs. The status is 'optimal',
+    'infeasible' or the reason the iteration stopped early ('stalled',
+    'diverged' or 'max_iter'), whose last iterate is returned; an improving
+    ray raises SdpError. An infeasible program carries the l1-optimal
+    Farkas functional of the phase-1 program, which runs only then.
     """
     comp = problem.compile()
     if comp.b.size == 0:
         raise SdpError("problem has no constraints")
-    c_max = max(float(np.max(np.abs(cg))) for cg in comp.c)
-
     status, x, y, z, pobj, dobj, gap, rel_p, rel_d, it = _ipm(
         comp, feas_tol, gap_tol, max_iter)
-
-    scale = 1.0 + float(np.max(np.abs(comp.b)))
-    if status != "optimal" and rel_p <= 1e-4 and pobj > 10.0 * scale:
-        # certify unboundedness: an improving ray is a feasible point of
-        # max <C, X> s.t. A(X) = 0, total trace 1 with positive value
-        rstat, *_rest = _ipm(_ray(problem).compile(), 1e-9, 1e-9, max_iter)
-        rval = _rest[3]
-        if rstat == "optimal" and rval > 1e-6 * (1.0 + c_max):
-            raise SdpError(
-                f"problem is unbounded: improving ray with slope {rval:.3e}")
-
-    point = dict(x=x, y=y, z=z, objective=pobj, dual_objective=dobj, gap=gap,
-                 primal_residual=rel_p, dual_residual=rel_d, program=comp)
-    if status == "optimal":
-        return SdpSolution(status="optimal" if c_max > 0 else "feasible",
-                           iterations=it, **point)
-
-    # did not converge: decide feasibility through phase 1
-    s1, x1, y1, z1, pobj1, dobj1, gap1, rp1, rd1, it1 = _ipm(
-        _phase1(problem).compile(), min(feas_tol, 1e-9), min(gap_tol, 1e-9), max_iter)
-    resid_l1 = -pobj1  # phase-1 maximizes minus the total residual
-    if s1 == "optimal" and resid_l1 > 10.0 * feas_tol * (1.0 + float(np.linalg.norm(comp.b))):
-        min_eig, b_dot_y = comp.dual_check(y1, farkas=True)
-        cert = InfeasibilityCertificate(y=y1.copy(), min_eig=min_eig, objective=b_dot_y)
-        return SdpSolution(status="infeasible", iterations=it + it1, certificate=cert, **point)
-    return SdpSolution(status="max_iter", iterations=it + it1, **point)
+    cert = None
+    if status == "infeasible":
+        _, _, y1, *_, it1 = _ipm(_phase1(problem).compile(), min(feas_tol, 1e-9),
+                                 min(gap_tol, 1e-9), max_iter)
+        cert = InfeasibilityCertificate(y1, *comp.dual_check(y1, farkas=True))
+        it += it1
+    return SdpSolution(status=status, x=x, y=y, z=z, objective=pobj, dual_objective=dobj,
+                       gap=gap, primal_residual=rel_p, dual_residual=rel_d, iterations=it,
+                       certificate=cert, program=comp)

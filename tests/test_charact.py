@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from enmeas import charact
+from enmeas import charact, sdp
 from enmeas.charact import (
     fixed_distribution_feasible,
     membership_energy,
@@ -326,3 +326,33 @@ def test_sandwich_energy_of_optimal_state():
     assert membership_finite(m, d).is_member
     ebar = (d - 1) / 2.0 + 0.05
     assert membership_energy(m, ebar, 1.0, d + 6).is_member
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
+    # slack programs at cos(pi/(d+1)) + delta, whose optimum is max(0, delta/2),
+    # in their own row order and in three permutations of it
+    calls = []
+    compile_fn, solve_fn = sdp.BlockSdp.compile, sdp.solve
+    monkeypatch.setattr(sdp.BlockSdp, "compile",
+                        lambda self: calls.append("compile") or compile_fn(self))
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: calls.append("solve") or solve_fn(*a, **k))
+    raw = lambda m: charact._assemble_ladder(m, d, slack=False)
+    rng = np.random.default_rng(d)
+    flip = math.cos(math.pi / (d + 1))
+    for delta in (-1e-6, -3e-7, 3e-7, 1e-6):
+        m = degrade(sigma_x_povm(), flip + delta)
+        for order in range(4):
+            prog = charact._assemble_ladder(m, d, slack=True)
+            if order:
+                eqs = prog.problem.equalities
+                prog.problem.equalities = [eqs[i] for i in rng.permutation(len(eqs))]
+            calls.clear()
+            slack, sol = charact._solve_slack(prog, 1e-8, 1e-8)
+            assert calls == ["solve", "compile"]  # one compile per solve
+            v = charact._verdict(prog, slack, sol, charact.MEMBER_TOL)
+            assert v.is_member == (delta < 0), (delta, order, slack)
+            if v.is_member:
+                assert verify_member_certificate(m, v.certificate, raw)
+            else:
+                assert abs(slack - delta / 2) <= 2e-8

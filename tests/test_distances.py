@@ -194,6 +194,25 @@ class TestQuantum:
             b = random_rank_one_povm(rng, 2, 3)
             assert quantum_distance(a, b).value >= classical_distance(a, b).value - 1e-7
 
+    @pytest.mark.parametrize("seed, value", [(171, 0.8163217846), (183, 0.6631926810)])
+    def test_rank_one_pairs_converge(self, seed, value):
+        # two pairs whose solves once ended without an optimum
+        def rank_one(rng, dim, n_out):
+            vs = rng.standard_normal((n_out, dim)) + 1j * rng.standard_normal((n_out, dim))
+            g = vs.T @ vs.conj()
+            w, u = np.linalg.eigh(g)
+            gmh = (u / np.sqrt(w)) @ u.conj().T
+            return Povm(elements=[gmh @ np.outer(v, v.conj()) @ gmh for v in vs])
+
+        rng = np.random.default_rng(seed)
+        a, b = rank_one(rng, 2, 3), rank_one(rng, 2, 3)
+        r = quantum_distance(a, b)
+        assert r.value == pytest.approx(value, abs=1e-8)
+        rho = r.witness["rho"]
+        for x in r.witness["X"]:
+            assert np.linalg.eigvalsh(rho - x)[0] >= -1e-8
+            assert np.linalg.eigvalsh(rho + x)[0] >= -1e-8
+
     def test_sphere_pair_memory(self):
         # 257 rows on 129 2x2 blocks: one dense 257 x 257 array is 0.53 MB
         m0, m1 = sphere_povm_pair(64)
