@@ -68,17 +68,12 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
     p_vars = None if q_fixed is not None else [p.add_scalar(f"p{n}") for n in range(n_pop)]
 
     for s, (rows, feeds) in enumerate(sectors):
-        k = len(rows)
-        fed = np.zeros((k, k))
-        weights: dict[int, np.ndarray] = {}
-        for i, pops in enumerate(feeds):
-            for n in pops:
-                if q_fixed is not None:
-                    fed[i, i] += q_fixed[n]
-                else:
-                    weights.setdefault(n, np.zeros((k, k)))[i, i] -= 1.0
         terms = [(b, None, 1.0) for b in blocks[s]]
-        terms += [(p_vars[n], w) for n, w in weights.items()]
+        if q_fixed is None:
+            fed = np.zeros((len(rows), len(rows)))
+            terms += [(p_vars[n], [i], -1.0) for i, pops in enumerate(feeds) for n in pops]
+        else:
+            fed = np.diag([sum(q_fixed[n] for n in pops) for pops in feeds])
         p.add_matrix_equality(terms, fed)
 
     if p_vars is not None:
@@ -88,7 +83,6 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
                              float(energy_cap))
 
     if m is not None:
-        eye = np.eye(dim)
         if slack:
             t = p.add_scalar("t")
             us = [p.add_block(dim, f"U{x}") for x in range(n_out)]
@@ -98,10 +92,10 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
             placed = [(blocks[s][x], rows, 1.0) for s, (rows, _) in enumerate(sectors)]
             if slack:
                 # -t I <= sum of blocks - M_x <= t I through U_x, V_x >= 0
-                p.add_matrix_equality(placed + [(us[x], None, 1.0), (t, -eye)],
-                                      m.elements[x])
-                p.add_matrix_equality(placed + [(vs[x], None, -1.0), (t, eye)],
-                                      m.elements[x])
+                p.add_matrix_equality(placed + [(us[x], None, 1.0)]
+                                      + [(t, [i], -1.0) for i in range(dim)], m.elements[x])
+                p.add_matrix_equality(placed + [(vs[x], None, -1.0)]
+                                      + [(t, [i], 1.0) for i in range(dim)], m.elements[x])
             else:
                 p.add_matrix_equality(placed, m.elements[x])
     elif objective is not None:
@@ -121,16 +115,12 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
                           p_vars=p_vars)
 
 
-def _ladder_sectors(d: int, outer: bool) -> list:
-    """Sector k couples target level 0 with battery level k and target level 1
-    with battery level k-1; the chain ends are rank one. The outer
-    relaxation keeps a rank-two top sector: the tail population d feeds
-    both of its rows, and level d-1 feeds row 1 as well.
-    """
-    sectors = [([0], [[0]])]
-    sectors += [([0, 1], [[k], [k - 1]]) for k in range(1, d)]
-    sectors.append(([0, 1], [[d], [d - 1, d]]) if outer else ([1], [[d - 1]]))
-    return sectors
+def _joint_sectors(target_levels, battery_levels) -> list:
+    """The sectors of spectra.joint_eigenspaces as (rows, feeds): a sector
+    holds every pair of target level m and battery level n whose energies
+    sum to its energy, so its row m is fed by population n alone."""
+    return [([mi for mi, _ in sec.pairs], [[n] for _, n in sec.pairs])
+            for sec in joint_eigenspaces(target_levels, battery_levels).sectors]
 
 
 def _assemble_ladder(
@@ -167,9 +157,14 @@ def _assemble_ladder(
         if energy_cap is not None:
             raise ValueError("energy cap with a fixed distribution is redundant")
 
-    prog = _assemble_sectors(m, n_out, 2, _ladder_sectors(d, outer), d + outer,
-                             energy_cap=energy_cap, q_fixed=q_fixed, slack=slack,
-                             objective=objective)
+    # the ladder is target levels [0, 1] against battery levels 0..d-1; the
+    # outer relaxation makes its top sector rank two: the tail population d
+    # feeds both rows, and level d-1 feeds row 1 as well
+    sectors = _joint_sectors([0, 1], range(d))
+    if outer:
+        sectors[-1] = ([0, 1], [[d], [d - 1, d]])
+    prog = _assemble_sectors(m, n_out, 2, sectors, d + outer, energy_cap=energy_cap,
+                             q_fixed=q_fixed, slack=slack, objective=objective)
     if outer:
         prog.tail_var = prog.p_vars.pop()
     return prog
@@ -178,12 +173,10 @@ def _assemble_ladder(
 def _assemble_multilevel(m: Povm, target_levels, battery_levels,
                          slack: bool = True) -> _SectorProgram:
     """The slack or raw program on the joint eigenspaces of the two spectra."""
-    joint = joint_eigenspaces(target_levels, battery_levels)
-    if m.dim != len(joint.target_levels):
+    sectors = _joint_sectors(target_levels, battery_levels)
+    if m.dim != len(target_levels):
         raise ValueError("POVM dimension must match the target spectrum")
-    sectors = [([mi for mi, _ in sec.pairs], [[n] for _, n in sec.pairs])
-               for sec in joint.sectors]
-    return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(joint.battery_levels),
+    return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(battery_levels),
                              slack=slack)
 
 
@@ -197,14 +190,17 @@ def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]
     return out
 
 
-def _solve_slack(prog, feas_tol: float, gap_tol: float, member_tol: float = MEMBER_TOL):
-    """Solve a slack program; the slack is the dual bound max(0, -b.y).
+def _decide(prog: _SectorProgram, feas_tol: float, gap_tol: float, member_tol: float,
+            gap_bound: float | None = None) -> MembershipVerdict:
+    """Solve a slack program and decide; the slack is the dual bound max(0, -b.y).
 
     The verdict that slack gives is checked on the solved program, whatever
     the solver's status: a member's primal point must be PSD, hold every row
     and have a slack t, all to 10 member_tol; a non-member's y must be dual
     feasible to member_tol, so that weak duality makes -b.y a lower bound on
-    every decomposition's residual. A failed check raises.
+    every decomposition's residual. A failed check raises. A member's
+    certificate is the checked primal point; a non-member's carries the
+    dual check that admitted it.
     """
     sol = sdp.solve(prog.problem, feas_tol=feas_tol, gap_tol=gap_tol)
     slack = max(0.0, -sol.dual_objective)
@@ -212,14 +208,15 @@ def _solve_slack(prog, feas_tol: float, gap_tol: float, member_tol: float = MEMB
         min_eig, worst = sol.program.primal_check(sol.x)
         checked = max(-min_eig, worst, -sol.objective) <= 10 * member_tol
     else:
-        checked = sol.program.dual_check(sol.y)[0] >= -member_tol
+        min_eig, b_dot_y = sol.program.dual_check(sol.y)
+        checked = min_eig >= -member_tol
     if not checked:
         raise RuntimeError(f"membership program gave no checked verdict: status "
                            f"{sol.status}, bounds ({-sol.objective}, {slack})")
-    return slack, sol
-
-
-def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
+    if slack > member_tol:
+        return MembershipVerdict("non_member", slack, {
+            "dual": sol.y.copy(), "dual_min_eig": min_eig,
+            "dual_objective": b_dot_y, "margin": slack}, gap_bound)
     cert = {
         "blocks": {s: [sol.block(b) for b in per_x] for s, per_x in enumerate(prog.blocks)},
         "reconstruction": _reconstruct(prog, sol),
@@ -228,21 +225,7 @@ def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
         cert["p"] = np.array([sol.scalar(v) for v in prog.p_vars])
     if prog.tail_var is not None:
         cert["tail_weight"] = sol.scalar(prog.tail_var)
-    return cert
-
-
-def _farkas_certificate(prog: _SectorProgram, sol: sdp.SdpSolution, slack: float) -> dict:
-    min_eig, b_dot_y = sol.program.dual_check(sol.y)
-    return {"dual": sol.y.copy(), "dual_min_eig": min_eig,
-            "dual_objective": b_dot_y, "margin": slack}
-
-
-def _verdict(prog: _SectorProgram, slack: float, sol: sdp.SdpSolution,
-             member_tol: float, gap_bound: float | None = None) -> MembershipVerdict:
-    if slack <= member_tol:
-        return MembershipVerdict("member", slack, _member_certificate(prog, sol), gap_bound)
-    return MembershipVerdict("non_member", slack, _farkas_certificate(prog, sol, slack),
-                             gap_bound)
+    return MembershipVerdict("member", slack, cert, gap_bound)
 
 
 def verify_member_certificate(m: Povm, cert: dict, builder, tol: float = MEMBER_TOL) -> bool:
@@ -288,9 +271,9 @@ def verify_nonmember_certificate(m: Povm, cert: dict, builder, tol: float = 1e-7
 # Public programs
 # ---------------------------------------------------------------------------
 
-def finite_membership_program(m: Povm, d: int, slack: bool = True) -> sdp.BlockSdp:
+def finite_membership_program(m: Povm, d: int) -> sdp.BlockSdp:
     """The assembled block SDP behind membership_finite (for inspection)."""
-    return _assemble_ladder(m, d, slack=slack).problem
+    return _assemble_ladder(m, d).problem
 
 
 def membership_finite(m: Povm, d: int,
@@ -298,9 +281,7 @@ def membership_finite(m: Povm, d: int,
                       feas_tol: float = 1e-8,
                       gap_tol: float = 1e-8) -> MembershipVerdict:
     """Decide whether a qubit POVM is reachable with a d-level battery."""
-    prog = _assemble_ladder(m, d, slack=True)
-    slack, sol = _solve_slack(prog, feas_tol, gap_tol, member_tol)
-    return _verdict(prog, slack, sol, member_tol)
+    return _decide(_assemble_ladder(m, d), feas_tol, gap_tol, member_tol)
 
 
 def optimize_finite(v: list[np.ndarray], d: int,
@@ -334,21 +315,16 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int,
     if d < 2:
         raise ValueError("d must be >= 2")
     z = ebar / delta
-    inner = _assemble_ladder(m, d, energy_cap=z, slack=True)
-    s_in, sol_in = _solve_slack(inner, feas_tol, gap_tol, member_tol)
-    if s_in <= member_tol:
-        return _verdict(inner, s_in, sol_in, member_tol, z / (d - 1))
-    outer = _assemble_ladder(m, d, outer=True, energy_cap=z, slack=True)
-    s_out, sol_out = _solve_slack(outer, feas_tol, gap_tol, member_tol)
-    if s_out > member_tol:
-        return _verdict(outer, s_out, sol_out, member_tol, z / (d - 1))
-    return MembershipVerdict(
-        verdict="undecided", slack=s_in,
-        certificate={
-            "inner_margin": _farkas_certificate(inner, sol_in, s_in),
-            "outer_point": _member_certificate(outer, sol_out),
-        },
-        gap_bound=z / (d - 1))
+    gap = z / (d - 1)
+    inner = _decide(_assemble_ladder(m, d, energy_cap=z), feas_tol, gap_tol, member_tol, gap)
+    if inner.is_member:
+        return inner
+    outer = _decide(_assemble_ladder(m, d, outer=True, energy_cap=z),
+                    feas_tol, gap_tol, member_tol, gap)
+    if not outer.is_member:
+        return outer
+    return MembershipVerdict("undecided", inner.slack, {"inner_margin": inner.certificate,
+                                                        "outer_point": outer.certificate}, gap)
 
 
 def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int,
@@ -384,11 +360,8 @@ def fixed_distribution_feasible(m: Povm, q, member_tol: float = MEMBER_TOL,
                                 feas_tol: float = 1e-8, gap_tol: float = 1e-8):
     """Slack test of reachability when the battery populations are frozen."""
     q = np.asarray(q, dtype=float)
-    d = q.size
-    prog = _assemble_ladder(m, d, q_fixed=q, slack=True)
-    slack, sol = _solve_slack(prog, feas_tol, gap_tol, member_tol)
-    v = _verdict(prog, slack, sol, member_tol)
-    return v.is_member, slack, v.certificate
+    v = _decide(_assemble_ladder(m, q.size, q_fixed=q), feas_tol, gap_tol, member_tol)
+    return v.is_member, v.slack, v.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +378,8 @@ def membership_multilevel(m: Povm, target_levels, battery_levels,
     carries one PSD block per outcome with completeness diag of the battery
     occupations it touches.
     """
-    prog = _assemble_multilevel(m, target_levels, battery_levels)
-    slack, sol = _solve_slack(prog, feas_tol, gap_tol, member_tol)
-    return _verdict(prog, slack, sol, member_tol)
+    return _decide(_assemble_multilevel(m, target_levels, battery_levels),
+                   feas_tol, gap_tol, member_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -447,13 +447,15 @@ class SdpSolution:
         return float(self.x[idx][0, 0].real)
 
     def to_json(self) -> dict:
+        """The solution as JSON data; a number that is not finite is null."""
+        finite = lambda v: float(v) if np.isfinite(v) else None
         out = {
             "status": self.status,
-            "objective": self.objective,
-            "dual_objective": self.dual_objective,
-            "gap": self.gap,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
+            "objective": finite(self.objective),
+            "dual_objective": finite(self.dual_objective),
+            "gap": finite(self.gap),
+            "primal_residual": finite(self.primal_residual),
+            "dual_residual": finite(self.dual_residual),
             "iterations": self.iterations,
             "x": [matrix_to_json(m) for m in self.x],
             "y": [float(v) for v in self.y],
@@ -723,7 +725,11 @@ def solve(problem: BlockSdp,
     'infeasible' or the reason the iteration stopped early ('stalled',
     'diverged' or 'max_iter'), whose last iterate is returned; an improving
     ray raises SdpError. An infeasible program carries the l1-optimal
-    Farkas functional of the phase-1 program, which runs only then.
+    Farkas functional of the phase-1 program, which runs only then. Its
+    y and dual_objective are the certificate's y and b.y; it has no primal
+    or dual point, so x and z are empty and the objective, gap and
+    residuals are nan (the embedding's iterate divided by a vanishing tau
+    would mean nothing).
     """
     comp = problem.compile()
     if comp.b.size == 0:
@@ -736,6 +742,8 @@ def solve(problem: BlockSdp,
                                  min(gap_tol, 1e-9), max_iter)
         cert = InfeasibilityCertificate(y1, *comp.dual_check(y1, farkas=True))
         it += it1
+        x, y, z, dobj = [], cert.y, [], cert.objective
+        pobj = gap = rel_p = rel_d = np.nan
     return SdpSolution(status=status, x=x, y=y, z=z, objective=pobj, dual_objective=dobj,
                        gap=gap, primal_residual=rel_p, dual_residual=rel_d, iterations=it,
                        certificate=cert, program=comp)

@@ -334,9 +334,13 @@ def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
     # in their own row order and in three permutations of it
     calls = []
     compile_fn, solve_fn = sdp.BlockSdp.compile, sdp.solve
+    dual_check_fn = sdp._Compiled.dual_check
     monkeypatch.setattr(sdp.BlockSdp, "compile",
                         lambda self: calls.append("compile") or compile_fn(self))
     monkeypatch.setattr(sdp, "solve", lambda *a, **k: calls.append("solve") or solve_fn(*a, **k))
+    monkeypatch.setattr(sdp._Compiled, "dual_check",
+                        lambda self, *a, **k: calls.append("dual_check")
+                        or dual_check_fn(self, *a, **k))
     raw = lambda m: charact._assemble_ladder(m, d, slack=False)
     rng = np.random.default_rng(d)
     flip = math.cos(math.pi / (d + 1))
@@ -348,11 +352,26 @@ def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
                 eqs = prog.problem.equalities
                 prog.problem.equalities = [eqs[i] for i in rng.permutation(len(eqs))]
             calls.clear()
-            slack, sol = charact._solve_slack(prog, 1e-8, 1e-8)
-            assert calls == ["solve", "compile"]  # one compile per solve
-            v = charact._verdict(prog, slack, sol, charact.MEMBER_TOL)
+            v = charact._decide(prog, 1e-8, 1e-8, charact.MEMBER_TOL)
+            slack = v.slack
+            # one compile per solve, and the dual check only for a non-member, once
+            assert calls == ["solve", "compile"] + ["dual_check"] * (not v.is_member)
             assert v.is_member == (delta < 0), (delta, order, slack)
             if v.is_member:
                 assert verify_member_certificate(m, v.certificate, raw)
             else:
                 assert abs(slack - delta / 2) <= 2e-8
+
+
+@pytest.mark.parametrize("slack", [True, False])
+def test_ladder_is_the_joint_eigenspace_layout(slack):
+    # the d-level ladder is target levels [0, 1] against battery levels 0..d-1
+    m = degrade(sigma_x_povm(), 0.6)
+    for d in range(1, 11):
+        ladder = charact._assemble_ladder(m, d, slack=slack).problem.compile()
+        joint = charact._assemble_multilevel(m, [0, 1], range(d), slack=slack).problem.compile()
+        assert ladder.dims == joint.dims
+        assert np.array_equal(ladder.b, joint.b)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ladder.a, attr), getattr(joint.a, attr))
+        assert all(np.array_equal(u, v) for u, v in zip(ladder.c, joint.c, strict=True))

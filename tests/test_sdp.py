@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestDualityAndCertificates:
         p.add_equality({x: 2.0 * np.eye(2)}, 5.0)
         sol = solve(p, max_iter=80)
         assert sol.status == "infeasible"
+        assert verify_infeasibility_certificate(p, sol.certificate)
+
+    def test_infeasible_solution_carries_only_the_certificate(self):
+        p = BlockSdp()
+        x = p.add_block(2)
+        p.add_equality({x: np.eye(2)}, 1.0)
+        p.add_equality({x: 2.0 * np.eye(2)}, 5.0)
+        sol = solve(p, max_iter=80)
+        assert sol.status == "infeasible"
+        assert sol.dual_objective == sol.certificate.objective
+        assert np.array_equal(sol.y, sol.certificate.y)
+        assert math.isnan(sol.objective) and math.isnan(sol.gap)
+        assert sol.x == [] and sol.z == []
+        json.dumps(sol.to_json(), allow_nan=False)
         assert verify_infeasibility_certificate(p, sol.certificate)
 
     def test_membership_program_feasibility_flip(self):
