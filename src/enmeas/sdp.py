@@ -13,14 +13,16 @@ self-dual embedding of the program and its dual (Ye, Todd & Mizuno 1994),
 with Nesterov-Todd scaling and Mehrotra's predictor-corrector. One run
 ends at an optimum, a Farkas functional or an improving ray.
 
-The compiled program stacks the blocks of each size d into (n, d, d)
-arrays and holds the constraints as one sparse real m x N matrix over the
-blocks' d^2 real coordinates, those that hermitian_basis extracts. A(X),
-A*(y), the NT scaling, the step length and the Schur complement
-A (W x W) A^T are then a few batched matmul and eigh calls per size group,
-with closed forms for 1x1 blocks. The Schur complement, the one dense
-m x m matrix, is Q Q^T for the sparse scaled constraints Q, so it is
-symmetric to the last bit.
+The compiled program holds every block as d^2 real coordinates over an
+orthonormal basis, so an iterate is one flat real vector, <X, Z> is a dot
+product, and A(X) and A*(y) are products with one sparse real m x N
+matrix. A 2x2 block is PSD exactly when its coordinates lie in the
+Lorentz cone L^4, and a 1x1 block is L^1: blocks of size 1 and 2 take the
+NT scaling, the step length and Mehrotra's term in closed form, from the
+spin-factor Jordan algebra, with no eigh; larger blocks take batched eigh
+per size group. The Schur complement, the one dense m x m matrix, is
+Q Q^T for the sparse scaled constraints Q, so it is symmetric to the last
+bit.
 Once the embedding has proved a program infeasible, an always-feasible
 phase-1 program gives its l1-optimal Farkas functional: y with A*(y) PSD,
 b.y < 0 and |y_i| <= 1, checkable directly on the raw problem data.
@@ -126,7 +128,7 @@ class BlockSdp:
         all D rows), or (scalar, F), adding x * F for a 1x1 block x and a
         fixed Hermitian F. Row i pairs the equation with the i-th matrix of
         hermitian_basis(D); a term whose coefficient vanishes on a row is
-        left out of that row.
+        left out of that row, and terms on the same block add up.
         """
         r = np.atleast_2d(rhs)
         r = _hermitian(r, r.shape[0], "right-hand side")
@@ -148,8 +150,11 @@ class BlockSdp:
                 vals = _coords(_hermitian(term[1], r.shape[0], f"matrix of block {b}")[None])[0]
                 cols.append((b, vals[:, None, None].astype(complex), vals != 0))
         for i, rhs_i in enumerate(_coords(r[None])[0]):
-            self.equalities.append(
-                ({b: coeffs[i] for b, coeffs, keep in cols if keep[i]}, float(rhs_i)))
+            row = {}
+            for b, coeffs, keep in cols:
+                if keep[i]:  # terms on one block add up
+                    row[b] = row[b] + coeffs[i] if b in row else coeffs[i]
+            self.equalities.append((row, float(rhs_i)))
 
     def add_inequality(self, coeffs: dict, rhs: float) -> None:
         """sum_b <coeffs[b], X_b> <= rhs (compiled via a slack scalar)."""
@@ -169,7 +174,7 @@ class BlockSdp:
         xs = [_hermitian(xb, d, f"block {b}")
               for b, (xb, d) in enumerate(zip(x, self.block_dims))]
         comp = self.compile()
-        slack = comp.b - comp.apply_a(comp.stacks(xs + [np.zeros((1, 1))] * len(self.inequalities)))
+        slack = comp.b - comp.apply_a(comp.vector(xs + [np.zeros((1, 1))] * len(self.inequalities)))
         return comp.primal_check(xs + [np.eye(1) * v for v in slack[len(self.equalities):]])
 
     # -- compiled view -----------------------------------------------------
@@ -206,47 +211,43 @@ class BlockSdp:
 
 
 # ---------------------------------------------------------------------------
-# Stacked blocks and their real coordinates
+# Real coordinates of Hermitian blocks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _triangle(d: int):
-    return np.arange(d), *np.triu_indices(d, 1)
-
-
-def _coords(x: np.ndarray, off: float = 1.0) -> np.ndarray:
-    """Real coordinates of a stack of Hermitian d x d matrices, (n, d^2).
-
-    They follow hermitian_basis: X_ii, then Re X_ij and Im X_ij for i < j,
-    the off-diagonal ones times off. off=1 gives <E_k, X>; off=2 gives the
-    coefficients a of A with <A, X> = a . coords(X); sqrt(2) makes the
-    coordinates orthonormal.
-    """
+def _coords(x: np.ndarray) -> np.ndarray:
+    """<E_k, X> over hermitian_basis(d) for a stack of Hermitian d x d
+    matrices, (n, d^2): X_ii, then Re X_ij and Im X_ij for i < j."""
     n, d = x.shape[:2]
-    if d == 1:
-        return x.real.reshape(n, 1)
-    di, iu, ju = _triangle(d)
-    out = np.empty((n, d * d))
-    out[:, :d] = x.real[:, di, di]
-    u = x[:, iu, ju] if off == 1.0 else off * x[:, iu, ju]
-    out[:, d::2] = u.real
-    out[:, d + 1::2] = u.imag
-    return out
+    return (x.reshape(n, d * d) @ _basis_stack(d).reshape(d * d, d * d).conj().T).real
 
 
-def _from_coords(a: np.ndarray, d: int) -> np.ndarray:
-    """sum_k a_k E_k over hermitian_basis(d), for each row a of a stack."""
-    n = a.shape[0]
-    out = np.zeros((n, d, d), dtype=complex)
-    if d == 1:
-        out[:, 0, 0] = a[:, 0]
-        return out
-    di, iu, ju = _triangle(d)
-    out[:, di, di] = a[:, :d]
-    h = 0.5 * (a[:, d::2] + 1j * a[:, d + 1::2])
-    out[:, iu, ju] = h
-    out[:, ju, iu] = h.conj()
-    return out
+@lru_cache(maxsize=None)
+def _onb(d: int) -> np.ndarray:
+    """The solver's orthonormal basis B_k of Hermitian d x d matrices, as a
+    (d^2, d^2) array of flattened matrices: hermitian_basis(d) with its
+    off-diagonal matrices scaled by sqrt 2, except that for d = 2 the
+    diagonal pair is (I, sigma_z)/sqrt 2. A 2x2 block then has coordinates
+    ((x11 + x22)/sqrt 2, (x11 - x22)/sqrt 2, sqrt 2 Re x12, sqrt 2 Im x12),
+    a Lorentz cone vector."""
+    basis = _basis_stack(d) * np.where(np.arange(d * d) < d, 1.0, np.sqrt(2.0))[:, None, None]
+    if d == 2:
+        basis = np.concatenate([basis[:1] + basis[1:2], basis[:1] - basis[1:2]]
+                               + [np.sqrt(2.0) * basis[2:]]) / np.sqrt(2.0)
+    flat = basis.reshape(d * d, d * d)
+    flat.setflags(write=False)  # shared between all callers
+    return flat
+
+
+def _vec(x: np.ndarray) -> np.ndarray:
+    """Solver coordinates <B_k, X> of a stack of Hermitian matrices, (n, d^2);
+    <X, Z> = vec(X) . vec(Z)."""
+    n, d = x.shape[:2]
+    return (x.reshape(n, d * d) @ _onb(d).conj().T).real
+
+
+def _mat(v: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrices sum_k v_k B_k for the rows v of a (n, d^2) array."""
+    return (v @ _onb(d)).reshape(-1, d, d)
 
 
 def _indptr(rows, m):
@@ -254,23 +255,14 @@ def _indptr(rows, m):
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
 
 
-@lru_cache(maxsize=None)
-def _vec_maps(d: int):
-    """Row k: E_k of hermitian_basis(d) flattened; column c: the flattened
-    transpose of its c-th matrix scaled to orthonormal coordinates."""
-    basis = _basis_stack(d)
-    scaled = basis * np.where(np.arange(d * d) < d, 1.0, np.sqrt(2.0))[:, None, None]
-    return basis.reshape(d * d, d * d), scaled.transpose(0, 2, 1).reshape(d * d, d * d).T
-
-
-def _scaled_coords(r: np.ndarray) -> np.ndarray:
-    """Per block, the real d^2 x d^2 map from the coefficients a of A
-    (A = sum_k a_k E_k) to the orthonormal coordinates of R^H A R."""
+def _congruence(r: np.ndarray) -> np.ndarray:
+    """Per block of a stack, the real d^2 x d^2 matrix M with
+    vec(R^H A R) = vec(A) M; M M^T is the map A -> W A W for W = R R^H."""
     n, d = r.shape[:2]
-    rows, cols = _vec_maps(d)
-    # (R^H E R)_ab = sum_ij conj(R_ia) R_jb E_ij
+    basis = _onb(d)
+    # (R^H B_k R)_ab = sum_ij conj(R_ia) R_jb (B_k)_ij
     kron = np.einsum("nia,njb->nijab", r.conj(), r).reshape(n, d * d, d * d)
-    return (rows @ kron @ cols).real
+    return (basis @ kron @ basis.conj().T).real
 
 
 def _ct(x):
@@ -281,21 +273,18 @@ def _sym(m):
     return 0.5 * (m + _ct(m))
 
 
-def _inner(x, z) -> float:
-    """sum_b Re tr(X_b Z_b) over group stacks of Hermitian blocks."""
-    return float(sum(np.vdot(zg, xg).real for xg, zg in zip(x, z)))
-
-
 class _Compiled:
     """A program in the solver's layout.
 
-    Blocks of one size d form a group, stacked in block order into (n, d, d)
-    arrays; x[g][k] is block members[g][k]. The constraint matrix a is m x N
-    sparse real over the groups' coordinates, group after group and block
-    after block, so that row i of A(X) is a[i] . coords(X). It stores each
-    (row, block) coefficient as a whole d^2 segment, zeros included, so the
-    scaled constraints of schur() share its pattern. c is the objective as
-    one stack per group.
+    Every block is a vector of d^2 real coordinates over the orthonormal
+    basis of _onb, so that <X, Z> is a dot product. Blocks of one size d
+    form a group; an iterate is one flat vector, group after group (sizes
+    ascending) and block after block, and split() views a group as (n, d^2).
+    x[g][k] of a split vector is block members[g][k]. The constraint matrix
+    a is m x N sparse real, so A(X) = a @ x and A*(y) = at @ y. It stores
+    each (row, block) coefficient as a whole d^2 segment, zeros included, so
+    that the scaled constraints of schur() share its pattern. c is the
+    objective vector.
     """
 
     def __init__(self, dims, rows, objective):
@@ -325,8 +314,7 @@ class _Compiled:
         seg_rows, seg_cols = [], []
         for (ids, pos, mats), d, start in zip(found, self.sizes, self.starts):
             pos = np.array(pos, dtype=int)
-            mats = np.array(mats, dtype=complex).reshape(-1, d, d)
-            self.entries.append((pos, _coords(mats, 2.0)))
+            self.entries.append((pos, _vec(np.array(mats, dtype=complex).reshape(-1, d, d))))
             seg_rows.append(np.repeat(np.array(ids, dtype=int), d * d))
             seg_cols.append((start + pos[:, None] * d * d + np.arange(d * d)).ravel())
         rows_, cols = np.concatenate(seg_rows), np.concatenate(seg_cols)
@@ -337,51 +325,50 @@ class _Compiled:
         self.at = sps.csr_matrix((self.a.data[self._order_t], rows_[self._order][self._order_t],
                                   _indptr(cols, n)), shape=(n, m))
 
-        self.c = [np.zeros((len(mem), d, d), dtype=complex)
-                  for mem, d in zip(self.members, self.sizes)]
-        for bi, coeff in objective.items():
-            g, k = self.where[bi]
-            self.c[g][k] = coeff
+        self.c = self.vector([objective.get(bi, np.zeros((d, d))) for bi, d in enumerate(dims)])
 
-    def stacks(self, blocks) -> list[np.ndarray]:
-        """Group stacks from one matrix per block."""
-        return [np.array([blocks[bi] for bi in mem], dtype=complex).reshape(len(mem), d, d)
-                for mem, d in zip(self.members, self.sizes)]
+    def split(self, v) -> list[np.ndarray]:
+        """Views of a flat vector as one (n, d^2) array per group."""
+        return [v[s:e].reshape(-1, d * d)
+                for s, e, d in zip(self.starts, self.starts[1:], self.sizes)]
 
-    def blocks(self, stacks) -> list[np.ndarray]:
-        """One matrix per block from group stacks; copies, so that a block
+    def vector(self, blocks) -> np.ndarray:
+        """The flat vector of one Hermitian matrix per block."""
+        return np.concatenate([
+            _vec(np.array([blocks[bi] for bi in mem], dtype=complex).reshape(len(mem), d, d)).ravel()
+            for mem, d in zip(self.members, self.sizes)])
+
+    def blocks(self, v) -> list[np.ndarray]:
+        """One matrix per block from a flat vector; copies, so that a block
         kept by a caller does not keep its whole group alive."""
-        return [stacks[g][k].copy() for g, k in self.where]
+        mats = [_mat(vg, d) for vg, d in zip(self.split(v), self.sizes)]
+        return [mats[g][k].copy() for g, k in self.where]
 
-    def eye(self) -> list[np.ndarray]:
-        return [np.tile(np.eye(d, dtype=complex), (len(mem), 1, 1))
-                for mem, d in zip(self.members, self.sizes)]
+    def eye(self) -> np.ndarray:
+        return self.vector([np.eye(d) for d in self.dims])
 
     def apply_a(self, x) -> np.ndarray:
         """A(X): row i is sum_b <A_ib, X_b>."""
-        return self.a @ np.concatenate([_coords(xg).ravel() for xg in x])
+        return self.a @ x
 
-    def apply_at(self, y) -> list[np.ndarray]:
-        """A*(y) = sum_i y_i A_i, as group stacks."""
-        v = self.at @ np.asarray(y, dtype=float)
-        return [_from_coords(v[s:e].reshape(-1, d * d), d)
-                for s, e, d in zip(self.starts, self.starts[1:], self.sizes)]
+    def apply_at(self, y) -> np.ndarray:
+        """A*(y) = sum_i y_i A_i."""
+        return self.at @ np.asarray(y, dtype=float)
 
     def _segments(self, per_group) -> np.ndarray:
         """CSR data in a's pattern from each group's (entries, d^2) values."""
         return np.concatenate([v.ravel() for v in per_group])[self._order]
 
-    def schur(self, r) -> np.ndarray:
-        """A (W x W) A^T for W_b = R_b R_b^H: entry (i, j) is
-        sum_b <A_ib, W_b A_jb W_b> = sum_b <R^H A_ib R, R^H A_jb R>.
+    def schur(self, maps) -> np.ndarray:
+        """A P A^T for the block-diagonal map P = M M^T, given per group the
+        (n, d^2, d^2) stack of the blocks' M (the NT scaling's R).
 
-        Q holds the orthonormal coordinates of R^H A_ib R in the pattern of
-        a; Q Q^T is the one dense m x m array, and both of its triangles
-        sum the same products in the same order, so it is exactly symmetric.
+        Q holds the rows vec(A_ib) M_b in the pattern of a; Q Q^T is the one
+        dense m x m array, and both of its triangles sum the same products
+        in the same order, so it is exactly symmetric.
         """
-        maps = [_scaled_coords(rg) for rg in r]
-        q = sps.csr_matrix((self._segments(np.einsum("ek,ekc->ec", coef, lg[pos])
-                                           for (pos, coef), lg in zip(self.entries, maps)),
+        q = sps.csr_matrix((self._segments(np.einsum("ek,ekc->ec", coef, mg[pos])
+                                           for (pos, coef), mg in zip(self.entries, maps)),
                             self.a.indices, self.a.indptr), shape=self.a.shape)
         qt = sps.csr_matrix((q.data[self._order_t], self.at.indices, self.at.indptr),
                             shape=self.at.shape)
@@ -389,15 +376,18 @@ class _Compiled:
         s = np.zeros((m, m))
         step = max(1, 2 ** 15 // m)  # rows per sparse product, to bound its size
         for i in range(0, m, step):
-            (q[i:i + step] @ qt).toarray(out=s[i:i + step])
+            ((q[i:i + step] if step < m else q) @ qt).toarray(out=s[i:i + step])
         return s
+
+    def _min_eig(self, v) -> float:
+        return min(float(np.linalg.eigvalsh(_mat(vg, d))[:, 0].min())
+                   for vg, d in zip(self.split(v), self.sizes))
 
     def primal_check(self, x) -> tuple[float, float]:
         """Min eigenvalue over the blocks of x (one matrix per block, the
         compiled slack scalars included) and the largest |A(X) - b|."""
-        stacks = self.stacks(x)
-        worst = np.max(np.abs(self.apply_a(stacks) - self.b))
-        return min(float(np.linalg.eigvalsh(g)[:, 0].min()) for g in stacks), float(worst)
+        v = self.vector(x)
+        return self._min_eig(v), float(np.max(np.abs(self.apply_a(v) - self.b)))
 
     def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
         """Min eigenvalue of A*(y) - C over the blocks, and b.y.
@@ -410,10 +400,7 @@ class _Compiled:
         if y.shape != self.b.shape:
             raise SdpError(f"dual vector has {y.size} entries for {self.b.size} rows")
         aty = self.apply_at(y)
-        if not farkas:
-            aty = [a - c for a, c in zip(aty, self.c)]
-        min_eig = min(float(np.linalg.eigvalsh(a)[:, 0].min()) for a in aty)
-        return min_eig, float(np.dot(self.b, y))
+        return self._min_eig(aty if farkas else aty - self.c), float(np.dot(self.b, y))
 
 
 @dataclass
@@ -470,34 +457,127 @@ class SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Core iteration, one size group at a time
+# Core iteration: NT scaling, step length and Mehrotra's term per size group
 # ---------------------------------------------------------------------------
+
+def _lorentz(v):
+    """v^T J v = v0^2 - |v'|^2 of each row, J = diag(1, -1, ..., -1): 2 det X
+    for a 2x2 block, X^2 for a 1x1 one. Floored at 1e-17 v0^2, so that
+    rounding cannot put an interior point on the boundary."""
+    v0 = v[:, 0]
+    return np.maximum(v0 * v0 - np.einsum("ij,ij->i", v[:, 1:], v[:, 1:]), 1e-17 * v0 * v0)
+
+
+def _apply(m, v):
+    """Row n of the result is m[n] @ v[n]."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
+
+
+class _Spin:
+    """A group of 1x1 or 2x2 blocks as spin-factor (Lorentz) cones.
+
+    A 2x2 block's coordinates v are PSD exactly when v0 >= |v'| for the
+    tail v' = (v1, v2, v3): the cone L^4. A 1x1 block is L^1, the same cone
+    with an empty tail. There (XY + YX)/2 is u o v = (u.v, u0 v' + v0 u')/sqrt d,
+    the identity is e = (sqrt d, 0) and v^T J v stands for the determinant,
+    so the NT scaling, the step length and Mehrotra's term have closed forms
+    (Alizadeh & Goldfarb, Math. Program. 95, 2003, sections 4-5). With
+    P(u) = 2 u u^T - J and beta = sqrt(det x / det z), the scaling is
+    R = sqrt(beta) P(u~) and R^2 = beta P(v), for the NT point v of the
+    normalized pair and its square root u~; R z = R^-1 x is lam.
+    """
+
+    def __init__(self, x, z, d):
+        n, self.sd = len(x), np.sqrt(d)
+        j = np.where(np.arange(d * d) == 0, 1.0, -1.0)
+        self.v = np.concatenate((x, z))  # x over z, for one step-length pass
+        self.q = _lorentz(self.v)
+        xb, zb = np.split(self.v / np.sqrt(self.q)[:, None], 2)
+        v = (xb + j * zb) / np.sqrt(2.0 + 2.0 * np.einsum("ij,ij->i", xb, zb))[:, None]
+        u = v + (j > 0)  # v + e, then normalized: the square root of v
+        u /= np.sqrt(2.0 * u[:, :1])
+        beta = np.sqrt(self.q[:n] / self.q[n:])[:, None, None]
+        pu = 2.0 * u[:, :, None] * u[:, None, :] - np.diag(j)
+        self.r = np.sqrt(beta) * pu
+        self.rinv = np.outer(j, j) * pu / np.sqrt(beta)  # P(u)^-1 = J P(u) J
+        self.w2 = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(j))
+        self.lam = _apply(self.r, z)
+        self.zinv = z * (d * j) / self.q[n:, None]  # d J z / det z
+
+    def _jordan(self, u, v):
+        out = u[:, :1] * v + v[:, :1] * u
+        out[:, 0] = np.einsum("ij,ij->i", u, v)
+        return out / self.sd
+
+    def solve(self, lam, w):
+        """s with lam o s = w (the arrow matrix of lam inverted)."""
+        s = np.empty_like(w)
+        s[:, 0] = self.sd * (lam[:, 0] * w[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], w[:, 1:]))
+        s[:, 0] /= _lorentz(lam)
+        s[:, 1:] = (self.sd * w[:, 1:] - s[:, :1] * lam[:, 1:]) / lam[:, :1]
+        return s
+
+    def center(self, sm, dx, dz):
+        """sm z^-1 - x plus Mehrotra's term -R (lam \\ (dx~ o dz~)) for
+        dx~ = R^-1 dx and dz~ = R dz."""
+        t = self.solve(self.lam, self._jordan(_apply(self.rinv, dx), _apply(self.r, dz)))
+        return sm * self.zinv - self.v[:len(t)] - _apply(self.r, t)
+
+    def max_step(self, dx, dz) -> float:
+        """Largest alpha with x + alpha dx and z + alpha dz in the cones:
+        -1/mu for the least root mu of det(dv - mu v), the least eigenvalue
+        of V^-1/2 dV V^-1/2, if it is negative. The discriminant is written
+        as a sum of squares."""
+        v, q, dv = self.v, self.q, np.concatenate((dx, dz))
+        v0, t, d0, dt = v[:, 0], v[:, 1:], dv[:, 0], dv[:, 1:]
+        p = v0 * d0 - np.einsum("ij,ij->i", t, dt)
+        w = v0[:, None] * dt - d0[:, None] * t
+        disc = np.sqrt(q * np.einsum("ij,ij->i", w, w) + np.einsum("ij,ij->i", t, w) ** 2)
+        mu = float(np.min((p - disc / v0) / q))
+        if not np.isfinite(mu):
+            return 0.0
+        return -1.0 / mu if mu < 0 else np.inf
+
 
 def _floor(w):
     """Eigenvalues raised to at least 1e-17 of the largest."""
     return np.maximum(w, np.maximum(w[:, -1:], 1e-128) * 1e-17)
 
 
-def _nt_scaling(x, z):
-    """NT scaling of one group: R with W = R R^H and W Z W = X, W, Z^{-1},
-    and the X^{-1/2}, Z^{-1/2} that the step lengths use."""
-    n, d = x.shape[:2]
-    if d == 1:
-        wx, wz = _floor(x.real.reshape(n, 1)), _floor(z.real.reshape(n, 1))
-        xh = np.sqrt(wx)
-        r = xh / np.sqrt(np.sqrt(_floor(xh * z.real.reshape(n, 1) * xh)))
-        lam = r * r * z.real.reshape(n, 1)
-        r, wx, wz = (v.reshape(n, 1, 1) for v in (r, wx, wz))
-        return r, r * r + 0j, 1.0 / wz + 0j, 1.0 / np.sqrt(wx), 1.0 / np.sqrt(wz), lam
-    wx, ux = np.linalg.eigh(x)
-    wx = _floor(wx)[:, None, :]
-    xh = (ux * np.sqrt(wx)) @ _ct(ux)
-    wm, um = np.linalg.eigh(_sym(xh @ z @ xh))
-    r = xh @ (um / np.sqrt(np.sqrt(_floor(wm)))[:, None, :])
-    wz, uz = np.linalg.eigh(z)
-    wz = _floor(wz)[:, None, :]
-    return (r, r @ _ct(r), (uz / wz) @ _ct(uz),
-            (ux / np.sqrt(wx)) @ _ct(ux), (uz / np.sqrt(wz)) @ _ct(uz), np.sqrt(_floor(wm)))
+class _Eigh:
+    """A group of d x d blocks, d >= 3, through eigh: the NT scaling R with
+    W = R R^H and W Z W = X, lam = R^H Z R = R^-1 X R^-H (diagonal), and the
+    maps of R and of W . W on the coordinates."""
+
+    def __init__(self, x, z, d):
+        self.d = d
+        self.x, self.z = _mat(x, d), _mat(z, d)
+        wx, ux = np.linalg.eigh(self.x)
+        wx = _floor(wx)[:, None, :]
+        xh = (ux * np.sqrt(wx)) @ _ct(ux)
+        wm, um = np.linalg.eigh(_sym(xh @ self.z @ xh))
+        self.rm = xh @ (um / np.sqrt(np.sqrt(_floor(wm)))[:, None, :])
+        self.lam = np.sqrt(_floor(wm))
+        wz, uz = np.linalg.eigh(self.z)
+        wz = _floor(wz)[:, None, :]
+        self.zinv = (uz / wz) @ _ct(uz)
+        self.xmh, self.zmh = (ux / np.sqrt(wx)) @ _ct(ux), (uz / np.sqrt(wz)) @ _ct(uz)
+        self.r = _congruence(self.rm)
+        self.w2 = self.r @ self.r.swapaxes(1, 2)
+
+    def center(self, sm, dx, dz):
+        """sm Z^-1 - X plus Mehrotra's term."""
+        return _vec(sm * self.zinv - self.x
+                    + _second_order(self.rm, self.lam, self.z, _mat(dx, self.d), _mat(dz, self.d)))
+
+    def max_step(self, dx, dz) -> float:
+        """Largest alpha with X + alpha dX and Z + alpha dZ PSD."""
+        g = _sym(np.concatenate([mh @ _mat(dv, self.d) @ mh
+                                 for mh, dv in ((self.xmh, dx), (self.zmh, dz))]))
+        if not np.all(np.isfinite(g)):
+            return 0.0
+        lmin = float(np.linalg.eigvalsh(g)[:, 0].min())
+        return -1.0 / lmin if lmin < 0 else np.inf
 
 
 def _second_order(r, lam, z, dx, dz):
@@ -509,29 +589,6 @@ def _second_order(r, lam, z, dx, dz):
     return -(r @ ((p + _ct(p)) / (lam[:, :, None] + lam[:, None, :])) @ _ct(r))
 
 
-def _max_step(x, dx, xmh) -> float:
-    """Largest alpha with X + alpha dX staying PSD (per block, then min),
-    given X^{-1/2} of every group."""
-    alpha = np.inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for xg, dxg, mh in zip(x, dx, xmh):
-            if not np.all(np.isfinite(dxg)):
-                return 0.0
-            if xg.shape[1] == 1:
-                dv = dxg.real.ravel()
-                neg = dv < 0
-                if np.any(neg):
-                    alpha = min(alpha, float(np.min(-xg.real.ravel()[neg] / dv[neg])))
-                continue
-            g = _sym(mh @ dxg @ mh)
-            if not np.all(np.isfinite(g)):
-                return 0.0
-            lmin = float(np.linalg.eigvalsh(g)[:, 0].min())
-            if lmin < 0:
-                alpha = min(alpha, -1.0 / lmin)
-    return alpha
-
-
 def _factor_schur(s):
     """A solve with s: its Cholesky factor, shifted on the diagonal when
     rounding leaves s indefinite, and one step of iterative refinement,
@@ -540,12 +597,13 @@ def _factor_schur(s):
     m = s.shape[0]
     base = 1e-14 * (np.trace(s) / m + 1.0)
     solve = lambda r: np.linalg.lstsq(s, r, rcond=None)[0]
+    potrs = sla.get_lapack_funcs("potrs", (s,))  # cho_solve without its per-call checks
     for jitter in (0.0, base, 1e3 * base, 1e6 * base):
         try:
             shifted = s if jitter == 0.0 else s.copy()
             shifted.flat[::m + 1] += jitter
-            cf = sla.cho_factor(shifted, lower=True, overwrite_a=bool(jitter))
-            solve = lambda r: sla.cho_solve(cf, r)
+            cf, _ = sla.cho_factor(shifted, lower=True, overwrite_a=bool(jitter))
+            solve = lambda r: potrs(cf, r, lower=1)[0]
             break
         except (np.linalg.LinAlgError, sla.LinAlgError):
             pass
@@ -562,26 +620,28 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
     (<C, X> > 0, A(X) = 0). Each step is one Cholesky factor of the Schur
     complement, solved for the tau column and for the Mehrotra predictor
     and corrector, and (X, tau) and (y, Z, kappa) share one step length.
+    X and Z are flat coordinate vectors (see _Compiled); groups of 1x1 and
+    2x2 blocks scale as spin-factor cones (_Spin), larger ones by eigh.
     """
-    b, c = comp.b, comp.c
+    b, c, e = comp.b, comp.c, comp.eye()
     nu = sum(comp.dims) + 1
-    x, z = comp.eye(), comp.eye()
+    x, z = e.copy(), e.copy()
     y = np.zeros(b.size)
     tau = kappa = 1.0
     norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_c = 1.0 + float(np.sqrt(_inner(c, c)))
+    norm_c = 1.0 + float(np.linalg.norm(c))
     status = "max_iter"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, max_iter + 1):
             ax, aty = comp.apply_a(x), comp.apply_at(y)
             rp = tau * b - ax
-            rd = [tau * cg + zg - ag for cg, zg, ag in zip(c, z, aty)]
-            cx, by, xz = _inner(c, x), float(np.dot(b, y)), _inner(x, z)
+            rd = tau * c + z - aty
+            cx, by, xz = float(c @ x), float(b @ y), float(x @ z)
             rg = kappa - cx + by
             mu = (xz + tau * kappa) / nu
             norm_rp = float(np.linalg.norm(rp))
             rel_p = norm_rp / (tau * norm_b)
-            rel_d = float(np.sqrt(_inner(rd, rd))) / (tau * norm_c)
+            rel_d = float(np.linalg.norm(rd)) / (tau * norm_c)
             rel_gap = xz / (tau * (tau + abs(cx) + abs(by)))
             if not (np.isfinite(rel_p) and np.isfinite(rel_d) and np.isfinite(mu)):
                 status = "diverged"
@@ -589,14 +649,12 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
             if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
                 status = "optimal"
                 break
-            if by < 0:
-                farkas = [ag - zg for ag, zg in zip(aty, z)]
-                if np.sqrt(_inner(farkas, farkas)) <= -feas_tol * by:
-                    status = "infeasible"
-                    break
+            if by < 0 and np.linalg.norm(aty - z) <= -feas_tol * by:
+                status = "infeasible"
+                break
             if cx > 0 and np.linalg.norm(ax) <= feas_tol * cx:
-                slope = cx / sum(float(np.trace(xg, axis1=1, axis2=2).real.sum()) for xg in x)
-                raise SdpError(f"problem is unbounded: improving ray with slope {slope:.3e}")
+                raise SdpError(f"problem is unbounded: improving ray with slope "
+                               f"{cx / float(e @ x):.3e}")
             # past this, steps only shrink mu against rounding-level residuals
             if mu <= 1e-13 * (tau + kappa) ** 2:
                 status = "stalled"
@@ -604,18 +662,24 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
             if it == max_iter:
                 break
 
-            r, w, zinv, xmh, zmh, lam = zip(*(_nt_scaling(xg, zg) for xg, zg in zip(x, z)))
+            cones = [(_Spin if d <= 2 else _Eigh)(xg, zg, d)
+                     for xg, zg, d in zip(comp.split(x), comp.split(z), comp.sizes)]
+
+            def scaled(v):
+                """W V W for every block: P(W) v."""
+                return np.concatenate([_apply(k.w2, vg).ravel()
+                                       for k, vg in zip(cones, comp.split(v))])
+
             s = solve_fn = None  # the last Schur matrix and factor go before the next
-            s = comp.schur(r)
+            s = comp.schur([k.r for k in cones])
             solve_fn = _factor_schur(s)
             # the tau column: dX = W V W moves A(X) by b for V = C - A*(dy_tau),
             # and den is the pivot of the tau row after eliminating dy
-            g = comp.apply_a([_sym(wg @ cg @ wg) for wg, cg in zip(w, c)])
-            dy_tau = solve_fn(g - b)
-            v = [cg - ag for cg, ag in zip(c, comp.apply_at(dy_tau))]
-            wvw = [_sym(wg @ vg @ wg) for wg, vg in zip(w, v)]
-            den = _inner(c, wvw) - float(np.dot(b, dy_tau)) + kappa / tau
-            wrw = [wg @ rdg @ wg for wg, rdg in zip(w, rd)]
+            dy_tau = solve_fn(comp.apply_a(scaled(c)) - b)
+            v = c - comp.apply_at(dy_tau)
+            wvw = scaled(v)
+            den = float(c @ wvw) - float(b @ dy_tau) + kappa / tau
+            wrw = scaled(rd)
 
             def newton(h, rp_, rg_, rtk):
                 """dX, dy, A*(dy) - dtau C and dtau for the Newton equations
@@ -624,16 +688,15 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
                 kappa dtau + tau dkappa = rtk; h = None stands for 0."""
                 dy = solve_fn(-rp_ if h is None else comp.apply_a(h) - rp_)
                 aty_ = comp.apply_at(dy)
-                dx = [-_sym(wg @ ag @ wg) for wg, ag in zip(w, aty_)]
+                dx = -scaled(aty_)
                 if h is not None:
-                    dx = [u + _sym(hg) for u, hg in zip(dx, h)]
-                dtau = (rg_ + float(np.dot(b, dy)) + rtk / tau - _inner(c, dx)) / den
-                return ([u + dtau * t for u, t in zip(dx, wvw)], dy + dtau * dy_tau,
-                        [ag - dtau * vg for ag, vg in zip(aty_, v)], dtau)
+                    dx += h
+                dtau = (rg_ + float(b @ dy) + rtk / tau - float(c @ dx)) / den
+                return dx + dtau * wvw, dy + dtau * dy_tau, aty_ - dtau * v, dtau
 
             def residual(dx, dy, dtau, rtk):
                 e_p = rp - comp.apply_a(dx) + dtau * b
-                e_g = rg - _inner(c, dx) + float(np.dot(b, dy)) + (rtk - kappa * dtau) / tau
+                e_g = rg - float(c @ dx) + float(b @ dy) + (rtk - kappa * dtau) / tau
                 err = max(float(np.linalg.norm(e_p)) / (1.0 + norm_rp), abs(e_g) / (1.0 + abs(rg)))
                 return e_p, e_g, err
 
@@ -642,49 +705,47 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
                 tau dkappa = rtk. It is refined against the equations that
                 carry b and C, for as long as that lowers their residual;
                 the correction keeps the other equations exact."""
-                dx, dy, dzc, dtau = newton([u + v for u, v in zip(h, wrw)], rp, rg, rtk)
+                dx, dy, dzc, dtau = newton(h + wrw, rp, rg, rtk)
                 e_p, e_g, err = residual(dx, dy, dtau, rtk)
                 for _ in range(2):
                     if err <= 1e-13:
                         break
                     ddx, ddy, ddzc, ddtau = newton(None, e_p, e_g, 0.0)
-                    cand = [u + v for u, v in zip(dx, ddx)], dy + ddy, dtau + ddtau
+                    cand = dx + ddx, dy + ddy, dtau + ddtau
                     e_p, e_g, new_err = residual(*cand, rtk)
                     if new_err >= err:
                         break
                     (dx, dy, dtau), err = cand, new_err
-                    dzc = [u + v for u, v in zip(dzc, ddzc)]
-                return (dx, dy, [u - v for u, v in zip(dzc, rd)], dtau,
-                        (rtk - kappa * dtau) / tau)
+                    dzc = dzc + ddzc
+                return dx, dy, dzc - rd, dtau, (rtk - kappa * dtau) / tau
 
             def step(dx, dz, dtau, dkappa):
-                limit = min(_max_step(x, dx, xmh), _max_step(z, dz, zmh),
-                            *(-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0))
+                limit = min([k.max_step(dxg, dzg)
+                             for k, dxg, dzg in zip(cones, comp.split(dx), comp.split(dz))]
+                            + [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0])
                 return min(1.0, 0.98 * limit)
 
             # the affine predictor chooses the centering weight, the
             # corrector adds its second-order term
-            dx, dy, dz, dtau, dkappa = direction([-xg for xg in x], -tau * kappa)
+            dx, dy, dz, dtau, dkappa = direction(-x, -tau * kappa)
             a = step(dx, dz, dtau, dkappa)
-            mu_aff = (_inner([xg + a * dg for xg, dg in zip(x, dx)],
-                             [zg + a * dg for zg, dg in zip(z, dz)])
+            mu_aff = (float((x + a * dx) @ (z + a * dz))
                       + (tau + a * dtau) * (kappa + a * dkappa)) / nu
             sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
-            h = [sigma * mu * zi - xg + _second_order(*v)
-                 for zi, xg, *v in zip(zinv, x, r, lam, z, dx, dz)]
+            h = np.concatenate([k.center(sigma * mu, dxg, dzg).ravel()
+                                for k, dxg, dzg in zip(cones, comp.split(dx), comp.split(dz))])
             dx, dy, dz, dtau, dkappa = direction(h, sigma * mu - tau * kappa - dtau * dkappa)
             a = step(dx, dz, dtau, dkappa)
             if a < 1e-12:
                 status = "stalled"
                 break
-            x = [_sym(xg + a * dg) for xg, dg in zip(x, dx)]
-            z = [_sym(zg + a * dg) for zg, dg in zip(z, dz)]
+            x = x + a * dx
+            z = z + a * dz
             y = y + a * dy
             tau, kappa = tau + a * dtau, kappa + a * dkappa
 
-    return (status, comp.blocks([xg / tau for xg in x]), y / tau,
-            comp.blocks([zg / tau for zg in z]), cx / tau, by / tau, xz / tau ** 2,
-            rel_p, rel_d, it)
+    return (status, comp.blocks(x / tau), y / tau, comp.blocks(z / tau), cx / tau, by / tau,
+            xz / tau ** 2, rel_p, rel_d, it)
 
 
 # ---------------------------------------------------------------------------

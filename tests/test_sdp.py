@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from enmeas import charact, distances, sdp
-from enmeas.povm import degrade, projective_qubit
-from enmeas.reproduce import sphere_povm_pair
+from enmeas.povm import degrade, projective_qubit, random_rank_one_povm
+from enmeas.reproduce import random_two_outcome, sphere_povm_pair
 from enmeas.sdp import (
     BlockSdp,
     SdpError,
@@ -226,6 +226,26 @@ def test_matrix_equality_rejects_bad_terms():
         p.add_matrix_equality([(x, None, 1.0)], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_matrix_equality_terms_on_one_block_add_up():
+    def rows(terms, rhs):
+        p = BlockSdp()
+        p.add_scalar(), p.add_block(2)
+        p.add_matrix_equality(terms, rhs)
+        return p.equalities
+
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for (cs, rhs), (cs_want, rhs_want) in zip(got, want):
+            assert list(cs) == list(cs_want) and rhs == rhs_want
+            for b in cs_want:
+                assert np.array_equal(cs[b], cs_want[b])
+
+    s, x = 0, 1
+    assert_same(rows([(s, [0], 1.0), (s, [0], 1.0)], [[2.0]]), rows([(s, [0], 2.0)], [[2.0]]))
+    r = np.array([[1.0, 0.5j], [-0.5j, 3.0]])
+    assert_same(rows([(x, None, 1.0), (x, None, 1.0)], r), rows([(x, None, 2.0)], r))
+
+
 def test_problem_json_dump():
     p = BlockSdp()
     x = p.add_block(2, "X")
@@ -350,16 +370,16 @@ def test_compiled_operators_match_per_row_reference(case):
     x = [herm(rng, d) for d in dims]
     z = [herm(rng, d) for d in dims]
     y = rng.standard_normal(len(rows))
-    assert_close(comp.apply_a(comp.stacks(x)), reference_apply_a(rows, x))
+    assert_close(comp.apply_a(comp.vector(x)), reference_apply_a(rows, x))
     for got, want in zip(comp.blocks(comp.apply_at(y)), reference_apply_at(rows, dims, y)):
         assert_close(got, want)
-    assert_close(sdp._inner(comp.stacks(x), comp.stacks(z)),
+    assert_close(np.dot(comp.vector(x), comp.vector(z)),
                  sum(np.trace(a @ b).real for a, b in zip(x, z)))
 
     # W = R R^H, with the real positive R that 1x1 blocks have
     r = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) if d > 1
          else rng.uniform(0.5, 2.0, (1, 1)) for d in dims]
-    s = comp.schur(comp.stacks(r))
+    s = comp.schur([sdp._congruence(np.array([r[b] for b in mem])) for mem in comp.members])
     assert_close(s, reference_schur(rows, dims, [a @ a.conj().T for a in r]))
     assert np.array_equal(s, s.T)
 
@@ -371,3 +391,124 @@ def test_compiled_operators_match_per_row_reference(case):
         min_eig, b_dot_y = comp.dual_check(y, farkas=farkas)
         assert_close(min_eig, want)
         assert_close(b_dot_y, np.dot(rhs, y))
+
+
+# ---------------------------------------------------------------------------
+# The spin-factor closed forms of 1x1 and 2x2 blocks against matrix forms
+# ---------------------------------------------------------------------------
+
+def random_pd(rng, n, d, ratio):
+    """n random d x d PD matrices, eigenvalues in [0.5, 2] but the smallest
+    one times ratio."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    u = np.linalg.qr(g)[0]
+    w = rng.uniform(0.5, 2.0, (n, d))
+    w[:, 0] *= ratio
+    return (u * w[:, None, :]) @ u.conj().swapaxes(1, 2)
+
+
+def norms(a):
+    """Spectral norm of each matrix of a stack."""
+    return np.linalg.norm(a, 2, axis=(1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("ratio_x, ratio_z, paired", [
+    (1.0, 1.0, False), (1e-12, 1.0, False), (1.0, 1e-12, False), (1e-12, 1e-12, False),
+    (1e-12, 1e-12, True)])
+def test_spin_factor_closed_forms_match_matrix_forms(d, ratio_x, ratio_z, paired):
+    """The NT scaling, step length, Jordan product, inverse and Mehrotra's
+    term of sdp._Spin against the matrix forms, on random PD blocks and on
+    near-singular ones (eigenvalue ratio 1e-12; paired: X and Z singular
+    along complementary directions, as near an optimum).
+
+    Each error is relative to the size that the rounding of the inputs
+    allows (for a product, the product of its factors' norms; for an
+    inverse, ||X^-1||^2 ||X||; for the step, the perturbation bound of the
+    pencil's eigenvalue). For well-conditioned blocks that is the size of
+    the result. Near a singular block a result can move by 1e-4 of itself
+    under a last-bit change of the data, for the eigh forms as for the
+    closed ones, so a plain relative error would test the data, not the
+    formula."""
+    rng = np.random.default_rng(7 + d)
+    n = 40
+    xm = random_pd(rng, n, d, ratio_x)
+    if paired:  # Z singular where X is not, on X's eigenvectors
+        w, u = np.linalg.eigh(xm)
+        zm = (u * (ratio_z * rng.uniform(0.5, 2.0, (n, d)) / w)[:, None, :]) @ u.conj().swapaxes(1, 2)
+    else:
+        zm = random_pd(rng, n, d, ratio_z)
+    dxm, dzm, ym = (np.array([herm(rng, d) for _ in range(n)]) for _ in range(3))
+    x, z, dx, dz, y = (sdp._vec(m) for m in (xm, zm, dxm, dzm, ym))
+    k = sdp._Spin(x, z, d)
+
+    def check(got, want, scale):
+        err = np.linalg.norm(np.reshape(got - want, (n, -1)), axis=1)
+        assert np.all(err <= 1e-12 * scale)
+
+    vnorm = lambda v: np.linalg.norm(v, axis=1)
+    # R^2 z = x and R z = R^-1 x (= lam)
+    check(sdp._apply(k.w2, z), x, norms(k.w2) * vnorm(z))
+    check(sdp._apply(k.r, z), sdp._apply(k.rinv, x),
+          norms(k.r) * vnorm(z) + norms(k.rinv) * vnorm(x))
+    check(k.r @ k.r, k.w2, norms(k.r) ** 2)
+    # the Jordan product is (XY + YX)/2
+    check(k._jordan(x, y), sdp._vec(0.5 * (xm @ ym + ym @ xm)), norms(xm) * norms(ym))
+    # the inverse: x \ e
+    e = np.zeros_like(x)
+    e[:, 0] = np.sqrt(d)
+    inv = np.linalg.inv(xm)
+    check(k.solve(x, e), sdp._vec(inv), norms(inv) ** 2 * norms(xm))
+    # sm z^-1 - x, and Mehrotra's term against the Lyapunov form
+    check(k.center(0.3, 0 * dx, 0 * dz), sdp._vec(0.3 * np.linalg.inv(zm) - xm),
+          0.3 * norms(np.linalg.inv(zm)) ** 2 * norms(zm) + norms(xm))
+    # Mehrotra's term: in the NT-scaled space it is lam \\ (dx~ o dz~), the
+    # Lyapunov solve of _second_order taken in lam's eigenbasis
+    lam = sdp._mat(k.lam, d)
+    w, u = np.linalg.eigh(lam)
+    check(k.solve(k.lam, k._jordan(dx, dz)), -sdp._vec(sdp._second_order(u, w, lam, dxm, dzm)),
+          norms(dxm) * norms(dzm) * w[:, -1] / w[:, 0] ** 2)
+    if ratio_x == ratio_z == 1.0:  # and in X's space, where the eigh form is accurate
+        ref = sdp._Eigh(x, z, d)
+        want = sdp._second_order(ref.rm, ref.lam, ref.z, dxm, dzm)
+        check(k.center(0.0, dx, dz) + x, sdp._vec(want), norms(want))
+    # the step length: -1/lam_min(X^-1/2 dX X^-1/2), and inf where dX is PSD
+    for i in range(n):
+        w, u = np.linalg.eigh(xm[i])
+        xmh = (u / np.sqrt(w)) @ u.conj().T
+        lmin = np.linalg.eigvalsh(xmh @ dxm[i] @ xmh)[0]
+        one = sdp._Spin(x[i:i + 1], z[i:i + 1], d)
+        alpha = one.max_step(dx[i:i + 1], z[i:i + 1])  # z + alpha z never leaves the cone
+        got = -1.0 / alpha if np.isfinite(alpha) else 0.0
+        scale = np.linalg.norm(np.linalg.inv(xm[i]), 2) * (
+            np.linalg.norm(dxm[i], 2) + abs(lmin) * np.linalg.norm(xm[i], 2))
+        assert abs(got - min(lmin, 0.0)) <= 1e-12 * scale
+        assert one.max_step(sdp._vec(random_pd(rng, 1, d, 1.0)), z[i:i + 1]) == np.inf
+
+
+def test_no_eigh_on_a_qubit_program(monkeypatch):
+    """Programs of 1x1 and 2x2 blocks solve without eigh or eigvalsh; a
+    qutrit program still solves by them."""
+    calls = []
+    solve_fn = sdp.solve
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def solve_counted(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+            m.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+            return solve_fn(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", solve_counted)
+    assert charact.membership_finite(degrade(projective_qubit("x"), 0.8), 5).is_member
+    rng = np.random.default_rng(5)
+    assert distances.quantum_distance(random_two_outcome(rng), random_two_outcome(rng)).value > 0
+    assert calls == []
+    qutrit = [random_rank_one_povm(rng, 3, 3) for _ in range(2)]
+    assert distances.quantum_distance(*qutrit).value > 0
+    assert calls
