@@ -19,7 +19,7 @@ from .povm import Povm
 from .spectra import joint_eigenspaces
 from .tau import BatteryState
 
-MEMBER_TOL = 1e-7  # reconstruction residual below this counts as membership
+MEMBER_TOL = 1e-7  # membership's residual bound, and every certificate check's
 
 
 @dataclass
@@ -190,30 +190,29 @@ def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]
     return out
 
 
-def _decide(prog: _SectorProgram, feas_tol: float, gap_tol: float, member_tol: float,
-            gap_bound: float | None = None) -> MembershipVerdict:
+def _decide(prog: _SectorProgram, gap_bound: float | None = None) -> MembershipVerdict:
     """Solve a slack program and decide; the slack is the dual bound max(0, -b.y).
 
     The verdict that slack gives is checked on the solved program, whatever
     the solver's status: a member's primal point must be PSD, hold every row
-    and have a slack t, all to 10 member_tol; a non-member's y must be dual
-    feasible to member_tol, so that weak duality makes -b.y a lower bound on
+    and have a slack t, all to 10 MEMBER_TOL; a non-member's y must be dual
+    feasible to MEMBER_TOL, so that weak duality makes -b.y a lower bound on
     every decomposition's residual. A failed check raises. A member's
     certificate is the checked primal point; a non-member's carries the
     dual check that admitted it.
     """
-    sol = sdp.solve(prog.problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    sol = sdp.solve(prog.problem)
     slack = max(0.0, -sol.dual_objective)
-    if slack <= member_tol:
+    if slack <= MEMBER_TOL:
         min_eig, worst = sol.program.primal_check(sol.x)
-        checked = max(-min_eig, worst, -sol.objective) <= 10 * member_tol
+        checked = max(-min_eig, worst, -sol.objective) <= 10 * MEMBER_TOL
     else:
         min_eig, b_dot_y = sol.program.dual_check(sol.y)
-        checked = min_eig >= -member_tol
+        checked = min_eig >= -MEMBER_TOL
     if not checked:
         raise RuntimeError(f"membership program gave no checked verdict: status "
                            f"{sol.status}, bounds ({-sol.objective}, {slack})")
-    if slack > member_tol:
+    if slack > MEMBER_TOL:
         return MembershipVerdict("non_member", slack, {
             "dual": sol.y.copy(), "dual_min_eig": min_eig,
             "dual_objective": b_dot_y, "margin": slack}, gap_bound)
@@ -228,12 +227,12 @@ def _decide(prog: _SectorProgram, feas_tol: float, gap_tol: float, member_tol: f
     return MembershipVerdict("member", slack, cert, gap_bound)
 
 
-def verify_member_certificate(m: Povm, cert: dict, builder, tol: float = MEMBER_TOL) -> bool:
+def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
     """Replay the decomposition in the raw (slack=False) program builder(m).
 
     The certificate's blocks, populations p and tail weight take their
-    places in it; every block must be PSD and every row must hold to 10 tol.
-    A missing or mis-shaped entry fails the check.
+    places in it; every block must be PSD and every row must hold to
+    10 MEMBER_TOL. A missing or mis-shaped entry fails the check.
     """
     prog = builder(m)
     x = [None] * len(prog.problem.block_dims)
@@ -249,22 +248,23 @@ def verify_member_certificate(m: Povm, cert: dict, builder, tol: float = MEMBER_
         min_eig, worst = prog.problem.primal_check(x)
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    return min_eig >= -10 * tol and worst <= 10 * tol
+    return min_eig >= -10 * MEMBER_TOL and worst <= 10 * MEMBER_TOL
 
 
-def verify_nonmember_certificate(m: Povm, cert: dict, builder, tol: float = 1e-7) -> bool:
+def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
     """Replay the Farkas functional against the slack program builder(m).
 
     The dual vector must be feasible for that program's dual
     (A*(y) - C PSD on every block) and its objective b.y = -margin must be
     strictly negative; weak duality then bounds every decomposition's
-    residual away from zero.
+    residual away from zero. A missing or mis-shaped entry fails the check.
     """
     try:
         min_eig, b_dot_y = builder(m).problem.compile().dual_check(cert["dual"])
-    except sdp.SdpError:
+        bound = -max(MEMBER_TOL, 0.5 * cert["margin"])
+    except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    return min_eig >= -tol and b_dot_y < -max(tol, 0.5 * cert["margin"])
+    return min_eig >= -MEMBER_TOL and b_dot_y < bound
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +276,12 @@ def finite_membership_program(m: Povm, d: int) -> sdp.BlockSdp:
     return _assemble_ladder(m, d).problem
 
 
-def membership_finite(m: Povm, d: int,
-                      member_tol: float = MEMBER_TOL,
-                      feas_tol: float = 1e-8,
-                      gap_tol: float = 1e-8) -> MembershipVerdict:
+def membership_finite(m: Povm, d: int) -> MembershipVerdict:
     """Decide whether a qubit POVM is reachable with a d-level battery."""
-    return _decide(_assemble_ladder(m, d), feas_tol, gap_tol, member_tol)
+    return _decide(_assemble_ladder(m, d))
 
 
-def optimize_finite(v: list[np.ndarray], d: int,
-                    feas_tol: float = 1e-8, gap_tol: float = 1e-8):
+def optimize_finite(v: list[np.ndarray], d: int):
     """Maximize sum_x tr(M_x V_x) over POVMs reachable with d battery levels.
 
     Returns (value, optimal Povm, SdpSolution); the dual solution certifies
@@ -293,16 +289,14 @@ def optimize_finite(v: list[np.ndarray], d: int,
     """
     v = [np.asarray(x, dtype=complex) for x in v]
     prog = _assemble_ladder(None, d, n_out=len(v), slack=False, objective=v)
-    sol = sdp.solve(prog.problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    sol = sdp.solve(prog.problem)
     if sol.status != "optimal":
         raise RuntimeError(f"optimization did not converge: {sol.status}")
     elems = _reconstruct(prog, sol)
     return sol.objective, Povm(elements=elems, tol=1e-6), sol
 
 
-def membership_energy(m: Povm, ebar: float, delta: float, d: int,
-                      member_tol: float = MEMBER_TOL,
-                      feas_tol: float = 1e-8, gap_tol: float = 1e-8) -> MembershipVerdict:
+def membership_energy(m: Povm, ebar: float, delta: float, d: int) -> MembershipVerdict:
     """Membership test for mean battery energy <= ebar at gap delta.
 
     Inner truncation feasible -> member; outer relaxation infeasible ->
@@ -316,19 +310,17 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int,
         raise ValueError("d must be >= 2")
     z = ebar / delta
     gap = z / (d - 1)
-    inner = _decide(_assemble_ladder(m, d, energy_cap=z), feas_tol, gap_tol, member_tol, gap)
+    inner = _decide(_assemble_ladder(m, d, energy_cap=z), gap)
     if inner.is_member:
         return inner
-    outer = _decide(_assemble_ladder(m, d, outer=True, energy_cap=z),
-                    feas_tol, gap_tol, member_tol, gap)
+    outer = _decide(_assemble_ladder(m, d, outer=True, energy_cap=z), gap)
     if not outer.is_member:
         return outer
     return MembershipVerdict("undecided", inner.slack, {"inner_margin": inner.certificate,
                                                         "outer_point": outer.certificate}, gap)
 
 
-def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int,
-                    feas_tol: float = 1e-8, gap_tol: float = 1e-8):
+def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     """Bracket max sum_x tr(M_x V_x) over the bounded-energy set.
 
     Returns (upper, lower, inner-feasible Povm, gap): the outer relaxation
@@ -341,10 +333,10 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int,
     z = ebar / delta
     outer = _assemble_ladder(None, d, n_out=len(v), outer=True,
                              energy_cap=z, slack=False, objective=v)
-    sol_o = sdp.solve(outer.problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    sol_o = sdp.solve(outer.problem)
     inner = _assemble_ladder(None, d, n_out=len(v), energy_cap=z,
                              slack=False, objective=v)
-    sol_i = sdp.solve(inner.problem, feas_tol=feas_tol, gap_tol=gap_tol)
+    sol_i = sdp.solve(inner.problem)
     if sol_o.status != "optimal" or sol_i.status != "optimal":
         raise RuntimeError(
             f"energy optimization did not converge: outer {sol_o.status}, inner {sol_i.status}")
@@ -356,11 +348,10 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int,
     return upper, lower, povm, upper - lower
 
 
-def fixed_distribution_feasible(m: Povm, q, member_tol: float = MEMBER_TOL,
-                                feas_tol: float = 1e-8, gap_tol: float = 1e-8):
+def fixed_distribution_feasible(m: Povm, q):
     """Slack test of reachability when the battery populations are frozen."""
     q = np.asarray(q, dtype=float)
-    v = _decide(_assemble_ladder(m, q.size, q_fixed=q), feas_tol, gap_tol, member_tol)
+    v = _decide(_assemble_ladder(m, q.size, q_fixed=q))
     return v.is_member, v.slack, v.certificate
 
 
@@ -368,26 +359,21 @@ def fixed_distribution_feasible(m: Povm, q, member_tol: float = MEMBER_TOL,
 # Multi-level targets
 # ---------------------------------------------------------------------------
 
-def membership_multilevel(m: Povm, target_levels, battery_levels,
-                          member_tol: float = MEMBER_TOL,
-                          feas_tol: float = 1e-8,
-                          gap_tol: float = 1e-8) -> MembershipVerdict:
+def membership_multilevel(m: Povm, target_levels, battery_levels) -> MembershipVerdict:
     """Membership for a d'-level target against an arbitrary battery spectrum.
 
     Builds the joint eigenspace sectors of the two spectra; each sector
     carries one PSD block per outcome with completeness diag of the battery
     occupations it touches.
     """
-    return _decide(_assemble_multilevel(m, target_levels, battery_levels),
-                   feas_tol, gap_tol, member_tol)
+    return _decide(_assemble_multilevel(m, target_levels, battery_levels))
 
 
 # ---------------------------------------------------------------------------
 # Universality of a fixed resource state
 # ---------------------------------------------------------------------------
 
-def universal_state_check(sigma: BatteryState, d: int, trials: int = 60,
-                          seed: int = 0, member_tol: float = MEMBER_TOL):
+def universal_state_check(sigma: BatteryState, d: int, trials: int = 60, seed: int = 0):
     """Search for a reachable POVM that the fixed state sigma cannot produce.
 
     Candidates are extreme points of the reachable set, obtained by
@@ -408,11 +394,11 @@ def universal_state_check(sigma: BatteryState, d: int, trials: int = 60,
             g /= np.linalg.norm(g)
             v.append(np.outer(g, g.conj()))
         value, cand, _ = optimize_finite(v, d)
-        verdict = membership_finite(cand, d, member_tol=member_tol)
+        verdict = membership_finite(cand, d)
         if not verdict.is_member:
             continue  # solver noise pushed the candidate marginally outside
-        ok, slack, cert = fixed_distribution_feasible(cand, q, member_tol=member_tol)
-        if not ok and slack > 10 * member_tol:
+        ok, slack, cert = fixed_distribution_feasible(cand, q)
+        if not ok and slack > 10 * MEMBER_TOL:
             return {
                 "trial": trial,
                 "povm": cand,

@@ -1,7 +1,6 @@
 """Command-line frontend: JSON/CSV I/O, sweeps, and the reproduction suite.
 
 Exit codes: 0 success, 1 domain(data/convergence) error, 2 usage error.
-Environment: ENMEAS_FEAS_TOL / ENMEAS_GAP_TOL override solver tolerances.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,12 +18,6 @@ from .linalg import hermitian_from_json, matrix_to_json
 from .povm import Povm, degrade
 from .reproduce import run_checks, CHECK_NAMES
 from .tau import BatteryState, EnergyDensity
-
-
-def _solver_tols():
-    feas = float(os.environ.get("ENMEAS_FEAS_TOL", 1e-8))
-    gap = float(os.environ.get("ENMEAS_GAP_TOL", 1e-8))
-    return feas, gap
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
@@ -66,7 +58,7 @@ def _json_default(obj):
                 [float(z.real), float(z.imag)] for z in obj
             ]
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
@@ -232,8 +224,7 @@ def _cmd_distance(args):
     if args.dist_cmd == "classical":
         r = distances.classical_distance(m0, m1)
     else:
-        feas, gap = _solver_tols()
-        r = distances.quantum_distance(m0, m1, feas_tol=feas, gap_tol=gap)
+        r = distances.quantum_distance(m0, m1)
     payload = {"value": r.value, "method": r.method}
     if "rho" in r.witness:
         payload["witness_state"] = matrix_to_json(r.witness["rho"])
@@ -242,19 +233,16 @@ def _cmd_distance(args):
 
 
 def _cmd_charact(args):
-    feas, gap = _solver_tols()
     if args.charact_cmd == "finite":
         m = _load_povm(args.povm)
         if getattr(args, "dump_sdp", None):
             _write_json(charact.finite_membership_program(m, args.d).to_json(), args.dump_sdp)
-        v = charact.membership_finite(m, args.d, feas_tol=feas, gap_tol=gap)
+        v = charact.membership_finite(m, args.d)
     elif args.charact_cmd == "energy":
-        v = charact.membership_energy(_load_povm(args.povm), args.ebar, args.delta,
-                                      args.d, feas_tol=feas, gap_tol=gap)
+        v = charact.membership_energy(_load_povm(args.povm), args.ebar, args.delta, args.d)
     elif args.charact_cmd == "multilevel":
         v = charact.membership_multilevel(
-            _load_povm(args.povm), _load_json(args.target), _load_json(args.battery),
-            feas_tol=feas, gap_tol=gap)
+            _load_povm(args.povm), _load_json(args.target), _load_json(args.battery))
     elif args.charact_cmd == "universal":
         res = charact.universal_state_check(_load_state(args.state), args.d,
                                             trials=args.trials, seed=args.seed)
@@ -327,6 +315,13 @@ def _cmd_spectrum(args):
         _emit(args, joint.to_json())
         return 0
     raise ValueError(f"unknown spectrum subcommand {args.spectrum_cmd}")
+
+
+def _check_name(name: str) -> str:
+    """An argparse type: a check name, or a usage error."""
+    if name not in CHECK_NAMES:
+        raise argparse.ArgumentTypeError(f"unknown check {name!r}")
+    return name
 
 
 def _cmd_reproduce(args):
@@ -484,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the reproduction checks")
     p.add_argument("--all", action="store_true")
-    p.add_argument("checks", nargs="*", help=f"subset of: {', '.join(CHECK_NAMES)}")
+    p.add_argument("checks", nargs="*", type=_check_name,
+                   help=f"subset of: {', '.join(CHECK_NAMES)}")
     p.add_argument("--out", help="write JSON results to a file")
     p.set_defaults(fn=_cmd_reproduce)
 

@@ -20,6 +20,7 @@ from .povm import Povm
 ENUMERATION_LIMIT = 24  # d > 2: 2^(n-1) eigenproblems beyond this is rejected
 _TOL = 1e-10  # relative: zero and parallel generators, dependent subsets, lines
 _CHUNK = 1024  # generator subsets per vectorized batch
+_SDP_TOL = 1e-9  # solver tolerance of the diamond-norm program
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -168,8 +169,7 @@ def classical_distance(m0: Povm, m1: Povm) -> DistanceResult:
     )
 
 
-def quantum_distance(m0: Povm, m1: Povm,
-                     feas_tol: float = 1e-9, gap_tol: float = 1e-9) -> DistanceResult:
+def quantum_distance(m0: Povm, m1: Povm) -> DistanceResult:
     """Half the diamond norm of the difference of measure-and-prepare channels.
 
     Uses the completely-bounded-norm semidefinite program specialized to a
@@ -195,7 +195,7 @@ def quantum_distance(m0: Povm, m1: Povm,
         obj[vs[x]] = 0.5 * dt
         obj[us[x]] = -0.5 * dt
     p.set_objective(obj)
-    sol = sdp.solve(p, feas_tol=feas_tol, gap_tol=gap_tol)
+    sol = sdp.solve(p, tol=_SDP_TOL)
     if sol.status != "optimal":
         raise RuntimeError(
             f"diamond norm SDP did not converge: status {sol.status}, "

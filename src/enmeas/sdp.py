@@ -39,9 +39,9 @@ import scipy.sparse as sps
 
 from .linalg import matrix_to_json
 
-DEFAULT_FEAS_TOL = 1e-8
-DEFAULT_GAP_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # relative primal and dual residuals and duality gap
 DEFAULT_MAX_ITER = 200
+CERT_TOL = 1e-7  # a Farkas functional's dual-cone slack and least margin
 
 
 class SdpError(RuntimeError):
@@ -610,7 +610,7 @@ def _factor_schur(s):
     return lambda r: (u := solve(r)) + solve(r - s @ u)
 
 
-def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
+def _ipm(comp: _Compiled, tol: float, max_iter: int):
     """Homogeneous self-dual embedding of the program and its dual.
 
     X, Z PSD and tau, kappa >= 0 with A(X) = tau b, A*(y) - Z = tau C and
@@ -646,13 +646,13 @@ def _ipm(comp: _Compiled, feas_tol: float, gap_tol: float, max_iter: int):
             if not (np.isfinite(rel_p) and np.isfinite(rel_d) and np.isfinite(mu)):
                 status = "diverged"
                 break
-            if rel_p <= feas_tol and rel_d <= feas_tol and rel_gap <= gap_tol:
+            if rel_p <= tol and rel_d <= tol and rel_gap <= tol:
                 status = "optimal"
                 break
-            if by < 0 and np.linalg.norm(aty - z) <= -feas_tol * by:
+            if by < 0 and np.linalg.norm(aty - z) <= -tol * by:
                 status = "infeasible"
                 break
-            if cx > 0 and np.linalg.norm(ax) <= feas_tol * cx:
+            if cx > 0 and np.linalg.norm(ax) <= tol * cx:
                 raise SdpError(f"problem is unbounded: improving ray with slope "
                                f"{cx / float(e @ x):.3e}")
             # past this, steps only shrink mu against rounding-level residuals
@@ -766,27 +766,26 @@ def _phase1(problem: BlockSdp) -> BlockSdp:
     return p
 
 
-def verify_infeasibility_certificate(problem: BlockSdp, cert: InfeasibilityCertificate,
-                                     tol: float = 1e-7) -> bool:
-    """Re-check A*(y) PSD and b.y < 0 directly on the problem data."""
+def verify_infeasibility_certificate(problem: BlockSdp, cert: InfeasibilityCertificate) -> bool:
+    """Re-check A*(y) PSD and b.y < 0 directly on the problem data, both to
+    CERT_TOL. A malformed certificate fails the check."""
     try:
         min_eig, b_dot_y = problem.compile().dual_check(cert.y, farkas=True)
-    except SdpError:
+    except (KeyError, ValueError, TypeError, SdpError):
         return False
-    return min_eig >= -tol and b_dot_y < -tol
+    return min_eig >= -CERT_TOL and b_dot_y < -CERT_TOL
 
 
-def solve(problem: BlockSdp,
-          feas_tol: float = DEFAULT_FEAS_TOL,
-          gap_tol: float = DEFAULT_GAP_TOL,
+def solve(problem: BlockSdp, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve a BlockSdp through its homogeneous self-dual embedding.
 
-    Deterministic for identical inputs. The status is 'optimal',
-    'infeasible' or the reason the iteration stopped early ('stalled',
-    'diverged' or 'max_iter'), whose last iterate is returned; an improving
-    ray raises SdpError. An infeasible program carries the l1-optimal
-    Farkas functional of the phase-1 program, which runs only then. Its
+    Deterministic for identical inputs. The status is 'optimal' (relative
+    residuals and gap all at most tol), 'infeasible' or the reason the
+    iteration stopped early ('stalled', 'diverged' or 'max_iter'), whose
+    last iterate is returned; an improving ray raises SdpError. An
+    infeasible program carries the l1-optimal Farkas functional of the
+    phase-1 program, which runs only then. Its
     y and dual_objective are the certificate's y and b.y; it has no primal
     or dual point, so x and z are empty and the objective, gap and
     residuals are nan (the embedding's iterate divided by a vanishing tau
@@ -795,12 +794,10 @@ def solve(problem: BlockSdp,
     comp = problem.compile()
     if comp.b.size == 0:
         raise SdpError("problem has no constraints")
-    status, x, y, z, pobj, dobj, gap, rel_p, rel_d, it = _ipm(
-        comp, feas_tol, gap_tol, max_iter)
+    status, x, y, z, pobj, dobj, gap, rel_p, rel_d, it = _ipm(comp, tol, max_iter)
     cert = None
     if status == "infeasible":
-        _, _, y1, *_, it1 = _ipm(_phase1(problem).compile(), min(feas_tol, 1e-9),
-                                 min(gap_tol, 1e-9), max_iter)
+        _, _, y1, *_, it1 = _ipm(_phase1(problem).compile(), min(tol, 1e-9), max_iter)
         cert = InfeasibilityCertificate(y1, *comp.dual_check(y1, farkas=True))
         it += it1
         x, y, z, dobj = [], cert.y, [], cert.objective

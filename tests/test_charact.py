@@ -64,6 +64,13 @@ class TestMembershipFinite:
         outside = membership_finite(above, 2)
         assert verify_nonmember_certificate(above, outside.certificate, slack)
         assert not verify_nonmember_certificate(degrade(x, 0.3), outside.certificate, slack)
+        # a malformed certificate fails the check instead of raising
+        cert = outside.certificate
+        for bad in ({k: w for k, w in cert.items() if k != "dual"},
+                    {k: w for k, w in cert.items() if k != "margin"},
+                    dict(cert, dual="abc"), dict(cert, dual=cert["dual"][:-1]),
+                    dict(cert, margin=None)):
+            assert not verify_nonmember_certificate(above, bad, slack)
 
     def test_member_certificate_reconstructs(self):
         rng = np.random.default_rng(0)
@@ -352,7 +359,7 @@ def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
                 eqs = prog.problem.equalities
                 prog.problem.equalities = [eqs[i] for i in rng.permutation(len(eqs))]
             calls.clear()
-            v = charact._decide(prog, 1e-8, 1e-8, charact.MEMBER_TOL)
+            v = charact._decide(prog)
             slack = v.slack
             # one compile per solve, and the dual check only for a non-member, once
             assert calls == ["solve", "compile"] + ["dual_check"] * (not v.is_member)

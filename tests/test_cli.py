@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from enmeas.cli import main
+from enmeas.distances import quantum_distance
 from enmeas.linalg import matrix_to_json
-from enmeas.povm import Povm, projective_qubit
+from enmeas.povm import Povm, projective_qubit, random_rank_one_povm
 from enmeas.tau import optimal_finite_state
 
 
@@ -209,6 +210,20 @@ def test_distance_cli(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
 
+def test_quantum_distance_cli_matches_library(tmp_path, capsys):
+    # the CLI solves the library's program at the library's tolerance, and
+    # the POVMs and the value both round-trip exactly through JSON
+    rng = np.random.default_rng(3)
+    m0, m1 = (random_rank_one_povm(rng, 2, 3) for _ in range(2))
+    p0, p1 = tmp_path / "m0.json", tmp_path / "m1.json"
+    p0.write_text(json.dumps(m0.to_json()))
+    p1.write_text(json.dumps(m1.to_json()))
+    code, out, _ = run_cli(
+        ["distance", "quantum", "--m0", str(p0), "--m1", str(p1)], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == quantum_distance(m0, m1).value
+
+
 def test_charact_cli(tmp_path, capsys):
     from enmeas.povm import degrade
 
@@ -279,3 +294,21 @@ def test_reproduce_out_file(tmp_path, capsys):
 def test_reproduce_requires_selection(capsys):
     code, _, err = run_cli(["reproduce"], capsys)
     assert code == 2
+
+
+def test_reproduce_unknown_check_exits_2(capsys):
+    # a usage error, caught before any check runs
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "chsh-value", "nosuch"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unknown check 'nosuch'" in err
+    assert "PASS" not in out
+
+
+def test_reproduce_out_file_serializes_numpy_values(tmp_path, capsys):
+    # power-state's pass flag is a numpy bool
+    path = tmp_path / "f.json"
+    code, _, _ = run_cli(["reproduce", "power-state", "--out", str(path)], capsys)
+    assert code == 0
+    assert json.loads(path.read_text())[0]["passed"] is True

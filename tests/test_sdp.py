@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -122,6 +123,10 @@ class TestDualityAndCertificates:
         sol = solve(p, max_iter=80)
         assert sol.status == "infeasible"
         assert verify_infeasibility_certificate(p, sol.certificate)
+        # a wrong or malformed y fails the check instead of raising
+        for y in (-sol.certificate.y, sol.certificate.y[:1], "ab", None):
+            assert not verify_infeasibility_certificate(
+                p, dataclasses.replace(sol.certificate, y=y))
 
     def test_infeasible_solution_carries_only_the_certificate(self):
         p = BlockSdp()
