@@ -10,7 +10,8 @@ from the set, so non-membership always carries a quantitative margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,51 +39,40 @@ class MembershipVerdict:
 # Program assembly on the joint energy sectors of target and battery
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _SectorProgram:
     problem: sdp.BlockSdp
     n_out: int
     dim: int  # target dimension
-    blocks: list[list[int]]  # blocks[s][x]
-    sector_rows: list[list[int]]  # target level of each sector row
-    p_vars: list[int] | None  # battery populations; None when they are fixed
+    blocks: tuple[tuple[int, ...], ...]  # blocks[s][x]
+    sector_rows: tuple[tuple[int, ...], ...]  # target level of each sector row
+    p_vars: tuple[int, ...] | None  # battery populations; None when they are fixed
     tail_var: int | None = None  # the ladder's aggregated outer tail
 
 
-def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int, *,
-                      energy_cap: float | None = None,
-                      q_fixed: np.ndarray | None = None,
-                      slack: bool = True,
-                      objective: list[np.ndarray] | None = None) -> _SectorProgram:
-    """One PSD block per sector and outcome, tied to the target.
-
-    A sector is (rows, feeds): the target level of each of its rows and the
-    battery populations feeding that row, so that sum_x B^s_x is the
-    diagonal of the fed populations. The target's elements are the sums of
-    the blocks placed on their rows. Population n has energy n gaps, which
-    is what the energy cap counts (it is used by the ladder only).
-    """
+@lru_cache(maxsize=16)  # a d = 64 shape holds about 1 MB
+def _sector_shape(n_out: int, dim: int, sectors, n_pop: int, capped: bool, fixed: bool,
+                  slack: bool, target: bool) -> _SectorProgram:
+    """The rows of a sector program, with every right-hand side 0 but the
+    populations' sum 1, and no objective unless it has the slack t."""
     p = sdp.BlockSdp()
-    blocks = [[p.add_block(len(rows), f"B[{s}][{x}]") for x in range(n_out)]
-              for s, (rows, _) in enumerate(sectors)]
-    p_vars = None if q_fixed is not None else [p.add_scalar(f"p{n}") for n in range(n_pop)]
+    blocks = tuple(tuple(p.add_block(len(rows), f"B[{s}][{x}]") for x in range(n_out))
+                   for s, (rows, _) in enumerate(sectors))
+    p_vars = None if fixed else tuple(p.add_scalar(f"p{n}") for n in range(n_pop))
 
     for s, (rows, feeds) in enumerate(sectors):
         terms = [(b, None, 1.0) for b in blocks[s]]
-        if q_fixed is None:
-            fed = np.zeros((len(rows), len(rows)))
+        if not fixed:
             terms += [(p_vars[n], [i], -1.0) for i, pops in enumerate(feeds) for n in pops]
-        else:
-            fed = np.diag([sum(q_fixed[n] for n in pops) for pops in feeds])
-        p.add_matrix_equality(terms, fed)
+        p.add_matrix_equality(terms, np.zeros((len(rows), len(rows))))
 
     if p_vars is not None:
         p.add_equality({v: 1.0 for v in p_vars}, 1.0)
-        if energy_cap is not None:
-            p.add_inequality({v: float(n) for n, v in enumerate(p_vars) if n > 0},
-                             float(energy_cap))
+        if capped:
+            p.add_inequality({v: float(n) for n, v in enumerate(p_vars) if n > 0}, 0.0)
 
-    if m is not None:
+    if target:
+        zero = np.zeros((dim, dim))
         if slack:
             t = p.add_scalar("t")
             us = [p.add_block(dim, f"U{x}") for x in range(n_out)]
@@ -93,12 +83,48 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
             if slack:
                 # -t I <= sum of blocks - M_x <= t I through U_x, V_x >= 0
                 p.add_matrix_equality(placed + [(us[x], None, 1.0)]
-                                      + [(t, [i], -1.0) for i in range(dim)], m.elements[x])
+                                      + [(t, [i], -1.0) for i in range(dim)], zero)
                 p.add_matrix_equality(placed + [(vs[x], None, -1.0)]
-                                      + [(t, [i], 1.0) for i in range(dim)], m.elements[x])
+                                      + [(t, [i], 1.0) for i in range(dim)], zero)
             else:
-                p.add_matrix_equality(placed, m.elements[x])
-    elif objective is not None:
+                p.add_matrix_equality(placed, zero)
+    p.compile()  # compiled once, shared by every program of this shape
+    return _SectorProgram(problem=p, n_out=n_out, dim=dim, blocks=blocks,
+                          sector_rows=tuple(rows for rows, _ in sectors), p_vars=p_vars)
+
+
+def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int, *,
+                      energy_cap: float | None = None,
+                      q_fixed: np.ndarray | None = None,
+                      slack: bool = True,
+                      objective: list[np.ndarray] | None = None) -> _SectorProgram:
+    """One PSD block per sector and outcome, tied to the target.
+
+    A sector is (rows, feeds), as tuples: the target level of each of its
+    rows and the battery populations feeding that row, so that sum_x B^s_x
+    is the diagonal of the fed populations. The target's elements are the
+    sums of the blocks placed on their rows. Population n has energy n
+    gaps, which is what the energy cap counts (it is used by the ladder
+    only). The rows depend only on the shape, which _sector_shape assembles
+    and compiles once; the target's elements, the cap and the fixed
+    populations fill the right-hand sides, and the objective fills c.
+    """
+    shape = _sector_shape(n_out, dim, sectors, n_pop, energy_cap is not None,
+                          q_fixed is not None, slack, m is not None)
+    # right-hand sides in row order: sector by sector, sum p = 1, the
+    # target's elements (twice with the slack), the energy cap
+    if q_fixed is None:
+        rhs = [np.zeros(sum(len(rows) ** 2 for rows, _ in sectors)), [1.0]]
+    else:
+        rhs = [sdp.matrix_rhs(np.diag([sum(q_fixed[n] for n in pops) for pops in feeds]))
+               for _, feeds in sectors]
+    if m is not None:
+        rhs += [r for r in map(sdp.matrix_rhs, m.elements) for _ in range(1 + slack)]
+    if energy_cap is not None and q_fixed is None:
+        rhs.append([float(energy_cap)])
+
+    obj = None
+    if m is None and objective is not None:
         if len(objective) != n_out:
             raise ValueError("objective needs one Hermitian matrix per outcome")
         obj = {}
@@ -107,20 +133,16 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
             for s, (rows, _) in enumerate(sectors):
                 sub = vx[np.ix_(rows, rows)]
                 if np.max(np.abs(sub)) > 0:
-                    obj[blocks[s][x]] = sub
-        p.set_objective(obj)
-
-    return _SectorProgram(problem=p, n_out=n_out, dim=dim, blocks=blocks,
-                          sector_rows=[rows for rows, _ in sectors],
-                          p_vars=p_vars)
+                    obj[shape.blocks[s][x]] = sub
+    return replace(shape, problem=shape.problem.with_rhs(np.concatenate(rhs), obj))
 
 
-def _joint_sectors(target_levels, battery_levels) -> list:
+def _joint_sectors(target_levels, battery_levels) -> tuple:
     """The sectors of spectra.joint_eigenspaces as (rows, feeds): a sector
     holds every pair of target level m and battery level n whose energies
     sum to its energy, so its row m is fed by population n alone."""
-    return [([mi for mi, _ in sec.pairs], [[n] for _, n in sec.pairs])
-            for sec in joint_eigenspaces(target_levels, battery_levels).sectors]
+    return tuple((tuple(mi for mi, _ in sec.pairs), tuple((n,) for _, n in sec.pairs))
+                 for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
 
 
 def _assemble_ladder(
@@ -162,11 +184,11 @@ def _assemble_ladder(
     # feeds both rows, and level d-1 feeds row 1 as well
     sectors = _joint_sectors([0, 1], range(d))
     if outer:
-        sectors[-1] = ([0, 1], [[d], [d - 1, d]])
+        sectors = sectors[:-1] + (((0, 1), ((d,), (d - 1, d))),)
     prog = _assemble_sectors(m, n_out, 2, sectors, d + outer, energy_cap=energy_cap,
                              q_fixed=q_fixed, slack=slack, objective=objective)
     if outer:
-        prog.tail_var = prog.p_vars.pop()
+        prog = replace(prog, p_vars=prog.p_vars[:-1], tail_var=prog.p_vars[-1])
     return prog
 
 

@@ -21,8 +21,13 @@ Lorentz cone L^4, and a 1x1 block is L^1: blocks of size 1 and 2 take the
 NT scaling, the step length and Mehrotra's term in closed form, from the
 spin-factor Jordan algebra, with no eigh; larger blocks take batched eigh
 per size group. The Schur complement, the one dense m x m matrix, is
-Q Q^T for the sparse scaled constraints Q, so it is symmetric to the last
-bit.
+one sparse-times-dense product Q Q^T of the scaled constraints Q with a
+dense copy of their transpose, so it is symmetric to the last bit.
+
+A program compiles once: compile() keeps its result until the program
+changes, and with_rhs() gives a program of the same shape with other
+right-hand sides (and objective) that shares the compiled structure, so a
+family of programs that differ only in their data is assembled once.
 Once the embedding has proved a program infeasible, an always-feasible
 phase-1 program gives its l1-optimal Farkas functional: y with A*(y) PSD,
 b.y < 0 and |y_i| <= 1, checkable directly on the raw problem data.
@@ -30,6 +35,7 @@ b.y < 0 and |y_i| <= 1, checkable directly on the raw problem data.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,9 +97,26 @@ def _hermitian(a, dim: int, what: str) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # shared between programs of one shape
+    return a
+
+
+def matrix_rhs(rhs) -> np.ndarray:
+    """The D^2 right-hand sides of a matrix equation ... = rhs for a
+    Hermitian D x D rhs: its pairings with hermitian_basis(D)."""
+    r = np.atleast_2d(rhs)
+    return _coords(_hermitian(r, r.shape[0], "right-hand side")[None])[0]
+
+
 @dataclass
 class BlockSdp:
-    """Builder for a block-diagonal SDP (see module docstring for the form)."""
+    """Builder for a block-diagonal SDP (see module docstring for the form).
+
+    Coefficient matrices are read-only once added. compile() keeps its
+    result until the program changes: the add_* methods, set_objective and
+    any attribute assignment drop it (a list changed in place is not seen).
+    """
 
     block_dims: list[int] = field(default_factory=list)
     block_names: list[str] = field(default_factory=list)
@@ -101,23 +124,36 @@ class BlockSdp:
     inequalities: list[tuple[dict, float]] = field(default_factory=list)
     objective: dict = field(default_factory=dict)
 
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name != "_compiled":
+            object.__setattr__(self, "_compiled", None)
+
     def add_block(self, dim: int, name: str | None = None) -> int:
         if dim < 1:
             raise SdpError("block dimension must be >= 1")
         self.block_dims.append(int(dim))
         self.block_names.append(name or f"X{len(self.block_dims) - 1}")
+        self._compiled = None
         return len(self.block_dims) - 1
 
     def add_scalar(self, name: str | None = None) -> int:
         return self.add_block(1, name or f"s{len(self.block_dims)}")
 
-    def _coeff(self, b: int, a) -> np.ndarray:
-        return _hermitian(a, self.block_dims[b], f"coefficient for block {b}")
+    def _dim(self, b) -> int:
+        """The size of block b, which must exist."""
+        if not 0 <= b < len(self.block_dims):
+            raise SdpError(f"no block {b} among {len(self.block_dims)}")
+        return self.block_dims[b]
+
+    def _coeffs(self, coeffs: dict) -> dict:
+        return {int(b): _frozen(_hermitian(a, self._dim(int(b)), f"coefficient for block {b}"))
+                for b, a in coeffs.items()}
 
     def add_equality(self, coeffs: dict, rhs: float) -> int:
         """sum_b <coeffs[b], X_b> = rhs; returns the constraint index."""
-        cs = {int(b): self._coeff(int(b), a) for b, a in coeffs.items()}
-        self.equalities.append((cs, float(rhs)))
+        self.equalities.append((self._coeffs(coeffs), float(rhs)))
+        self._compiled = None
         return len(self.equalities) - 1
 
     def add_matrix_equality(self, terms, rhs) -> None:
@@ -125,45 +161,73 @@ class BlockSdp:
 
         A term is (block, rows, scale), adding scale * P X_block P^T where P
         puts the block on the listed rows of the D x D matrix (rows=None:
-        all D rows), or (scalar, F), adding x * F for a 1x1 block x and a
-        fixed Hermitian F. Row i pairs the equation with the i-th matrix of
-        hermitian_basis(D); a term whose coefficient vanishes on a row is
-        left out of that row, and terms on the same block add up.
+        all D rows; the rows must be distinct and in range), or (scalar, F),
+        adding x * F for a 1x1 block x and a fixed Hermitian F. Row i pairs
+        the equation with the i-th matrix of hermitian_basis(D) (matrix_rhs
+        gives the right-hand sides); a term whose coefficient vanishes on a
+        row is left out of that row, and terms on the same block add up.
         """
-        r = np.atleast_2d(rhs)
-        r = _hermitian(r, r.shape[0], "right-hand side")
-        basis = _basis_stack(r.shape[0])
+        values = matrix_rhs(rhs)
+        size = np.atleast_2d(rhs).shape[0]
+        basis = _basis_stack(size)
         cols = []
         for term in terms:
             b = int(term[0])
+            dim = self._dim(b)
             if len(term) == 3:
                 _, rows, scale = term
+                if rows is not None and (len(set(rows)) != len(rows)
+                                         or not all(0 <= i < size for i in rows)):
+                    raise SdpError(f"block {b} placed on rows {list(rows)} of a {size}x{size} "
+                                   f"equation: they must be distinct and in range")
                 sub = basis if rows is None else basis[:, rows][:, :, rows]
-                if sub.shape[1] != self.block_dims[b]:
-                    raise SdpError(f"block {b} is {self.block_dims[b]}x{self.block_dims[b]}, "
-                                   f"placed on {sub.shape[1]} rows")
-                coeffs = scale * sub
+                if sub.shape[1] != dim:
+                    raise SdpError(f"block {b} is {dim}x{dim}, placed on {sub.shape[1]} rows")
+                coeffs = _frozen(scale * sub)
                 cols.append((b, coeffs, np.any(coeffs != 0, axis=(1, 2))))
             else:
-                if self.block_dims[b] != 1:
+                if dim != 1:
                     raise SdpError(f"block {b} times a fixed matrix must be 1x1")
-                vals = _coords(_hermitian(term[1], r.shape[0], f"matrix of block {b}")[None])[0]
-                cols.append((b, vals[:, None, None].astype(complex), vals != 0))
-        for i, rhs_i in enumerate(_coords(r[None])[0]):
+                vals = _coords(_hermitian(term[1], size, f"matrix of block {b}")[None])[0]
+                cols.append((b, _frozen(vals[:, None, None].astype(complex)), vals != 0))
+        for i, rhs_i in enumerate(values):
             row = {}
             for b, coeffs, keep in cols:
                 if keep[i]:  # terms on one block add up
-                    row[b] = row[b] + coeffs[i] if b in row else coeffs[i]
+                    row[b] = _frozen(row[b] + coeffs[i]) if b in row else coeffs[i]
             self.equalities.append((row, float(rhs_i)))
+        self._compiled = None
 
     def add_inequality(self, coeffs: dict, rhs: float) -> None:
         """sum_b <coeffs[b], X_b> <= rhs (compiled via a slack scalar)."""
-        cs = {int(b): self._coeff(int(b), a) for b, a in coeffs.items()}
-        self.inequalities.append((cs, float(rhs)))
+        self.inequalities.append((self._coeffs(coeffs), float(rhs)))
+        self._compiled = None
 
     def set_objective(self, coeffs: dict) -> None:
         """Maximize sum_b <coeffs[b], X_b>."""
-        self.objective = {int(b): self._coeff(int(b), a) for b, a in coeffs.items()}
+        self.objective = self._coeffs(coeffs)
+
+    def with_rhs(self, rhs, objective: dict | None = None) -> BlockSdp:
+        """This program with the right-hand sides rhs (the equalities', then
+        the inequalities') and, if given, the objective set_objective would
+        set. The copy shares the coefficient dicts and carries its compiled
+        form, which shares this program's compiled structure, so it costs
+        no assembly and no compile."""
+        comp = self._compiled or self.compile()  # a compiled template is only read
+        values = np.array(rhs, dtype=float)
+        if values.shape != comp.b.shape:
+            raise SdpError(f"{values.size} right-hand sides for {comp.b.size} rows")
+        n = len(self.equalities)
+        vals = values.tolist()
+        out = BlockSdp(list(self.block_dims), list(self.block_names),
+                       [(cs, v) for (cs, _), v in zip(self.equalities, vals[:n])],
+                       [(cs, v) for (cs, _), v in zip(self.inequalities, vals[n:])],
+                       self.objective if objective is None else self._coeffs(objective))
+        out._compiled = comp = copy.copy(comp)  # shares every array but b and c
+        comp.b = _frozen(values)
+        if objective is not None:
+            comp.c = comp._objective_vector(out.objective)
+        return out
 
     def primal_check(self, x) -> tuple[float, float]:
         """The compiled program's primal_check of x (one Hermitian matrix
@@ -190,9 +254,11 @@ class BlockSdp:
             rows.append(({**cs, len(dims) - 1: np.eye(1, dtype=complex)}, rhs))
         return dims, names, rows
 
-    def compile(self):
-        dims, _, rows = self._rows()
-        return _Compiled(dims, rows, self.objective)
+    def compile(self) -> _Compiled:
+        if self._compiled is None:
+            dims, _, rows = self._rows()
+            self._compiled = _Compiled(dims, rows, self.objective)
+        return self._compiled
 
     def to_json(self) -> dict:
         return {
@@ -283,14 +349,16 @@ class _Compiled:
     x[g][k] of a split vector is block members[g][k]. The constraint matrix
     a is m x N sparse real, so A(X) = a @ x and A*(y) = at @ y. It stores
     each (row, block) coefficient as a whole d^2 segment, zeros included, so
-    that the scaled constraints of schur() share its pattern. c is the
-    objective vector.
+    that the scaled constraints of schur() share its pattern. b is the
+    right-hand side and c the objective vector. Every array is read-only,
+    because BlockSdp.with_rhs shares all but b and c between the programs
+    of one shape.
     """
 
     def __init__(self, dims, rows, objective):
         self.dims = dims
         m = len(rows)
-        self.b = np.array([rhs for _, rhs in rows], dtype=float)
+        self.b = _frozen(np.array([rhs for _, rhs in rows], dtype=float))
         self.sizes = sorted(set(dims))
         group = {d: g for g, d in enumerate(self.sizes)}
         self.members = [[] for _ in self.sizes]
@@ -319,13 +387,22 @@ class _Compiled:
             seg_cols.append((start + pos[:, None] * d * d + np.arange(d * d)).ravel())
         rows_, cols = np.concatenate(seg_rows), np.concatenate(seg_cols)
         self._order = np.lexsort((cols, rows_))  # segment values -> CSR order
-        self._order_t = np.lexsort((rows_[self._order], cols[self._order]))
+        order_t = np.lexsort((rows_[self._order], cols[self._order]))
         self.a = sps.csr_matrix((self._segments(coef for _, coef in self.entries),
                                  cols[self._order], _indptr(rows_, m)), shape=(m, n))
-        self.at = sps.csr_matrix((self.a.data[self._order_t], rows_[self._order][self._order_t],
+        self.at = sps.csr_matrix((self.a.data[order_t], rows_[self._order][order_t],
                                   _indptr(cols, n)), shape=(n, m))
+        # where each CSR entry (i, k) of a sits in the flat N x m transpose
+        self._t_index = self.a.indices.astype(int) * m + rows_[self._order]
+        for arr in (self.starts, self._order, self._t_index, *(v for e in self.entries for v in e),
+                    *(getattr(mat, k) for mat in (self.a, self.at)
+                      for k in ("data", "indices", "indptr"))):
+            _frozen(arr)
+        self.c = self._objective_vector(objective)
 
-        self.c = self.vector([objective.get(bi, np.zeros((d, d))) for bi, d in enumerate(dims)])
+    def _objective_vector(self, objective) -> np.ndarray:
+        return _frozen(self.vector([objective.get(bi, np.zeros((d, d)))
+                                    for bi, d in enumerate(self.dims)]))
 
     def split(self, v) -> list[np.ndarray]:
         """Views of a flat vector as one (n, d^2) array per group."""
@@ -363,21 +440,19 @@ class _Compiled:
         """A P A^T for the block-diagonal map P = M M^T, given per group the
         (n, d^2, d^2) stack of the blocks' M (the NT scaling's R).
 
-        Q holds the rows vec(A_ib) M_b in the pattern of a; Q Q^T is the one
-        dense m x m array, and both of its triangles sum the same products
-        in the same order, so it is exactly symmetric.
+        Q holds the rows vec(A_ib) M_b in the pattern of a, and the Schur
+        complement is one sparse-times-dense product of Q with a dense copy
+        of Q^T. Entry (i, j) sums q_ik q_jk over row i's pattern in column
+        order, and the products outside row j's pattern are exact zeros, so
+        both triangles sum the same nonzero products in the same order: the
+        result is exactly symmetric.
         """
         q = sps.csr_matrix((self._segments(np.einsum("ek,ekc->ec", coef, mg[pos])
                                            for (pos, coef), mg in zip(self.entries, maps)),
                             self.a.indices, self.a.indptr), shape=self.a.shape)
-        qt = sps.csr_matrix((q.data[self._order_t], self.at.indices, self.at.indptr),
-                            shape=self.at.shape)
-        m = q.shape[0]
-        s = np.zeros((m, m))
-        step = max(1, 2 ** 15 // m)  # rows per sparse product, to bound its size
-        for i in range(0, m, step):
-            ((q[i:i + step] if step < m else q) @ qt).toarray(out=s[i:i + step])
-        return s
+        qt = np.zeros(self.at.shape)
+        qt.flat[self._t_index] = q.data
+        return q @ qt
 
     def _min_eig(self, v) -> float:
         return min(float(np.linalg.eigvalsh(_mat(vg, d))[:, 0].min())

@@ -370,15 +370,108 @@ def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
                 assert abs(slack - delta / 2) <= 2e-8
 
 
+def assert_same_program(got, want):
+    """Two programs compile to the same bytes: block sizes, constraint
+    matrix, right-hand sides and objective."""
+    got, want = got.compile(), want.compile()
+    assert got.dims == want.dims
+    for g, w in ((got.a.data, want.a.data), (got.a.indices, want.a.indices),
+                 (got.a.indptr, want.a.indptr), (got.b, want.b), (got.c, want.c)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("slack", [True, False])
-def test_ladder_is_the_joint_eigenspace_layout(slack):
+def test_ladder_is_the_joint_eigenspace_layout(slack, monkeypatch):
     # the d-level ladder is target levels [0, 1] against battery levels 0..d-1
     m = degrade(sigma_x_povm(), 0.6)
     for d in range(1, 11):
-        ladder = charact._assemble_ladder(m, d, slack=slack).problem.compile()
-        joint = charact._assemble_multilevel(m, [0, 1], range(d), slack=slack).problem.compile()
-        assert ladder.dims == joint.dims
-        assert np.array_equal(ladder.b, joint.b)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(ladder.a, attr), getattr(joint.a, attr))
-        assert all(np.array_equal(u, v) for u, v in zip(ladder.c, joint.c, strict=True))
+        assert_same_program(charact._assemble_ladder(m, d, slack=slack).problem,
+                            charact._assemble_multilevel(m, [0, 1], range(d), slack=slack).problem)
+
+    # every form read from the shape cache, right after the same shape was
+    # filled with other data, is byte for byte the assembly that bypasses it
+    rng = np.random.default_rng(9)
+    qutrit = [[Povm(elements=[w * e + (1 - w) * np.diag(np.diag(e)) for e in r.elements])
+               for w in (0.2, 1.0)]
+              for r in (random_rank_one_povm(rng, 3, 3), random_rank_one_povm(rng, 3, 4))]
+
+    def forms(m, m3, cap):
+        """Builders of every program form for one set of data."""
+        q = {d: rng.dirichlet(np.ones(d)) for d in range(1, 11)}
+        v = list(random_rank_one_povm(rng, 2, m.n_outcomes).elements)
+        out = [lambda b=battery: charact._assemble_multilevel(m3, [0.0, 1.0, 2.0], b, slack=slack)
+               for battery in ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 2 ** 0.5, 5 ** 0.5])]
+        for d in range(1, 11):
+            out += [lambda d=d: charact._assemble_ladder(m, d, slack=slack),
+                    lambda d=d: charact._assemble_ladder(m, d, energy_cap=cap, slack=slack),
+                    lambda d=d: charact._assemble_ladder(m, d, q_fixed=q[d], slack=slack),
+                    lambda d=d: charact._assemble_ladder(None, d, n_out=len(v), slack=False,
+                                                         objective=v)]
+            if d >= 2:
+                out += [lambda d=d: charact._assemble_ladder(m, d, outer=True, energy_cap=cap,
+                                                             slack=slack),
+                        lambda d=d: charact._assemble_ladder(None, d, n_out=len(v), outer=True,
+                                                             energy_cap=cap, slack=False,
+                                                             objective=v)]
+        return out
+
+    rand = [degrade(random_rank_one_povm(rng, 2, 3), tau) for tau in (0.4, 0.8)]
+    pairs = [(forms(rand[0], qutrit[0][0], 0.7), forms(rand[1], qutrit[0][1], 2.5)),
+             (forms(m, qutrit[1][0], 1.2), forms(degrade(projective_qubit("z"), 0.9),
+                                                  qutrit[1][1], 4.0))]
+    cached = [(warm(), build().problem)[1] for first, second in pairs
+              for warm, build in zip(first, second)]
+    monkeypatch.setattr(charact, "_sector_shape", charact._sector_shape.__wrapped__)
+    fresh = [build().problem for _, second in pairs for build in second]
+    assert len(cached) == len(fresh) == 2 * (3 + 10 * 4 + 9 * 2)
+    for got, want in zip(cached, fresh):
+        assert_same_program(got, want)
+
+
+def test_interleaved_targets_give_fresh_verdicts(monkeypatch):
+    # x and z targets near the flip share one shape; the cached verdicts,
+    # in any order, are the verdicts of fresh assemblies
+    d = 3
+    flip = math.cos(math.pi / (d + 1))
+    povms = [degrade(projective_qubit(t), flip + k * 1e-7)
+             for k in (-3, 2, 5) for t in ("x", "z")]
+    cached = [membership_finite(m, d) for m in povms + povms[::-1]]
+    monkeypatch.setattr(charact, "_sector_shape", charact._sector_shape.__wrapped__)
+    fresh = [membership_finite(m, d) for m in povms + povms[::-1]]
+    assert [(v.verdict, v.slack) for v in cached] == [(v.verdict, v.slack) for v in fresh]
+    assert {v.verdict for v in cached} == {"member", "non_member"}
+
+
+def test_shared_program_data_is_read_only():
+    m = degrade(sigma_x_povm(), 0.6)
+    p = charact.finite_membership_program(m, 3)
+    cs, _ = p.equalities[0]
+    with pytest.raises(ValueError):
+        next(iter(cs.values()))[0, 0] = 2.0
+    sol = sdp.solve(p)
+    for arr in (sol.program.a.data, sol.program.a.indices, sol.program.at.data,
+                sol.program.b, sol.program.c):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    # a change to one program of a shape leaves the others as they were
+    before = charact.finite_membership_program(m, 3)
+    p.add_block(1)
+    p.add_equality({len(p.block_dims) - 1: 1.0}, 0.5)
+    assert p.compile().b.size == before.compile().b.size + 1
+    assert_same_program(charact.finite_membership_program(m, 3), before)
+
+
+def test_second_verdict_of_a_shape_assembles_nothing(monkeypatch):
+    calls = []
+    add_fn, init_fn = sdp.BlockSdp.add_matrix_equality, sdp._Compiled.__init__
+    monkeypatch.setattr(sdp.BlockSdp, "add_matrix_equality",
+                        lambda self, *a: calls.append("add") or add_fn(self, *a))
+    monkeypatch.setattr(sdp._Compiled, "__init__",
+                        lambda self, *a: calls.append("init") or init_fn(self, *a))
+    charact._sector_shape.cache_clear()
+    d = 7
+    assert membership_finite(degrade(sigma_x_povm(), 0.5), d).is_member
+    assert "add" in calls and "init" in calls
+    calls.clear()
+    assert not membership_finite(degrade(sigma_x_povm(), 0.99), d).is_member
+    assert calls == []

@@ -231,6 +231,79 @@ def test_matrix_equality_rejects_bad_terms():
         p.add_matrix_equality([(x, None, 1.0)], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_bad_placements_rejected():
+    # negative, repeated or out-of-range rows and unknown blocks raise
+    # SdpError and add no row
+    p = BlockSdp()
+    x, s = p.add_block(2), p.add_scalar()
+    bad_terms = [
+        ([(s, [-1], 1.0)], np.diag([0.0, 1.0])),  # would wrap to row 1
+        ([(s, [2], 1.0)], np.eye(2)),
+        ([(x, [0, 0], 1.0)], np.eye(3)),
+        ([(x, [-1, 0], 1.0)], np.eye(3)),
+        ([(2, None, 1.0)], np.eye(1)),
+        ([(-1, None, 1.0)], np.eye(2)),  # would address block x
+        ([(-1, np.eye(2))], np.eye(2)),
+        ([(5, np.eye(2))], np.eye(2)),
+    ]
+    for terms, rhs in bad_terms:
+        with pytest.raises(SdpError):
+            p.add_matrix_equality(terms, rhs)
+    for b in (-1, 2, 7):
+        with pytest.raises(SdpError):
+            p.add_equality({b: 1.0}, 1.0)
+        with pytest.raises(SdpError):
+            p.add_inequality({b: 1.0}, 1.0)
+        with pytest.raises(SdpError):
+            p.set_objective({b: 1.0})
+    assert p.equalities == [] and p.inequalities == [] and p.objective == {}
+    p.add_matrix_equality([(s, [1], 1.0), (x, None, 1.0)], np.eye(2))
+    assert len(p.equalities) == 4
+
+
+def test_compile_follows_every_change():
+    p = BlockSdp()
+    x = p.add_block(2)
+    p.add_equality({x: np.eye(2)}, 1.0)
+    first = p.compile()
+    assert p.compile() is first
+    p.add_equality({x: np.diag([1.0, 0.0])}, 0.25)
+    assert list(p.compile().b) == [1.0, 0.25]
+    p.equalities = p.equalities[::-1]
+    assert list(p.compile().b) == [0.25, 1.0]
+    p.set_objective({x: np.diag([2.0, 0.0])})
+    assert p.compile().c.tolist() == (2.0 * p.compile().vector([np.diag([1.0, 0.0])])).tolist()
+    s = p.add_scalar()
+    p.add_inequality({s: 1.0}, 3.0)
+    assert p.compile().dims == [2, 1, 1] and list(p.compile().b) == [0.25, 1.0, 3.0]
+
+
+def test_with_rhs_shares_the_compiled_structure():
+    p = BlockSdp()
+    x, s = p.add_block(2), p.add_scalar()
+    p.add_matrix_equality([(x, None, 1.0), (s, [0], -1.0)], np.eye(2))
+    p.add_inequality({s: 1.0}, 3.0)
+    comp = p.compile()
+    rhs = np.concatenate([sdp.matrix_rhs(np.diag([0.5, 2.0])), [4.0]])
+    q = p.with_rhs(rhs, objective={x: np.diag([1.0, -1.0])})
+    fresh = BlockSdp()
+    fresh.add_block(2), fresh.add_scalar()
+    fresh.add_matrix_equality([(x, None, 1.0), (s, [0], -1.0)], np.diag([0.5, 2.0]))
+    fresh.add_inequality({s: 1.0}, 4.0)
+    fresh.set_objective({x: np.diag([1.0, -1.0])})
+    got, want = q.compile(), fresh.compile()
+    assert got.a is comp.a and p.compile() is comp
+    assert got.b.tobytes() == want.b.tobytes() and got.c.tobytes() == want.c.tobytes()
+    assert [r for _, r in q.equalities + q.inequalities] == [r for _, r in fresh.equalities
+                                                             + fresh.inequalities]
+    assert solve(q).objective == pytest.approx(solve(fresh).objective, abs=1e-12)
+    # a change to the copy leaves the original as it was
+    q.add_equality({s: 1.0}, 0.5)
+    assert q.compile().b.size == 6 and p.compile() is comp and len(p.equalities) == 4
+    with pytest.raises(SdpError):
+        p.with_rhs(rhs[:-1])
+
+
 def test_matrix_equality_terms_on_one_block_add_up():
     def rows(terms, rhs):
         p = BlockSdp()
