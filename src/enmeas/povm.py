@@ -357,7 +357,6 @@ class KrausSet:
     """Kraus operators of a channel; must satisfy sum A_i' A_i = I."""
 
     operators: list[np.ndarray]
-    tol: float = 1e-9
 
     def __post_init__(self):
         self.operators = [np.asarray(a, dtype=complex) for a in self.operators]
@@ -407,7 +406,7 @@ def measurement_channel(m: Povm) -> KrausSet:
     ops = []
     for x, mx in enumerate(m.elements):
         ops.append(np.kron(psd_sqrt(mx, tol=m.tol), np.linalg.matrix_power(v, x)))
-    return KrausSet(operators=ops, tol=m.tol)
+    return KrausSet(operators=ops)
 
 
 def pointer_distribution(m: Povm, rho) -> np.ndarray:

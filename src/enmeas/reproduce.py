@@ -4,6 +4,10 @@ Each check recomputes one headline quantity from scratch and compares it
 against its closed-form reference value at a fixed tolerance. The
 acceptance test suite drives exactly these implementations, so the CLI
 table and the test results cannot drift apart.
+
+A check is registered once, by `_check`, with its name, what it expects
+and an optional wall-clock limit; its body returns only (passed, got). One
+runner times every check, applies the limit and builds the `CheckResult`.
 """
 
 from __future__ import annotations
@@ -138,8 +142,31 @@ def random_diag_povm(rng, dim: int, n_out: int) -> Povm:
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_finite_spectrum_optimum() -> CheckResult:
-    t0 = time.perf_counter()
+_CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _check(name: str, expected: str, limit: float | None = None, detail: str = ""):
+    """Register a check under name, in definition order.
+
+    The check's body returns (passed, got). The registered runner times the
+    body, fails it when it takes limit seconds or more, and builds the
+    CheckResult.
+    """
+    def register(body):
+        def run() -> CheckResult:
+            t0 = time.perf_counter()
+            passed, got = body()
+            seconds = time.perf_counter() - t0
+            passed = bool(passed) and (limit is None or seconds < limit)
+            return CheckResult(name, passed, got, expected, seconds, detail)
+        _CHECKS[name] = run
+        return run
+    return register
+
+
+@_check("finite-spectrum-optimum",
+        "tau(d)=cos(pi/(d+1)) and sin^2 populations to 1e-10, d<=200, <10s", limit=10.0)
+def check_finite_spectrum_optimum():
     worst_eig = 0.0
     worst_pop = 0.0
     for d in range(2, 201):
@@ -149,45 +176,35 @@ def check_finite_spectrum_optimum() -> CheckResult:
         k = np.arange(d)
         ref = 2.0 / (d + 1) * np.sin((k + 1) * np.pi / (d + 1)) ** 2
         worst_pop = max(worst_pop, float(np.max(np.abs(pops - ref))))
-    dt = time.perf_counter() - t0
-    ok = worst_eig <= 1e-10 and worst_pop <= 1e-10 and dt < 10.0
-    return CheckResult(
-        "finite-spectrum-optimum", ok,
-        {"max_eig_err": worst_eig, "max_pop_err": worst_pop},
-        "tau(d)=cos(pi/(d+1)) and sin^2 populations to 1e-10, d<=200, <10s",
-        dt)
+    ok = worst_eig <= 1e-10 and worst_pop <= 1e-10
+    return ok, {"max_eig_err": worst_eig, "max_pop_err": worst_pop}
 
 
-def check_phi_asymptotics() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("phi-asymptotics",
+        "(1-phi(z))*z^2 at z=1e2,1e3,1e4,1e5 nears 0.9468, within 0.01 from z=1e4 on",
+        detail="z->inf limit 4c^3/27 = 0.946803 (c = 1.855757); at finite z "
+               "1-phi = (4c^3/27)/(z+1)^2 + O((z+1)^(-8/3)), so the product "
+               "is 0.9281 at z=100 and 0.94661 at z=1e4")
+def check_phi_asymptotics():
     zs = (1e2, 1e3, 1e4, 1e5)
     got = [(1.0 - bessel.phi(z).phi) * z ** 2 for z in zs]
     dist = [abs(g - 0.9468) for g in got]
     ok = (all(b < a for a, b in zip(dist, dist[1:]))
           and all(d <= 0.01 for z, d in zip(zs, dist) if z >= 1e4))
-    return CheckResult(
-        "phi-asymptotics", ok, got,
-        "(1-phi(z))*z^2 at z=1e2,1e3,1e4,1e5 nears 0.9468, within 0.01 from z=1e4 on",
-        time.perf_counter() - t0,
-        detail="z->inf limit 4c^3/27 = 0.946803 (c = 1.855757); at finite z "
-               "1-phi = (4c^3/27)/(z+1)^2 + O((z+1)^(-8/3)), so the product "
-               "is 0.9281 at z=100 and 0.94661 at z=1e4")
+    return ok, got
 
 
-def check_phi_monotone() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("phi-monotone", "phi strictly increasing on 50 z-points in [0.5, 200], <30s",
+        limit=30.0)
+def check_phi_monotone():
     zs = np.linspace(0.5, 200.0, 50)
     vals = [bessel.phi(float(z)).phi for z in zs]
     diffs = np.diff(vals)
-    dt = time.perf_counter() - t0
-    ok = bool(np.all(diffs > 0)) and dt < 30.0
-    return CheckResult(
-        "phi-monotone", ok, {"min_step": float(diffs.min()), "seconds": dt},
-        "phi strictly increasing on 50 z-points in [0.5, 200], <30s", dt)
+    return np.all(diffs > 0), {"min_step": float(diffs.min())}
 
 
-def check_power_state() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("power-state", "tau within 1e-6 of phi(10), energy within 1e-6*E, overlap > 1-1e-8")
+def check_power_state():
     z = 10.0
     st = bessel.power_state(z, 1.0)
     chains = spectra.decompose_chains(st.levels, 1.0)
@@ -199,25 +216,22 @@ def check_power_state() -> CheckResult:
     overlap = abs(np.vdot(ground, st.amplitudes))
     en = st.mean_energy()
     ok = (abs(t - r.phi) <= 1e-6 and abs(en - z) <= 1e-6 * z and overlap > 1 - 1e-8)
-    return CheckResult(
-        "power-state", ok,
-        {"tau_minus_phi": t - r.phi, "energy_err": en - z, "overlap": overlap},
-        "tau within 1e-6 of phi(10), energy within 1e-6*E, overlap > 1-1e-8",
-        time.perf_counter() - t0)
+    return ok, {"tau_minus_phi": t - r.phi, "energy_err": en - z, "overlap": overlap}
 
 
-def check_coherent_approx() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("coherent-approx", "(1-tau_coherent)*8|alpha|^2 in [0.9, 1.1] at |alpha|^2=100")
+def check_coherent_approx():
     got = (1.0 - tau_mod.tau_coherent(100.0)) * 8.0 * 100.0
-    ok = 0.9 <= got <= 1.1
-    return CheckResult(
-        "coherent-approx", ok, got,
-        "(1-tau_coherent)*8|alpha|^2 in [0.9, 1.1] at |alpha|^2=100",
-        time.perf_counter() - t0)
+    return 0.9 <= got <= 1.1, got
 
 
-def check_precision_doubling() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("precision-doubling",
+        "0.5*slope(power)/slope(coherent) of ln(1-tau) vs ln z within 25% of 1 "
+        "at z=1e2,1e3,1e4; 0.5*log10(1-tau_power)/log10(1-tau_coherent) increasing",
+        detail="the exponent doubles (-2 vs -1) while the prefactors 0.9468 and "
+               "1/8 stay, so the halved log ratio only creeps towards 1, as "
+               "about 1 - 0.89/(log10 z + 0.90): 0.69 at z=100")
+def check_precision_doubling():
     zs = (1e2, 1e3, 1e4)
     h = 0.05  # half-width of the symmetric difference in ln z
 
@@ -236,50 +250,35 @@ def check_precision_doubling() -> CheckResult:
     log_ratio = [0.5 * math.log10(power(z)) / math.log10(coherent(z)) for z in zs]
     ok = (all(abs(r - 1.0) <= 0.25 for r in slope_ratio)
           and all(b > a for a, b in zip(log_ratio, log_ratio[1:])))
-    return CheckResult(
-        "precision-doubling", ok,
-        {"slope_ratio": slope_ratio, "log_ratio": log_ratio},
-        "0.5*slope(power)/slope(coherent) of ln(1-tau) vs ln z within 25% of 1 "
-        "at z=1e2,1e3,1e4; 0.5*log10(1-tau_power)/log10(1-tau_coherent) increasing",
-        time.perf_counter() - t0,
-        detail="the exponent doubles (-2 vs -1) while the prefactors 0.9468 and "
-               "1/8 stay, so the halved log ratio only creeps towards 1, as "
-               "about 1 - 0.89/(log10 z + 0.90): 0.69 at z=100")
+    return ok, {"slope_ratio": slope_ratio, "log_ratio": log_ratio}
 
 
-def check_chsh_value() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("chsh-value", "1 + 3*sqrt(2)/4 to 1e-12")
+def check_chsh_value():
     got = bell.chsh_value(bell.reference_scenario())
-    ref = 1.0 + 0.75 * math.sqrt(2.0)
-    ok = abs(got - ref) <= 1e-12
-    return CheckResult("chsh-value", ok, got, "1 + 3*sqrt(2)/4 to 1e-12",
-                       time.perf_counter() - t0)
+    return abs(got - (1.0 + 0.75 * math.sqrt(2.0))) <= 1e-12, got
 
 
-def check_chsh_mixture_bound() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("chsh-mixture-bound", "6/8*2 + 2/8*2sqrt(2) to 1e-12")
+def check_chsh_mixture_bound():
     got = bell.chsh_mixture_bound()
     ref = 6.0 / 8.0 * 2.0 + 2.0 / 8.0 * 2.0 * math.sqrt(2.0)
-    ok = abs(got - ref) <= 1e-12
-    return CheckResult("chsh-mixture-bound", ok, got,
-                       "6/8*2 + 2/8*2sqrt(2) to 1e-12", time.perf_counter() - t0)
+    return abs(got - ref) <= 1e-12, got
 
 
-def check_chsh_seesaw_no_ancilla() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("chsh-seesaw-no-ancilla", "seesaw over 50 restarts stays <= 2 + 1e-6")
+def check_chsh_seesaw_no_ancilla():
     # locally dephased |phi>_AB alone: diagonal two-qubit correlations
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 0.5  # |0>|1>
     rho[2, 2] = 0.5  # |1>|0>
     val, _ = bell.optimize_chsh_seesaw(rho, (2, 2), restarts=50, seed=11)
-    ok = val <= 2.0 + 1e-6
-    return CheckResult("chsh-seesaw-no-ancilla", ok, val,
-                       "seesaw over 50 restarts stays <= 2 + 1e-6",
-                       time.perf_counter() - t0)
+    return val <= 2.0 + 1e-6, val
 
 
-def check_membership_boundary() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("membership-boundary",
+        "member/non-member flip at cos(pi/(d+1)) +- 1e-6, d in {2,3,5,10}, <60s", limit=60.0)
+def check_membership_boundary():
     mx = projective_qubit("x")
     worst = 0.0
     flips = {}
@@ -296,16 +295,11 @@ def check_membership_boundary() -> CheckResult:
         ref = math.cos(math.pi / (d + 1))
         flips[d] = flip
         worst = max(worst, abs(flip - ref))
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-6 and dt < 60.0
-    return CheckResult("membership-boundary", ok,
-                       {"worst_err": worst, "flips": flips, "seconds": dt},
-                       "member/non-member flip at cos(pi/(d+1)) +- 1e-6, d in {2,3,5,10}, <60s",
-                       dt)
+    return worst <= 1e-6, {"worst_err": worst, "flips": flips}
 
 
-def check_effective_povm_oracle() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("effective-povm-oracle", "joint-space statistics match to 1e-12 on 100 random instances")
+def check_effective_povm_oracle():
     rng = np.random.default_rng(2024)
     basis = [np.array([[1, 0], [0, 0]], complex),
              np.array([[0, 0], [0, 1]], complex),
@@ -331,14 +325,11 @@ def check_effective_povm_oracle() -> CheckResult:
             big = np.kron(rho, sig)
             rhs = np.array([float(np.trace(big @ op).real) for op in joint])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    ok = worst <= 1e-12
-    return CheckResult("effective-povm-oracle", ok, worst,
-                       "joint-space statistics match to 1e-12 on 100 random instances",
-                       time.perf_counter() - t0)
+    return worst <= 1e-12, worst
 
 
-def check_two_outcome_equality() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("two-outcome-equality", "dist_Q = dist_C to 1e-6 on 20 random two-outcome pairs")
+def check_two_outcome_equality():
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(20):
@@ -346,25 +337,19 @@ def check_two_outcome_equality() -> CheckResult:
         dc = distances.classical_distance(a, b).value
         dq = distances.quantum_distance(a, b).value
         worst = max(worst, abs(dc - dq))
-    ok = worst <= 1e-6
-    return CheckResult("two-outcome-equality", ok, worst,
-                       "dist_Q = dist_C to 1e-6 on 20 random two-outcome pairs",
-                       time.perf_counter() - t0)
+    return worst <= 1e-6, worst
 
 
-def check_continuous_example() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("continuous-example", "64-outcome discretization: dist_C = 0.25 +- 0.01, dist_Q >= 0.45")
+def check_continuous_example():
     m0, m1 = sphere_povm_pair(64)
     dc = distances.classical_distance(m0, m1).value
     dq = distances.quantum_distance(m0, m1).value
-    ok = abs(dc - 0.25) <= 0.01 and dq >= 0.45
-    return CheckResult("continuous-example", ok, {"dist_c": dc, "dist_q": dq},
-                       "64-outcome discretization: dist_C = 0.25 +- 0.01, dist_Q >= 0.45",
-                       time.perf_counter() - t0)
+    return abs(dc - 0.25) <= 0.01 and dq >= 0.45, {"dist_c": dc, "dist_q": dq}
 
 
-def check_distance_inequalities() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("distance-inequalities", "triangle inequality and dist_Q >= dist_C on 50 random triples")
+def check_distance_inequalities():
     rng = np.random.default_rng(12)
     tri_viol = -np.inf
     order_viol = -np.inf
@@ -382,14 +367,11 @@ def check_distance_inequalities() -> CheckResult:
         tri_viol = max(tri_viol, qac - qab - qbc)
         order_viol = max(order_viol, dab - qab, dbc - qbc, dac - qac)
     ok = tri_viol <= 1e-9 and order_viol <= 1e-7
-    return CheckResult("distance-inequalities", ok,
-                       {"triangle_violation": tri_viol, "order_violation": order_viol},
-                       "triangle inequality and dist_Q >= dist_C on 50 random triples",
-                       time.perf_counter() - t0)
+    return ok, {"triangle_violation": tri_viol, "order_violation": order_viol}
 
 
-def check_inner_outer_convergence() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("inner-outer-convergence", "positive, nonincreasing gaps bounded by E/(Delta(d-1)) * |V|")
+def check_inner_outer_convergence():
     z = 5.0
     plus = 0.5 * np.array([[1, 1], [1, 1]], complex)
     minus = 0.5 * np.array([[1, -1], [-1, 1]], complex)
@@ -402,36 +384,28 @@ def check_inner_outer_convergence() -> CheckResult:
     positive = all(g > 0 for _, g in gaps)
     nonincreasing = all(gaps[i + 1][1] <= gaps[i][1] + 1e-9 for i in range(len(gaps) - 1))
     bounded = all(g <= z / (d - 1) * vnorm for d, g in gaps)
-    ok = positive and nonincreasing and bounded
-    return CheckResult("inner-outer-convergence", ok, {"gaps": gaps},
-                       "positive, nonincreasing gaps bounded by E/(Delta(d-1)) * |V|",
-                       time.perf_counter() - t0)
+    return positive and nonincreasing and bounded, {"gaps": gaps}
 
 
-def check_non_universality() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("non-universality", "counterexample found with independently verified certificates")
+def check_non_universality():
     sigma = tau_mod.optimal_finite_state(3)
     res = charact.universal_state_check(sigma, 3, trials=60, seed=3)
     if res is None:
-        return CheckResult("non-universality", False, None,
-                           "a reachable POVM infeasible for the fixed sin^2 state",
-                           time.perf_counter() - t0)
+        return False, None
     member_ok = charact.verify_member_certificate(
         res["povm"], res["member_certificate"],
         lambda m: charact._assemble_ladder(m, 3, slack=False))
     farkas_ok = charact.verify_nonmember_certificate(
         res["povm"], res["fixed_certificate"],
         lambda m: charact._assemble_ladder(m, 3, q_fixed=res["q"], slack=True))
-    ok = member_ok and farkas_ok
-    return CheckResult("non-universality", ok,
-                       {"trial": res["trial"], "fixed_margin": res["fixed_margin"],
-                        "member_verified": member_ok, "farkas_verified": farkas_ok},
-                       "counterexample found with independently verified certificates",
-                       time.perf_counter() - t0)
+    return member_ok and farkas_ok, {
+        "trial": res["trial"], "fixed_margin": res["fixed_margin"],
+        "member_verified": member_ok, "farkas_verified": farkas_ok}
 
 
-def check_non_resonance_triviality() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("non-resonance-triviality", "exactly the energy-diagonal POVMs accepted on 30 candidates")
+def check_non_resonance_triviality():
     rng = np.random.default_rng(21)
     target = [0.0, 1.0, 2.0]
     battery = [0.0, math.sqrt(2.0), math.sqrt(5.0)]
@@ -445,14 +419,12 @@ def check_non_resonance_triviality() -> CheckResult:
         v = charact.membership_multilevel(cand, target, battery)
         if v.is_member != diagonal:
             mistakes += 1
-    ok = mistakes == 0
-    return CheckResult("non-resonance-triviality", ok, {"mistakes": mistakes},
-                       "exactly the energy-diagonal POVMs accepted on 30 candidates",
-                       time.perf_counter() - t0)
+    return mistakes == 0, {"mistakes": mistakes}
 
 
-def check_near_resonance_continuity() -> CheckResult:
-    t0 = time.perf_counter()
+@_check("near-resonance-continuity",
+        "tau rises monotonically to |c0 c1| over three decades of eps")
+def check_near_resonance_continuity():
     c = 1.0 / math.sqrt(2.0)
     clock = EnergyDensity.gaussian(50.0, 4e-4)  # width 0.02 against gap 1
     eps_grid = [2e-3, 2e-4, 2e-5]
@@ -461,33 +433,8 @@ def check_near_resonance_continuity() -> CheckResult:
     monotone = all(taus[i] <= taus[i + 1] + 1e-9 for i in range(len(taus) - 1))
     converged = abs(taus[-1] - target) <= 1e-5
     below = all(t <= target + 1e-9 for t in taus)
-    ok = monotone and converged and below
-    return CheckResult("near-resonance-continuity", ok,
-                       {"eps": eps_grid, "tau": taus},
-                       "tau rises monotonically to |c0 c1| over three decades of eps",
-                       time.perf_counter() - t0)
+    return monotone and converged and below, {"eps": eps_grid, "tau": taus}
 
-
-_CHECKS: dict[str, Callable[[], CheckResult]] = {
-    "finite-spectrum-optimum": check_finite_spectrum_optimum,
-    "phi-asymptotics": check_phi_asymptotics,
-    "phi-monotone": check_phi_monotone,
-    "power-state": check_power_state,
-    "coherent-approx": check_coherent_approx,
-    "precision-doubling": check_precision_doubling,
-    "chsh-value": check_chsh_value,
-    "chsh-mixture-bound": check_chsh_mixture_bound,
-    "chsh-seesaw-no-ancilla": check_chsh_seesaw_no_ancilla,
-    "membership-boundary": check_membership_boundary,
-    "effective-povm-oracle": check_effective_povm_oracle,
-    "two-outcome-equality": check_two_outcome_equality,
-    "continuous-example": check_continuous_example,
-    "distance-inequalities": check_distance_inequalities,
-    "inner-outer-convergence": check_inner_outer_convergence,
-    "non-universality": check_non_universality,
-    "non-resonance-triviality": check_non_resonance_triviality,
-    "near-resonance-continuity": check_near_resonance_continuity,
-}
 
 CHECK_NAMES = list(_CHECKS)
 
@@ -498,16 +445,3 @@ def run_check(name: str) -> CheckResult:
     except KeyError:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     return fn()
-
-
-def run_checks(names=None, verbose: bool = False):
-    results = []
-    for name in names or CHECK_NAMES:
-        r = run_check(name)
-        results.append(r)
-        if verbose:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"[{status}] {r.name:28s} {r.seconds:7.2f}s  got={r.got!r}")
-            if not r.passed and r.detail:
-                print(f"       note: {r.detail}")
-    return results

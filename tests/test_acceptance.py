@@ -11,9 +11,13 @@ over z = 1e2..1e5, and precision-doubling compares the local exponents of
 1 - tau for power and coherent states over z = 1e2..1e4.
 """
 
-import pytest
+import ast
+from pathlib import Path
 
-from enmeas.reproduce import run_check
+import numpy as np
+
+from enmeas import reproduce
+from enmeas.reproduce import CHECK_NAMES, run_check
 
 
 def _drive(name):
@@ -100,3 +104,22 @@ class TestCriterion11NonResonanceTriviality:
 class TestCriterion12NearResonanceContinuity:
     def test_near_resonance_continuity(self):
         _drive("near-resonance-continuity")
+
+
+def test_every_registered_check_is_driven():
+    tree = ast.parse(Path(__file__).read_text())
+    driven = [node.args[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_drive"]
+    assert sorted(driven) == sorted(CHECK_NAMES)
+
+
+def test_runner_times_gates_and_registers_in_order(monkeypatch):
+    monkeypatch.setattr(reproduce, "_CHECKS", {})
+    gated = reproduce._check("gated", "done in no time", limit=0.0)(lambda: (np.True_, 1))
+    free = reproduce._check("free", "no time limit", detail="why")(lambda: (np.True_, 2))
+    assert list(reproduce._CHECKS) == ["gated", "free"]
+    r = gated()
+    assert r.passed is False and r.seconds >= 0.0 and r.got == 1
+    r = free()
+    assert r.passed is True  # a Python bool, not numpy's
+    assert (r.name, r.got, r.expected, r.detail) == ("free", 2, "no time limit", "why")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from enmeas.cli import main
+from enmeas.cli import build_parser, main
 from enmeas.distances import quantum_distance
 from enmeas.linalg import matrix_to_json
 from enmeas.povm import Povm, projective_qubit, random_rank_one_povm
@@ -44,6 +45,38 @@ def test_unknown_flag_exits_2():
 def test_unknown_subcommand_exits_2():
     proc = run_module(["frobnicate"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["tau", "finite", "--sweep-min", "2"],
+    ["tau", "finite", "--sweep-max", "5"],
+    ["tau", "finite", "--d", "2", "--format", "csv"],
+    ["phi", "--z", "2", "--format", "csv"],
+    ["spectrum", "chains", "--file", "nosuch.json", "--format", "csv"],
+])
+def test_usage_errors_exit_2_before_computing(args, capsys):
+    # half a sweep range, and CSV where there is no sweep
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_subcommand_has_its_own_handler():
+    leaves = dict(_leaves(build_parser()))
+    assert ("tau", "finite") in leaves and ("reproduce",) in leaves
+    handlers = [p.get_default("fn") for p in leaves.values()]
+    assert all(callable(fn) for fn in handlers)
+    assert len({id(fn) for fn in handlers}) == len(leaves)
 
 
 def test_domain_error_exits_1(tmp_path, capsys):

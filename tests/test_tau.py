@@ -225,6 +225,13 @@ class TestTauContinuous:
         discrete = tau_of_state(st, ladder(2)).tau
         assert tau_continuous(dens, 1.0) == pytest.approx(discrete, abs=1e-4)
 
+    def test_from_grid_normalizes_by_the_trapezoid_rule(self):
+        # unsorted samples of a triangle with trapezoid area 2 give a peak of 1
+        dens = EnergyDensity.from_grid([2.0, 0.0, 1.0], [0.0, 0.0, 2.0])
+        assert dens.support == (0.0, 2.0)
+        assert dens([0.5, 1.0, 3.0]).tolist() == [0.5, 1.0, 0.0]
+        assert dens.check_normalized() == pytest.approx(1.0, abs=1e-6)
+
 
 class TestTauNearResonant:
     def test_exact_resonance_limit(self):
