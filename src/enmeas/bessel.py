@@ -6,7 +6,7 @@ The best tau reachable at mean battery energy z*Delta is
 
 where mu(lambda) solves the transcendental equation  j_{mu-1,1} = 2 lambda
 (j_{nu,1} = first positive zero of J_nu).  Every extreme point of the
-minimand is a global minimum, so a bracketed golden-section search is exact.
+minimand is a global minimum, so Brent's search on a bracket is exact.
 Large orders take the series j_{nu,1} = nu + C1 nu^(1/3) + ..., so phi is
 defined for every z > 0, and its search keeps 1 - phi to full relative
 precision.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
+from scipy.optimize import brent, brentq
 from scipy.special import ai_zeros, jv
 
 from .tau import BatteryState
@@ -199,25 +199,6 @@ class PhiResult:
     deficit: float  # 1 - phi, to full relative precision where phi rounds to 1
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a: float, b: float, rel_tol: float) -> float:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
 def phi(z: float) -> PhiResult:
     """Best tau at mean energy z (in units of the gap), with its minimizer.
 
@@ -226,47 +207,49 @@ def phi(z: float) -> PhiResult:
     straight from the large-order series when the order is large.  The
     deficit then keeps full relative precision even where it falls to
     1e-12, so the optimum is as sharp at z = 1e6 as at z = 1.  The minimand
-    has only global minima, so a coarse geometric scan followed by
-    golden-section search (bracket shrunk to 1e-10 relative) pins it.
+    has only global minima, so a 9-point geometric scan followed by Brent's
+    parabolic minimization of the negated deficit in log mu (tolerance
+    1e-10) pins it.
     """
     if z <= 0:
         raise ValueError("z must be positive")
 
     cache: dict[float, float] = {}
 
-    def neg_deficit(mu: float) -> float:
-        if mu not in cache:
+    def neg_deficit(t: float) -> float:  # t = log mu
+        if t not in cache:
+            mu = math.exp(t)
             r = _excess(mu - 1.0)
-            cache[mu] = (z + 1.0 - r) / (mu - 1.0 + r)
-        return cache[mu]
+            cache[t] = (z + 1.0 - r) / (mu - 1.0 + r)
+        return cache[t]
 
     # candidate scales: small-z behavior mu ~ z, large-z growth ~ z^3
     mu_asym = 27.0 * (z + 1.0) ** 3 / (8.0 * AIRY_C1 ** 3)
     lo = min(z, mu_asym) / 16.0
     hi = max(z, mu_asym) * 16.0
-    grid = np.geomspace(lo, hi, 33)
-    vals = [neg_deficit(float(g)) for g in grid]
+    grid = np.linspace(math.log(lo), math.log(hi), 9).tolist()
+    vals = [neg_deficit(t) for t in grid]
     i = int(np.argmin(vals))
     # expand outward if the scan minimum sits on an edge
     for _ in range(60):
         if i == 0:
-            grid = np.concatenate(([grid[0] / 8.0], grid))
-            vals.insert(0, neg_deficit(float(grid[0])))
-            i = int(np.argmin(vals))
+            grid.insert(0, grid[0] - math.log(8.0))
+            vals.insert(0, neg_deficit(grid[0]))
         elif i == len(grid) - 1:
-            grid = np.concatenate((grid, [grid[-1] * 8.0]))
-            vals.append(neg_deficit(float(grid[-1])))
-            i = int(np.argmin(vals))
+            grid.append(grid[-1] + math.log(8.0))
+            vals.append(neg_deficit(grid[-1]))
         else:
             break
-    mu_star = _golden_min(neg_deficit, float(grid[i - 1]), float(grid[i + 1]), 1e-10)
+        i = int(np.argmin(vals))
+    t_star = brent(neg_deficit, brack=tuple(grid[i - 1:i + 2]), tol=1e-10)
+    mu_star = math.exp(t_star)
     return PhiResult(
         z=float(z),
-        phi=float(1.0 + neg_deficit(mu_star)),
+        phi=float(1.0 + neg_deficit(t_star)),
         lambda_star=float(0.5 * _first_zero_any(mu_star - 1.0)),
         mu_star=float(mu_star),
         energy_check=float(_energy(mu_star)),
-        deficit=float(-neg_deficit(mu_star)),
+        deficit=float(-neg_deficit(t_star)),
     )
 
 

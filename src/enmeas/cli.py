@@ -476,6 +476,9 @@ def main(argv=None) -> int:
             ap.error("--sweep-min and --sweep-max go together")
         if args.sweep_min is None and args.format == "csv":
             ap.error("--format csv needs a sweep (--sweep-min and --sweep-max)")
+    for steps in ("sweep_steps", "steps"):
+        if getattr(args, steps, 0) < 0:
+            ap.error(f"--{steps.replace('_', '-')} must be non-negative")
     try:
         return args.fn(args)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,12 +151,17 @@ def _check(name: str, expected: str, limit: float | None = None, detail: str = "
 
     The check's body returns (passed, got). The registered runner times the
     body, fails it when it takes limit seconds or more, and builds the
-    CheckResult.
+    CheckResult. A body that raises fails its check, with "{type}: {message}"
+    as got and the traceback as detail, so the checks after it still run.
     """
     def register(body):
         def run() -> CheckResult:
             t0 = time.perf_counter()
-            passed, got = body()
+            try:
+                passed, got = body()
+            except Exception as exc:  # one broken check must not stop the others
+                return CheckResult(name, False, f"{type(exc).__name__}: {exc}", expected,
+                                   time.perf_counter() - t0, traceback.format_exc().strip())
             seconds = time.perf_counter() - t0
             passed = bool(passed) and (limit is None or seconds < limit)
             return CheckResult(name, passed, got, expected, seconds, detail)

@@ -97,9 +97,18 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         )
 
     n = levels.size
-    used = np.zeros(n, dtype=bool)
+    # the successor candidates of every level: j - 1, then j, each within tol
+    # of its target s + delta, where j = searchsorted(s, s + delta)
+    target = s + delta
+    j = np.searchsorted(s, target)
+    lower = np.where((j > 0) & (np.abs(s[np.maximum(j - 1, 0)] - target) <= tol), j - 1, -1)
+    upper = np.where((j < n) & (np.abs(s[np.minimum(j, n - 1)] - target) <= tol), j, -1)
+    lower, upper = lower.tolist(), upper.tolist()
+    rank, nus = order.tolist(), s.tolist()
+    used = [False] * n
     chains: list[Chain] = []
-    # s is ascending, so scanning left to right always starts chains at their bottom
+    # s is ascending, so scanning left to right starts every chain at its
+    # bottom, and the chains come out sorted by nu
     for start in range(n):
         if used[start]:
             continue
@@ -107,31 +116,23 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         used[start] = True
         cur = start
         while True:
-            target = s[cur] + delta
-            j = np.searchsorted(s, target)
-            nxt = None
-            for cand in (j - 1, j):
-                if 0 <= cand < n and not used[cand] and abs(s[cand] - target) <= tol:
-                    nxt = cand
+            nxt = lower[cur]
+            if nxt < 0 or used[nxt]:
+                nxt = upper[cur]
+                if nxt < 0 or used[nxt]:
                     break
-            if nxt is None:
-                break
             ids.append(nxt)
             used[nxt] = True
             cur = nxt
-        chains.append(Chain(nu=float(s[ids[0]]), level_ids=tuple(int(order[i]) for i in ids)))
+        chains.append(Chain(nu=nus[start], level_ids=tuple(rank[i] for i in ids)))
 
-    chains.sort(key=lambda c: c.nu)
-
-    near: list[tuple[int, int, float]] = []
-    for i in range(n):
-        target = s[i] + delta
-        j = np.searchsorted(s, target)
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < n and cand != i:
-                mismatch = abs(s[cand] - s[i] - delta)
-                if tol < mismatch <= 10.0 * tol:
-                    near.append((int(order[i]), int(order[cand]), float(mismatch)))
+    # near misses: candidates j - 1, j, j + 1 of every level, in that order
+    cand = j[:, None] + np.arange(-1, 2)
+    mismatch = np.abs(s[np.clip(cand, 0, n - 1)] - s[:, None] - delta)
+    lo, col = np.nonzero((cand >= 0) & (cand < n) & (cand != np.arange(n)[:, None])
+                         & (tol < mismatch) & (mismatch <= 10.0 * tol))
+    near = list(zip(order[lo].tolist(), order[cand[lo, col]].tolist(),
+                    mismatch[lo, col].tolist()))
     return ChainDecomposition(
         delta=float(delta),
         levels=levels,

@@ -125,14 +125,13 @@ def tau_of_state(state: BatteryState, chains: ChainDecomposition) -> TauResult:
     """
     if state.dim != chains.dim:
         raise ValueError(f"state dimension {state.dim} != number of battery levels {chains.dim}")
-    pairs = [(hi, lo) for chain in chains.chains
-             for lo, hi in zip(chain.level_ids[:-1], chain.level_ids[1:])]
+    ids = [np.array(c.level_ids) for c in chains.chains if c.length > 1]
     if state.amplitudes is not None:
         # |rho[hi, lo]| = |a_hi| |a_lo|: a pure state needs no dim x dim matrix
         amp = np.abs(state.amplitudes)
-        total = sum(amp[hi] * amp[lo] for hi, lo in pairs)
+        total = sum(amp[i[1:]] @ amp[i[:-1]] for i in ids)
     else:
-        total = sum(abs(state.rho[hi, lo]) for hi, lo in pairs)
+        total = sum(np.abs(state.rho[i[1:], i[:-1]]).sum() for i in ids)
     tau = min(float(total), 1.0)
     return TauResult(tau=tau, epsilon=epsilon_from_tau(tau), optimizer=None)
 

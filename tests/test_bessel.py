@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ai_zeros, jn_zeros
 
+from enmeas import bessel
 from enmeas.bessel import (
     BesselRangeError,
     bessel_j,
@@ -187,6 +188,18 @@ class TestPhi:
             r = phi(z)
             assert r.deficit * (z + 1.0) ** 2 == pytest.approx(4 * c ** 3 / 27, abs=1e-6)
             assert r.phi == 1.0 - r.deficit
+
+    def test_energy_check_and_search_cost_over_the_domain(self, monkeypatch):
+        # the search maximizes the deficit, so energy_check = z is a result,
+        # not a constraint; each _excess call below order 1000 is a Bessel zero
+        calls = []
+        excess = bessel._excess
+        monkeypatch.setattr(bessel, "_excess", lambda nu: calls.append(nu) or excess(nu))
+        for z in np.geomspace(1e-2, 1e6, 200):
+            calls.clear()
+            r = phi(float(z))
+            assert abs(r.energy_check - z) <= 1e-7 * max(z, 1.0)
+            assert len(calls) <= 50
 
     def test_matches_direct_eigenvalue_maximization(self):
         # independent route: max over lambda-states of tau at fixed energy via

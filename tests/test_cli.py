@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from enmeas import reproduce
 from enmeas.cli import build_parser, main
 from enmeas.distances import quantum_distance
 from enmeas.linalg import matrix_to_json
@@ -53,9 +54,11 @@ def test_unknown_subcommand_exits_2():
     ["tau", "finite", "--d", "2", "--format", "csv"],
     ["phi", "--z", "2", "--format", "csv"],
     ["spectrum", "chains", "--file", "nosuch.json", "--format", "csv"],
+    ["tau", "finite", "--sweep-min", "1", "--sweep-max", "3", "--sweep-steps", "-1"],
+    ["phi-sweep", "--zmin", "1", "--zmax", "2", "--steps", "-1"],
 ])
 def test_usage_errors_exit_2_before_computing(args, capsys):
-    # half a sweep range, and CSV where there is no sweep
+    # half a sweep range, CSV where there is no sweep, a negative step count
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
@@ -322,6 +325,24 @@ def test_reproduce_out_file(tmp_path, capsys):
     assert len(records) == 1
     assert records[0]["name"] == "chsh-value"
     assert records[0]["passed"] is True
+
+
+def test_reproduce_records_a_raising_check_and_runs_the_rest(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("no verdict")
+
+    monkeypatch.setattr(reproduce.bell, "chsh_value", boom)
+    path = tmp_path / "f.json"
+    names = ["chsh-value", "coherent-approx", "chsh-mixture-bound"]
+    code, out, _ = run_cli(["reproduce", *names, "--out", str(path)], capsys)
+    assert code == 1
+    rows = [line for line in out.splitlines() if line.startswith("[")]
+    assert [row.split()[1] for row in rows] == names
+    records = json.loads(path.read_text())
+    assert [r["name"] for r in records] == names
+    assert [r["passed"] for r in records] == [False, True, True]
+    assert records[0]["got"] == repr("RuntimeError: no verdict")
+    assert "RuntimeError: no verdict" in records[0]["detail"]
 
 
 def test_reproduce_requires_selection(capsys):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from enmeas.spectra import decompose_chains, joint_eigenspaces
+from enmeas.bessel import power_state
+from enmeas.spectra import Chain, decompose_chains, default_grouping_tol, joint_eigenspaces
 
 
 def brute_force_chains(levels, delta, tol=1e-9):
@@ -23,6 +24,90 @@ def brute_force_chains(levels, delta, tol=1e-9):
             ch.append(nxt[ch[-1]])
         chains.append(tuple(ch))
     return sorted(chains, key=lambda c: levels[c[0]])
+
+
+def greedy_loop_chains(levels, delta, tol):
+    """The per-level greedy walk and near-miss scan that decompose_chains
+    vectorizes, one scalar searchsorted at a time: (chains, near_misses)."""
+    order = np.argsort(levels)
+    s = levels[order]
+    n = levels.size
+    used = np.zeros(n, dtype=bool)
+    chains = []
+    for start in range(n):
+        if used[start]:
+            continue
+        ids = [start]
+        used[start] = True
+        cur = start
+        while True:
+            target = s[cur] + delta
+            j = np.searchsorted(s, target)
+            nxt = None
+            for cand in (j - 1, j):
+                if 0 <= cand < n and not used[cand] and abs(s[cand] - target) <= tol:
+                    nxt = cand
+                    break
+            if nxt is None:
+                break
+            ids.append(nxt)
+            used[nxt] = True
+            cur = nxt
+        chains.append(Chain(nu=float(s[ids[0]]), level_ids=tuple(int(order[i]) for i in ids)))
+    chains.sort(key=lambda c: c.nu)
+    near = []
+    for i in range(n):
+        target = s[i] + delta
+        j = np.searchsorted(s, target)
+        for cand in (j - 1, j, j + 1):
+            if 0 <= cand < n and cand != i:
+                mismatch = abs(s[cand] - s[i] - delta)
+                if tol < mismatch <= 10.0 * tol:
+                    near.append((int(order[i]), int(order[cand]), float(mismatch)))
+    return tuple(chains), tuple(near)
+
+
+def _greedy_corpus():
+    """(levels, delta, grouping_tol) cases, grouping_tol None for the default."""
+    rng = np.random.default_rng(11)
+    for _ in range(25):  # shuffled multi-chain spectra with stray levels
+        offsets = rng.choice(np.arange(200), size=int(rng.integers(1, 6)), replace=False) / 200.0
+        chains = [nu + np.arange(int(rng.integers(1, 12))) for nu in offsets]
+        stray = rng.random(int(rng.integers(0, 5))) * 10.0 + 0.0025
+        yield rng.permutation(np.concatenate(chains + [stray])), 1.0, None
+    for z in (0.1, 10.0, 1000.0):
+        yield power_state(z, 1.0).levels, 1.0, None
+    tol = 1e-6
+    for m in range(2, 10):  # near misses at 2-9 x tol, alone and inside a chain
+        yield np.array([0.0, 1.0 + m * tol]), 1.0, tol
+        yield rng.permutation([0.0, 1.0, 2.0 - m * tol, 3.0 - m * tol, 2.5]), 1.0, tol
+    for _ in range(5):  # jittered ladders: chain links and near misses mixed
+        yield rng.permutation(np.arange(30.0) + rng.uniform(-4.0, 4.0, 30) * tol), 1.0, tol
+    # 1 -+ 0.8 tol are 1.6 tol apart and both within tol of the target 1
+    yield np.array([0.0, 1.0 + 0.8 * tol, 1.0 - 0.8 * tol, 2.0]), 1.0, tol
+
+
+def test_greedy_walk_matches_the_per_level_loop():
+    cases = list(_greedy_corpus())
+    assert any(len(dec.chains) > 1 and dec.near_misses
+               for dec in (decompose_chains(lv, d, t) for lv, d, t in cases))
+    for levels, delta, tol in cases:
+        dec = decompose_chains(levels, delta, tol)
+        ref_tol = default_grouping_tol(levels, delta) if tol is None else tol
+        chains, near = greedy_loop_chains(np.asarray(levels, dtype=float), delta, ref_tol)
+        assert dec.grouping_tol == ref_tol
+        assert dec.chains == chains
+        assert [c.level_ids for c in dec.chains] == [c.level_ids for c in chains]
+        assert dec.near_misses == near
+        assert all(type(i) is int for c in dec.chains for i in c.level_ids)
+        assert all(type(x) is int for a, b, _ in dec.near_misses for x in (a, b))
+
+
+def test_two_levels_within_tol_of_one_target():
+    # the greedy takes the lower candidate; the upper one starts its own chain
+    tol = 1e-6
+    dec = decompose_chains([0.0, 1.0 + 0.8 * tol, 1.0 - 0.8 * tol, 2.0], 1.0, tol)
+    assert [c.level_ids for c in dec.chains] == [(0, 2, 3), (1,)]
 
 
 def test_ladder_is_one_chain():

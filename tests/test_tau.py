@@ -71,6 +71,22 @@ class TestTauOfState:
         rho = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
         assert tau_of_state(BatteryState.mixed(rho), ladder(2)).tau == pytest.approx(0.2)
 
+    def test_mixed_state_over_three_chains(self):
+        rng = np.random.default_rng(5)
+        levels = rng.permutation(np.concatenate(
+            [np.arange(4.0), 0.3 + np.arange(3.0), 0.6 + np.arange(2.0)]))
+        chains = decompose_chains(levels, 1.0)
+        assert [c.length for c in chains.chains] == [4, 3, 2]
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        expect = 0.0
+        for chain in chains.chains:
+            for lo, hi in zip(chain.level_ids[:-1], chain.level_ids[1:]):
+                expect += abs(rho[hi, lo])
+        assert 0.0 < expect < 1.0
+        assert tau_of_state(BatteryState.mixed(rho), chains).tau == pytest.approx(expect, abs=1e-14)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tau_of_state(BatteryState.pure([1.0, 0.0]), ladder(3))
