@@ -26,6 +26,7 @@ from .bessel import (
 )
 from .charact import (
     MembershipVerdict,
+    critical_degradation,
     fixed_distribution_feasible,
     membership_energy,
     membership_finite,

@@ -6,6 +6,7 @@ every element within t in operator norm. A slack optimum below tolerance
 yields the explicit decomposition; above tolerance the dual of the slack
 program is a Farkas functional that lower-bounds the distance of the POVM
 from the set, so non-membership always carries a quantitative margin.
+The largest t with degrade(M, t) reachable is one SDP (critical_degradation).
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ def _decide(prog: _SectorProgram, gap_bound: float | None = None) -> MembershipV
         return MembershipVerdict("non_member", slack, {
             "dual": sol.y.copy(), "dual_min_eig": min_eig,
             "dual_objective": b_dot_y, "margin": slack}, gap_bound)
+    return MembershipVerdict("member", slack, _member_certificate(prog, sol), gap_bound)
+
+
+def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
+    """A solved program's primal point, as verify_member_certificate reads it."""
     cert = {
         "blocks": {s: [sol.block(b) for b in per_x] for s, per_x in enumerate(prog.blocks)},
         "reconstruction": _reconstruct(prog, sol),
@@ -246,7 +252,7 @@ def _decide(prog: _SectorProgram, gap_bound: float | None = None) -> MembershipV
         cert["p"] = np.array([sol.scalar(v) for v in prog.p_vars])
     if prog.tail_var is not None:
         cert["tail_weight"] = sol.scalar(prog.tail_var)
-    return MembershipVerdict("member", slack, cert, gap_bound)
+    return cert
 
 
 def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
@@ -301,6 +307,35 @@ def finite_membership_program(m: Povm, d: int) -> sdp.BlockSdp:
 def membership_finite(m: Povm, d: int) -> MembershipVerdict:
     """Decide whether a qubit POVM is reachable with a d-level battery."""
     return _decide(_assemble_ladder(m, d))
+
+
+def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
+    """The largest t with degrade(m, t) reachable with d battery levels, and
+    the member certificate of degrade(m, t): one SDP, the raw ladder program
+    with each element's off-diagonal moved to a maximized scalar t <= 1.
+    Like _decide, it accepts the answer by checks, not by status: the primal
+    point holds to 10 MEMBER_TOL, y is dual feasible to MEMBER_TOL and b.y
+    exceeds t by at most 10 MEMBER_TOL; otherwise it raises.
+    """
+    if m.dim != 2:
+        raise ValueError("the ladder programs characterize qubit POVMs")
+    prog = _assemble_ladder(None, d, n_out=m.n_outcomes, slack=False)
+    p = prog.problem  # a with_rhs copy: its lists are its own
+    t = p.add_scalar("t")
+    p.add_inequality({t: 1.0}, 1.0)
+    for x, mx in enumerate(m.elements):
+        diag = np.diag(np.diag(mx))
+        placed = [(blk[x], rows, 1.0) for blk, rows in zip(prog.blocks, prog.sector_rows)]
+        p.add_matrix_equality(placed + [(t, diag - mx)], diag)
+    p.set_objective({t: 1.0})
+    sol = sdp.solve(p)
+    min_eig, worst = sol.program.primal_check(sol.x) if sol.x else (-np.inf, np.inf)
+    if (max(-min_eig, worst, sol.dual_objective - sol.objective) > 10 * MEMBER_TOL
+            or sol.program.dual_check(sol.y)[0] < -MEMBER_TOL):
+        raise RuntimeError(f"threshold program gave no checked answer: status {sol.status}, "
+                           f"bounds ({sol.objective}, {sol.dual_objective})")
+    # clipped: where no row holds t, it ends a rounding error above 1
+    return min(max(sol.scalar(t), 0.0), 1.0), _member_certificate(prog, sol)
 
 
 def optimize_finite(v: list[np.ndarray], d: int):

@@ -285,23 +285,18 @@ def check_chsh_seesaw_no_ancilla():
 @_check("membership-boundary",
         "member/non-member flip at cos(pi/(d+1)) +- 1e-6, d in {2,3,5,10}, <60s", limit=60.0)
 def check_membership_boundary():
+    # one threshold SDP per d; by convexity a member at t* - 1e-6 and a
+    # non-member at t* + 1e-6 prove that the verdicts flip between them
     mx = projective_qubit("x")
-    worst = 0.0
-    flips = {}
+    ok, flips = True, {}
     for d in (2, 3, 5, 10):
-        lo, hi = 0.0, 1.0
-        while hi - lo > 2e-7:
-            mid = 0.5 * (lo + hi)
-            v = charact.membership_finite(degrade(mx, mid), d)
-            if v.is_member:
-                lo = mid
-            else:
-                hi = mid
-        flip = 0.5 * (lo + hi)
-        ref = math.cos(math.pi / (d + 1))
-        flips[d] = flip
-        worst = max(worst, abs(flip - ref))
-    return worst <= 1e-6, {"worst_err": worst, "flips": flips}
+        t, _ = charact.critical_degradation(mx, d)
+        below, above = (charact.membership_finite(degrade(mx, t + s), d) for s in (-1e-6, 1e-6))
+        err = t - math.cos(math.pi / (d + 1))
+        ok = ok and below.is_member and not above.is_member and abs(err) <= 1e-6
+        flips[d] = {"t_star": t, "err": err, "slack_below": below.slack,
+                    "slack_above": above.slack}
+    return ok, {"worst_err": max(abs(f["err"]) for f in flips.values()), "flips": flips}
 
 
 @_check("effective-povm-oracle", "joint-space statistics match to 1e-12 on 100 random instances")

@@ -28,9 +28,9 @@ A program compiles once: compile() keeps its result until the program
 changes, and with_rhs() gives a program of the same shape with other
 right-hand sides (and objective) that shares the compiled structure, so a
 family of programs that differ only in their data is assembled once.
-Once the embedding has proved a program infeasible, an always-feasible
-phase-1 program gives its l1-optimal Farkas functional: y with A*(y) PSD,
-b.y < 0 and |y_i| <= 1, checkable directly on the raw problem data.
+An infeasible program keeps the embedding's own Farkas ray, scaled to
+max |y_i| = 1: y with A*(y) PSD and b.y < 0, checkable directly on the raw
+problem data.
 """
 
 from __future__ import annotations
@@ -243,21 +243,14 @@ class BlockSdp:
 
     # -- compiled view -----------------------------------------------------
 
-    def _rows(self):
-        """Block sizes, names and equality rows, with a slack scalar closing
-        each inequality."""
-        dims, names = list(self.block_dims), list(self.block_names)
-        rows = list(self.equalities)
-        for cs, rhs in self.inequalities:
-            dims.append(1)
-            names.append(f"slack{len(dims) - 1}")
-            rows.append(({**cs, len(dims) - 1: np.eye(1, dtype=complex)}, rhs))
-        return dims, names, rows
-
     def compile(self) -> _Compiled:
+        """The compiled program, with a slack scalar closing each inequality."""
         if self._compiled is None:
-            dims, _, rows = self._rows()
-            self._compiled = _Compiled(dims, rows, self.objective)
+            n, one = len(self.block_dims), np.eye(1, dtype=complex)
+            rows = self.equalities + [({**cs, n + k: one}, rhs)
+                                      for k, (cs, rhs) in enumerate(self.inequalities)]
+            self._compiled = _Compiled(self.block_dims + [1] * len(self.inequalities), rows,
+                                       self.objective)
         return self._compiled
 
     def to_json(self) -> dict:
@@ -479,15 +472,6 @@ class _Compiled:
 
 
 @dataclass
-class InfeasibilityCertificate:
-    """Farkas witness: A*(y) is PSD while b.y is strictly negative."""
-
-    y: np.ndarray
-    min_eig: float  # most negative eigenvalue of A*(y) across blocks
-    objective: float  # b . y
-
-
-@dataclass
 class SdpSolution:
     status: str  # optimal | infeasible | stalled | diverged | max_iter
     x: list[np.ndarray]
@@ -499,7 +483,6 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     iterations: int
-    certificate: InfeasibilityCertificate | None = None
     program: _Compiled | None = field(default=None, repr=False)  # the program solved
 
     def block(self, idx: int) -> np.ndarray:
@@ -511,7 +494,7 @@ class SdpSolution:
     def to_json(self) -> dict:
         """The solution as JSON data; a number that is not finite is null."""
         finite = lambda v: float(v) if np.isfinite(v) else None
-        out = {
+        return {
             "status": self.status,
             "objective": finite(self.objective),
             "dual_objective": finite(self.dual_objective),
@@ -522,13 +505,6 @@ class SdpSolution:
             "x": [matrix_to_json(m) for m in self.x],
             "y": [float(v) for v in self.y],
         }
-        if self.certificate is not None:
-            out["certificate"] = {
-                "y": [float(v) for v in self.certificate.y],
-                "min_eig": self.certificate.min_eig,
-                "objective": self.certificate.objective,
-            }
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -685,16 +661,18 @@ def _factor_schur(s):
     return lambda r: (u := solve(r)) + solve(r - s @ u)
 
 
-def _ipm(comp: _Compiled, tol: float, max_iter: int):
+def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
     """Homogeneous self-dual embedding of the program and its dual.
 
     X, Z PSD and tau, kappa >= 0 with A(X) = tau b, A*(y) - Z = tau C and
     kappa = <C, X> - b.y; then <X, Z> + tau kappa = 0, so a solution has
     tau > 0 and gives the optimum (X, y, Z) / tau, or kappa > 0 and gives a
     Farkas functional (b.y < 0, A*(y) = Z PSD) or an improving ray
-    (<C, X> > 0, A(X) = 0). Each step is one Cholesky factor of the Schur
-    complement, solved for the tau column and for the Mehrotra predictor
-    and corrector, and (X, tau) and (y, Z, kappa) share one step length.
+    (<C, X> > 0, A(X) = 0); a Farkas functional is returned as y scaled to
+    max |y_i| = 1, with no primal or dual point (see solve). Each step is
+    one Cholesky factor of the Schur complement, solved for the tau column
+    and for the Mehrotra predictor and corrector, and (X, tau) and
+    (y, Z, kappa) share one step length.
     X and Z are flat coordinate vectors (see _Compiled); groups of 1x1 and
     2x2 blocks scale as spin-factor cones (_Spin), larger ones by eigh.
     """
@@ -819,33 +797,23 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int):
             y = y + a * dy
             tau, kappa = tau + a * dtau, kappa + a * dkappa
 
-    return (status, comp.blocks(x / tau), y / tau, comp.blocks(z / tau), cx / tau, by / tau,
-            xz / tau ** 2, rel_p, rel_d, it)
+    if status == "infeasible":
+        y = y / np.max(np.abs(y))
+        return SdpSolution(status, [], y, [], np.nan, float(b @ y), np.nan, np.nan, np.nan,
+                           it, comp)
+    return SdpSolution(status, comp.blocks(x / tau), y / tau, comp.blocks(z / tau), cx / tau,
+                       by / tau, xz / tau ** 2, rel_p, rel_d, it, comp)
 
 
 # ---------------------------------------------------------------------------
 # Public solve
 # ---------------------------------------------------------------------------
 
-def _phase1(problem: BlockSdp) -> BlockSdp:
-    """min sum of |residual| slacks. Its dual optimum is the l1-optimal
-    Farkas functional: |y_i| <= 1, A*(y) PSD and b.y = -(least residual)."""
-    dims, names, rows = problem._rows()
-    p = BlockSdp(block_dims=dims, block_names=names)
-    m = len(rows)
-    sp = [p.add_scalar(f"r+{i}") for i in range(m)]
-    sm = [p.add_scalar(f"r-{i}") for i in range(m)]
-    one = np.eye(1, dtype=complex)
-    p.equalities = [({**cs, sp[i]: one, sm[i]: -one}, rhs) for i, (cs, rhs) in enumerate(rows)]
-    p.objective = {v: -one for v in sp + sm}
-    return p
-
-
-def verify_infeasibility_certificate(problem: BlockSdp, cert: InfeasibilityCertificate) -> bool:
-    """Re-check A*(y) PSD and b.y < 0 directly on the problem data, both to
-    CERT_TOL. A malformed certificate fails the check."""
+def verify_infeasibility_certificate(problem: BlockSdp, y) -> bool:
+    """Re-check a Farkas functional y, A*(y) PSD and b.y < 0, directly on
+    the problem data, both to CERT_TOL. A malformed y fails the check."""
     try:
-        min_eig, b_dot_y = problem.compile().dual_check(cert.y, farkas=True)
+        min_eig, b_dot_y = problem.compile().dual_check(y, farkas=True)
     except (KeyError, ValueError, TypeError, SdpError):
         return False
     return min_eig >= -CERT_TOL and b_dot_y < -CERT_TOL
@@ -858,25 +826,15 @@ def solve(problem: BlockSdp, tol: float = DEFAULT_TOL,
     Deterministic for identical inputs. The status is 'optimal' (relative
     residuals and gap all at most tol), 'infeasible' or the reason the
     iteration stopped early ('stalled', 'diverged' or 'max_iter'), whose
-    last iterate is returned; an improving ray raises SdpError. An
-    infeasible program carries the l1-optimal Farkas functional of the
-    phase-1 program, which runs only then. Its
-    y and dual_objective are the certificate's y and b.y; it has no primal
-    or dual point, so x and z are empty and the objective, gap and
-    residuals are nan (the embedding's iterate divided by a vanishing tau
-    would mean nothing).
+    last iterate is returned; an improving ray raises SdpError. One
+    interior-point run answers every case. An infeasible program's y is the
+    embedding's Farkas functional, scaled to max |y_i| = 1 (check it with
+    verify_infeasibility_certificate), and dual_objective is its b.y; it
+    has no primal or dual point, so x and z are empty and the objective,
+    gap and residuals are nan (the embedding's iterate divided by a
+    vanishing tau would mean nothing).
     """
     comp = problem.compile()
     if comp.b.size == 0:
         raise SdpError("problem has no constraints")
-    status, x, y, z, pobj, dobj, gap, rel_p, rel_d, it = _ipm(comp, tol, max_iter)
-    cert = None
-    if status == "infeasible":
-        _, _, y1, *_, it1 = _ipm(_phase1(problem).compile(), min(tol, 1e-9), max_iter)
-        cert = InfeasibilityCertificate(y1, *comp.dual_check(y1, farkas=True))
-        it += it1
-        x, y, z, dobj = [], cert.y, [], cert.objective
-        pobj = gap = rel_p = rel_d = np.nan
-    return SdpSolution(status=status, x=x, y=y, z=z, objective=pobj, dual_objective=dobj,
-                       gap=gap, primal_residual=rel_p, dual_residual=rel_d, iterations=it,
-                       certificate=cert, program=comp)
+    return _ipm(comp, tol, max_iter)

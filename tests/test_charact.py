@@ -91,6 +91,61 @@ class TestMembershipFinite:
                 assert (not a) or b
 
 
+class TestCriticalDegradation:
+    @pytest.mark.parametrize("target", [projective_qubit("x"), projective_qubit("y"),
+                                        degrade(projective_qubit("x"), 1.0, phase=0.7)],
+                             ids=["x", "y", "phase"])
+    def test_threshold_is_cos_pi_over_d_plus_1(self, target):
+        for d in range(2, 65):
+            t, _ = charact.critical_degradation(target, d)
+            assert abs(t - math.cos(math.pi / (d + 1))) <= 1e-7, d
+
+    def test_energy_diagonal_and_single_level(self):
+        diag = Povm(elements=[np.diag([0.3, 0.8]).astype(complex),
+                              np.diag([0.7, 0.2]).astype(complex)])
+        assert charact.critical_degradation(diag, 3)[0] == pytest.approx(1.0, abs=1e-7)
+        assert charact.critical_degradation(sigma_x_povm(), 1)[0] == pytest.approx(0.0, abs=1e-7)
+
+    def test_random_povms_flip_at_the_threshold(self):
+        # +1e-4, not +1e-6, above: where the off-diagonals are small the
+        # slack 1e-6 above t* is below MEMBER_TOL and reads as a member
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            n, d = int(rng.integers(2, 5)), int(rng.integers(2, 11))
+            m = random_rank_one_povm(rng, 2, n)
+            t, cert = charact.critical_degradation(m, d)
+            assert membership_finite(degrade(m, t - 1e-6), d).is_member
+            assert not membership_finite(degrade(m, min(1.0, t + 1e-4)), d).is_member
+            assert verify_member_certificate(
+                degrade(m, t), cert, lambda m, d=d: charact._assemble_ladder(m, d, slack=False))
+
+    def test_stalled_solve_is_returned_by_its_checks(self, monkeypatch):
+        # the answer is accepted by its primal and dual checks, not by status
+        solved = []
+        solve = sdp.solve
+
+        def recorded(problem):
+            solved.append(solve(problem))
+            return solved[-1]
+
+        monkeypatch.setattr(sdp, "solve", recorded)
+        rng = np.random.default_rng(215)
+        n, d = int(rng.integers(2, 5)), int(rng.integers(2, 21))  # 4 outcomes, d = 19
+        m = random_rank_one_povm(rng, 2, n)
+        t, cert = charact.critical_degradation(m, d)
+        assert [s.status for s in solved] == ["stalled"]
+        assert 0.999 < t < 1.0
+        assert verify_member_certificate(
+            degrade(m, t), cert, lambda m: charact._assemble_ladder(m, d, slack=False))
+
+    def test_rejects_qutrits_and_empty_ladders(self):
+        qutrit = Povm(elements=[np.diag(v).astype(complex) for v in ([1, 0, 0], [0, 1, 1])])
+        with pytest.raises(ValueError):
+            charact.critical_degradation(qutrit, 3)
+        with pytest.raises(ValueError):
+            charact.critical_degradation(sigma_x_povm(), 0)
+
+
 class TestOptimizeFinite:
     def test_plus_minus_discrimination_d1(self):
         plus = 0.5 * np.array([[1, 1], [1, 1]], complex)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -112,8 +111,28 @@ class TestDualityAndCertificates:
         p.add_equality({s: 1.0}, -1.0)
         sol = solve(p, max_iter=80)
         assert sol.status == "infeasible"
-        assert verify_infeasibility_certificate(p, sol.certificate)
-        assert sol.certificate.objective < -1e-7
+        assert verify_infeasibility_certificate(p, sol.y)
+        assert sol.dual_objective < -sdp.CERT_TOL
+
+    def test_infeasible_solve_is_one_run_with_a_unit_ray(self, monkeypatch):
+        # the embedding's own Farkas ray, scaled to max |y_i| = 1, is the
+        # answer: no second program runs (a phase-1 rerun made 13 iterations)
+        runs = []
+        ipm = sdp._ipm
+
+        def counted(*args):
+            runs.append(ipm(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sdp, "_ipm", counted)
+        p = BlockSdp()
+        s = p.add_scalar()
+        p.add_equality({s: 1.0}, -1.0)
+        sol = solve(p, max_iter=80)
+        assert sol.status == "infeasible" and len(runs) == 1
+        assert sol.iterations == 6
+        assert np.max(np.abs(sol.y)) == 1.0
+        assert sol.dual_objective == float(sol.program.b @ sol.y)
 
     def test_matrix_infeasibility_certificate(self):
         p = BlockSdp()
@@ -122,11 +141,10 @@ class TestDualityAndCertificates:
         p.add_equality({x: 2.0 * np.eye(2)}, 5.0)
         sol = solve(p, max_iter=80)
         assert sol.status == "infeasible"
-        assert verify_infeasibility_certificate(p, sol.certificate)
+        assert verify_infeasibility_certificate(p, sol.y)
         # a wrong or malformed y fails the check instead of raising
-        for y in (-sol.certificate.y, sol.certificate.y[:1], "ab", None):
-            assert not verify_infeasibility_certificate(
-                p, dataclasses.replace(sol.certificate, y=y))
+        for y in (-sol.y, sol.y[:1], "ab", None):
+            assert not verify_infeasibility_certificate(p, y)
 
     def test_infeasible_solution_carries_only_the_certificate(self):
         p = BlockSdp()
@@ -135,12 +153,11 @@ class TestDualityAndCertificates:
         p.add_equality({x: 2.0 * np.eye(2)}, 5.0)
         sol = solve(p, max_iter=80)
         assert sol.status == "infeasible"
-        assert sol.dual_objective == sol.certificate.objective
-        assert np.array_equal(sol.y, sol.certificate.y)
+        assert sol.dual_objective == sol.program.dual_check(sol.y, farkas=True)[1]
         assert math.isnan(sol.objective) and math.isnan(sol.gap)
         assert sol.x == [] and sol.z == []
         json.dumps(sol.to_json(), allow_nan=False)
-        assert verify_infeasibility_certificate(p, sol.certificate)
+        assert verify_infeasibility_certificate(p, sol.y)
 
     def test_membership_program_feasibility_flip(self):
         # the raw decomposition program flips feasible -> infeasible at the
@@ -149,12 +166,12 @@ class TestDualityAndCertificates:
         tau3 = math.cos(math.pi / 4)
         prog = charact._assemble_ladder(degrade(mx, tau3), 3, slack=False)
         sol = solve(prog.problem)
-        assert sol.status in ("optimal", "feasible")
+        assert sol.status == "optimal"
         prog = charact._assemble_ladder(degrade(mx, tau3 + 0.01), 3, slack=False)
         sol = solve(prog.problem, max_iter=120)
         assert sol.status == "infeasible"
-        assert verify_infeasibility_certificate(prog.problem, sol.certificate)
-        assert sol.certificate.objective == pytest.approx(-0.01, abs=1e-4)
+        assert verify_infeasibility_certificate(prog.problem, sol.y)
+        assert sol.dual_objective < -sdp.CERT_TOL
 
 
 class TestDeterminism:
