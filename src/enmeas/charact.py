@@ -7,6 +7,7 @@ yields the explicit decomposition; above tolerance the dual of the slack
 program is a Farkas functional that lower-bounds the distance of the POVM
 from the set, so non-membership always carries a quantitative margin.
 The largest t with degrade(M, t) reachable is one SDP (critical_degradation).
+Every answer is accepted by its solution's checked bounds (sdp.SdpSolution).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from . import sdp
 from .povm import Povm
 from .spectra import joint_eigenspaces
 from .tau import BatteryState
-
-MEMBER_TOL = 1e-7  # membership's residual bound, and every certificate check's
 
 
 @dataclass
@@ -216,30 +215,20 @@ def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]
 def _decide(prog: _SectorProgram, gap_bound: float | None = None) -> MembershipVerdict:
     """Solve a slack program and decide; the slack is the dual bound max(0, -b.y).
 
-    The verdict that slack gives is checked on the solved program, whatever
-    the solver's status: a member's primal point must be PSD, hold every row
-    and have a slack t, all to 10 MEMBER_TOL; a non-member's y must be dual
-    feasible to MEMBER_TOL, so that weak duality makes -b.y a lower bound on
-    every decomposition's residual. A failed check raises. A member's
-    certificate is the checked primal point; a non-member's carries the
-    dual check that admitted it.
+    A member needs the solution's lower >= -10 CERT_TOL and a non-member
+    a finite upper, and a failed check raises. A member's certificate is
+    the checked primal point; a non-member's carries the dual check.
     """
     sol = sdp.solve(prog.problem)
     slack = max(0.0, -sol.dual_objective)
-    if slack <= MEMBER_TOL:
-        min_eig, worst = sol.program.primal_check(sol.x)
-        checked = max(-min_eig, worst, -sol.objective) <= 10 * MEMBER_TOL
-    else:
-        min_eig, b_dot_y = sol.program.dual_check(sol.y)
-        checked = min_eig >= -MEMBER_TOL
-    if not checked:
-        raise RuntimeError(f"membership program gave no checked verdict: status "
-                           f"{sol.status}, bounds ({-sol.objective}, {slack})")
-    if slack > MEMBER_TOL:
-        return MembershipVerdict("non_member", slack, {
-            "dual": sol.y.copy(), "dual_min_eig": min_eig,
-            "dual_objective": b_dot_y, "margin": slack}, gap_bound)
-    return MembershipVerdict("member", slack, _member_certificate(prog, sol), gap_bound)
+    if slack > sdp.CERT_TOL:
+        if sol.upper < np.inf:
+            return MembershipVerdict("non_member", slack, {
+                "dual": sol.y.copy(), "dual_min_eig": sol.dual_min_eig,
+                "dual_objective": sol.dual_objective, "margin": slack}, gap_bound)
+    elif sol.lower >= -10 * sdp.CERT_TOL:
+        return MembershipVerdict("member", slack, _member_certificate(prog, sol), gap_bound)
+    raise sdp.SdpError(f"membership verdict failed its check: status {sol.status}")
 
 
 def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
@@ -260,7 +249,7 @@ def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
 
     The certificate's blocks, populations p and tail weight take their
     places in it; every block must be PSD and every row must hold to
-    10 MEMBER_TOL. A missing or mis-shaped entry fails the check.
+    10 CERT_TOL. A missing or mis-shaped entry fails the check.
     """
     prog = builder(m)
     x = [None] * len(prog.problem.block_dims)
@@ -276,7 +265,7 @@ def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
         min_eig, worst = prog.problem.primal_check(x)
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    return min_eig >= -10 * MEMBER_TOL and worst <= 10 * MEMBER_TOL
+    return min_eig >= -10 * sdp.CERT_TOL and worst <= 10 * sdp.CERT_TOL
 
 
 def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
@@ -289,10 +278,10 @@ def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
     """
     try:
         min_eig, b_dot_y = builder(m).problem.compile().dual_check(cert["dual"])
-        bound = -max(MEMBER_TOL, 0.5 * cert["margin"])
+        bound = -max(sdp.CERT_TOL, 0.5 * cert["margin"])
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    return min_eig >= -MEMBER_TOL and b_dot_y < bound
+    return min_eig >= -sdp.CERT_TOL and b_dot_y < bound
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +302,6 @@ def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
     """The largest t with degrade(m, t) reachable with d battery levels, and
     the member certificate of degrade(m, t): one SDP, the raw ladder program
     with each element's off-diagonal moved to a maximized scalar t <= 1.
-    Like _decide, it accepts the answer by checks, not by status: the primal
-    point holds to 10 MEMBER_TOL, y is dual feasible to MEMBER_TOL and b.y
-    exceeds t by at most 10 MEMBER_TOL; otherwise it raises.
     """
     if m.dim != 2:
         raise ValueError("the ladder programs characterize qubit POVMs")
@@ -329,11 +315,7 @@ def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
         p.add_matrix_equality(placed + [(t, diag - mx)], diag)
     p.set_objective({t: 1.0})
     sol = sdp.solve(p)
-    min_eig, worst = sol.program.primal_check(sol.x) if sol.x else (-np.inf, np.inf)
-    if (max(-min_eig, worst, sol.dual_objective - sol.objective) > 10 * MEMBER_TOL
-            or sol.program.dual_check(sol.y)[0] < -MEMBER_TOL):
-        raise RuntimeError(f"threshold program gave no checked answer: status {sol.status}, "
-                           f"bounds ({sol.objective}, {sol.dual_objective})")
+    sol.bracket()
     # clipped: where no row holds t, it ends a rounding error above 1
     return min(max(sol.scalar(t), 0.0), 1.0), _member_certificate(prog, sol)
 
@@ -341,16 +323,13 @@ def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
 def optimize_finite(v: list[np.ndarray], d: int):
     """Maximize sum_x tr(M_x V_x) over POVMs reachable with d battery levels.
 
-    Returns (value, optimal Povm, SdpSolution); the dual solution certifies
-    the value from above within the solver gap.
+    Returns (value, optimal Povm, SdpSolution), the value in its bracket().
     """
     v = [np.asarray(x, dtype=complex) for x in v]
     prog = _assemble_ladder(None, d, n_out=len(v), slack=False, objective=v)
     sol = sdp.solve(prog.problem)
-    if sol.status != "optimal":
-        raise RuntimeError(f"optimization did not converge: {sol.status}")
-    elems = _reconstruct(prog, sol)
-    return sol.objective, Povm(elements=elems, tol=1e-6), sol
+    sol.bracket()
+    return sol.objective, Povm(elements=_reconstruct(prog, sol), tol=1e-6), sol
 
 
 def membership_energy(m: Povm, ebar: float, delta: float, d: int) -> MembershipVerdict:
@@ -380,27 +359,22 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int) -> MembershipV
 def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     """Bracket max sum_x tr(M_x V_x) over the bounded-energy set.
 
-    Returns (upper, lower, inner-feasible Povm, gap): the outer relaxation
-    upper-bounds the unknown optimum, the inner truncation provides an
-    attaining POVM, and the gap shrinks as O(ebar / (delta d)).
+    Returns (upper, lower, inner-feasible Povm, gap): the outer relaxation's
+    upper bound, the inner truncation's lower bound and attaining POVM; the
+    gap shrinks as O(ebar / (delta d)). A bound that fails its check raises.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     v = [np.asarray(x, dtype=complex) for x in v]
     z = ebar / delta
-    outer = _assemble_ladder(None, d, n_out=len(v), outer=True,
-                             energy_cap=z, slack=False, objective=v)
-    sol_o = sdp.solve(outer.problem)
-    inner = _assemble_ladder(None, d, n_out=len(v), energy_cap=z,
-                             slack=False, objective=v)
+    outer = _assemble_ladder(None, d, n_out=len(v), outer=True, energy_cap=z, slack=False,
+                             objective=v)
+    upper = sdp.solve(outer.problem).upper
+    inner = _assemble_ladder(None, d, n_out=len(v), energy_cap=z, slack=False, objective=v)
     sol_i = sdp.solve(inner.problem)
-    if sol_o.status != "optimal" or sol_i.status != "optimal":
-        raise RuntimeError(
-            f"energy optimization did not converge: outer {sol_o.status}, inner {sol_i.status}")
-    # certified bracket: the outer dual bounds the relaxation from above,
-    # the inner primal is (near-)attained, so the gap absorbs solver error
-    upper = max(sol_o.objective, sol_o.dual_objective)
-    lower = min(sol_i.objective, sol_i.dual_objective)
+    lower = sol_i.lower
+    if not np.isfinite(upper - lower):
+        raise sdp.SdpError(f"energy bounds failed their checks: ({lower}, {upper})")
     povm = Povm(elements=_reconstruct(inner, sol_i), tol=1e-6)
     return upper, lower, povm, upper - lower
 
@@ -455,7 +429,7 @@ def universal_state_check(sigma: BatteryState, d: int, trials: int = 60, seed: i
         if not verdict.is_member:
             continue  # solver noise pushed the candidate marginally outside
         ok, slack, cert = fixed_distribution_feasible(cand, q)
-        if not ok and slack > 10 * MEMBER_TOL:
+        if not ok and slack > 10 * sdp.CERT_TOL:
             return {
                 "trial": trial,
                 "povm": cand,

@@ -317,10 +317,11 @@ def _leaf(sub, name, fn, **kw) -> argparse.ArgumentParser:
     return p
 
 
-def _add_io(p, formats=("json",)):
-    """--out, and --format among formats; the first is the default."""
+def _add_io(p, formats=()):
+    """--out, and --format among formats if given; the first is the default."""
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument("--format", choices=formats, default=formats[0])
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _add_sweep(p):
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(sub, "power-state", _cmd_power_state, help="bounded-energy state maximizing tau")
     p.add_argument("--ebar", type=float, required=True)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--out")
+    _add_io(p)
 
     p = sub.add_parser("povm", help="POVM utilities")
     povm_sub = p.add_subparsers(dest="povm_cmd", required=True)

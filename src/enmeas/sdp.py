@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,7 +47,7 @@ from .linalg import matrix_to_json
 
 DEFAULT_TOL = 1e-8  # relative primal and dual residuals and duality gap
 DEFAULT_MAX_ITER = 200
-CERT_TOL = 1e-7  # a Farkas functional's dual-cone slack and least margin
+CERT_TOL = 1e-7  # dual and Farkas cone slack; x's cone and rows, and a bracket, to 10x
 
 
 class SdpError(RuntimeError):
@@ -473,6 +473,9 @@ class _Compiled:
 
 @dataclass
 class SdpSolution:
+    """A solve's iterate. A caller accepts it by its bounds lower, upper and
+    bracket(), checked (not verified) on first read, not by its status."""
+
     status: str  # optimal | infeasible | stalled | diverged | max_iter
     x: list[np.ndarray]
     y: np.ndarray
@@ -484,6 +487,31 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     program: _Compiled | None = field(default=None, repr=False)  # the program solved
+
+    @cached_property
+    def lower(self) -> float:
+        """min(objective, dual_objective) if x is PSD and holds its rows to
+        10 CERT_TOL, else -inf."""
+        min_eig, worst = self.program.primal_check(self.x) if self.x else (-np.inf, 0.0)
+        ok = min_eig >= -10 * CERT_TOL and worst <= 10 * CERT_TOL
+        return min(self.objective, self.dual_objective) if ok else -np.inf
+
+    @cached_property
+    def dual_min_eig(self) -> float:
+        """The least eigenvalue of A*(y) - C over the blocks."""
+        return self.program.dual_check(self.y)[0]
+
+    @cached_property
+    def upper(self) -> float:
+        """max(objective, dual_objective) if A*(y) - C >= -CERT_TOL (weak duality), else +inf."""
+        ok = self.dual_min_eig >= -CERT_TOL
+        return float(np.fmax(self.objective, self.dual_objective)) if ok else np.inf
+
+    def bracket(self) -> tuple[float, float]:
+        """(lower, upper); SdpError when they lie more than 10 CERT_TOL apart."""
+        if not self.upper - self.lower <= 10 * CERT_TOL:
+            raise SdpError(f"open bracket: status {self.status}, ({self.lower}, {self.upper})")
+        return self.lower, self.upper
 
     def block(self, idx: int) -> np.ndarray:
         return self.x[idx]

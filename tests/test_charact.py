@@ -108,7 +108,7 @@ class TestCriticalDegradation:
 
     def test_random_povms_flip_at_the_threshold(self):
         # +1e-4, not +1e-6, above: where the off-diagonals are small the
-        # slack 1e-6 above t* is below MEMBER_TOL and reads as a member
+        # slack 1e-6 above t* is below sdp.CERT_TOL and reads as a member
         rng = np.random.default_rng(17)
         for _ in range(8):
             n, d = int(rng.integers(2, 5)), int(rng.integers(2, 11))

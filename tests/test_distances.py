@@ -174,8 +174,12 @@ class TestQuantum:
         for _ in range(5):
             a, b = random_two_outcome(rng), random_two_outcome(rng)
             dc = classical_distance(a, b).value
-            dq = quantum_distance(a, b).value
-            assert dq == pytest.approx(dc, abs=1e-6)
+            r = quantum_distance(a, b)
+            assert r.value == pytest.approx(dc, abs=1e-6)
+            # the bounds are checked, not verified: dist_C may lie just
+            # outside them (5.0e-10 at most on 40 pairs, widths 1.9e-10)
+            lower, upper = r.witness["bounds"]
+            assert lower - 1e-9 <= dc <= upper + 1e-9
 
     def test_seesaw_confirms_sdp(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,8 @@ class TestAgainstLinprog:
 
 class TestDualityAndCertificates:
     def test_weak_duality_on_random_instances(self):
+        # and the checked bounds: a perturbed y reads upper = inf, a
+        # perturbed x lower = -inf, and then the bracket raises
         rng = np.random.default_rng(1)
         for _ in range(5):
             p = BlockSdp()
@@ -104,6 +107,15 @@ class TestDualityAndCertificates:
             p.set_objective({x: h})
             sol = solve(p)
             assert sol.dual_objective >= sol.objective - 1e-8
+            lower, upper = sol.bracket()
+            assert lower - 1e-8 <= np.linalg.eigvalsh(h)[-1] <= upper + 1e-8
+            bad_y = replace(sol, y=sol.y - 1e-3)
+            bad_x = replace(sol, x=[sol.x[0] - 1e-3 * np.eye(3)])
+            assert bad_y.upper == np.inf and bad_y.lower == lower
+            assert bad_x.lower == -np.inf and bad_x.upper == upper
+            for bad in (bad_y, bad_x):
+                with pytest.raises(SdpError, match="status optimal"):
+                    bad.bracket()
 
     def test_scalar_infeasibility_certificate(self):
         p = BlockSdp()
@@ -156,6 +168,9 @@ class TestDualityAndCertificates:
         assert sol.dual_objective == sol.program.dual_check(sol.y, farkas=True)[1]
         assert math.isnan(sol.objective) and math.isnan(sol.gap)
         assert sol.x == [] and sol.z == []
+        assert sol.lower == -np.inf
+        with pytest.raises(SdpError):
+            sol.bracket()
         json.dumps(sol.to_json(), allow_nan=False)
         assert verify_infeasibility_certificate(p, sol.y)
 
@@ -607,3 +622,59 @@ def test_no_eigh_on_a_qubit_program(monkeypatch):
     qutrit = [random_rank_one_povm(rng, 3, 3) for _ in range(2)]
     assert distances.quantum_distance(*qutrit).value > 0
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# Every caller accepts a solution by its checked bounds, not by its status
+# ---------------------------------------------------------------------------
+
+CALLERS = {
+    "member": lambda: charact.membership_finite(degrade(projective_qubit("x"), 0.5), 3),
+    "non_member": lambda: charact.membership_finite(degrade(projective_qubit("x"), 0.99), 3),
+    "critical_degradation": lambda: charact.critical_degradation(projective_qubit("x"), 3),
+    "optimize_finite": lambda: charact.optimize_finite(list(projective_qubit("x").elements), 3),
+    "optimize_energy": lambda: charact.optimize_energy(list(projective_qubit("x").elements),
+                                                       2.0, 1.0, 8),
+    "quantum_distance": lambda: distances.quantum_distance(projective_qubit("x"),
+                                                           projective_qubit("z")),
+}
+
+
+@pytest.mark.parametrize("caller, side, raises", [
+    ("member", "x", True), ("member", "y", False), ("non_member", "y", True),
+    ("non_member", "x", False)] + [(c, side, True) for side in "xy" for c in (
+        "critical_degradation", "optimize_finite", "optimize_energy", "quantum_distance")])
+def test_a_failed_check_raises_in_every_caller(caller, side, raises, monkeypatch):
+    """sdp.solve returns its solution with x shifted by -I or y moved by
+    seeded noise, so that lower or upper fails its check. A verdict reads
+    only the bound that proves it; every other caller reads both."""
+    solve_fn, rng = sdp.solve, np.random.default_rng(3)
+
+    def doctored(*args, **kwargs):
+        sol = solve_fn(*args, **kwargs)
+        if side == "x":
+            return replace(sol, x=[b - np.eye(len(b)) for b in sol.x])
+        return replace(sol, y=sol.y + rng.standard_normal(sol.y.shape))
+
+    CALLERS[caller]()
+    monkeypatch.setattr(sdp, "solve", doctored)
+    if raises:
+        with pytest.raises(SdpError, match="status optimal|bounds failed"):
+            CALLERS[caller]()
+    else:
+        CALLERS[caller]()
+
+
+@pytest.mark.parametrize("caller", ["optimize_finite", "quantum_distance"])
+def test_a_solve_stopped_by_max_iter_is_returned_once_its_bracket_closes(caller, monkeypatch):
+    solved, solve_fn = [], sdp.solve
+    value = lambda r: r[0] if isinstance(r, tuple) else r.value
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: solved.append(solve_fn(*a, **k))
+                        or solved[-1])
+    want = value(CALLERS[caller]())
+    stop = solved[0].iterations - 1  # one step short of the solver's tolerance
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: solved.append(
+        solve_fn(*a, **k, max_iter=stop)) or solved[-1])
+    got = value(CALLERS[caller]())
+    assert [s.status for s in solved] == ["optimal", "max_iter"]
+    assert got == pytest.approx(want, abs=1e-6)
