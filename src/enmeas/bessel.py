@@ -9,10 +9,12 @@ where mu(lambda) solves the transcendental equation  j_{mu-1,1} = 2 lambda
 minimand is a global minimum, so Brent's search on a bracket is exact.
 Large orders take the series j_{nu,1} = nu + C1 nu^(1/3) + ..., so phi is
 defined for every z > 0, and its search keeps 1 - phi to full relative
-precision.
+precision; smaller orders find the zero by a safeguarded Halley iteration
+started from that series or from a unit-step bracket.
 The optimizing battery states ("power states") are the ground vector of the
 associated tridiagonal operator H_lambda = diag(k) - lambda * (hop + hop'),
-found by a tridiagonal eigensolver on a window past its turning point.
+found on a window past its turning point by inverse iteration at its bottom
+eigenvalue, which phi's minimizer fixes in advance.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brent, brentq
 from scipy.special import ai_zeros, jv
 
 from .tau import BatteryState
 
-# j_{nu,1} = nu + sum_i C_i nu^(P_i / 3) for large nu (DLMF 10.21.40), with the
-# coefficients written through C1 = |a_1| / 2^(1/3), a_1 the first zero of Ai
+# j_{nu,1} = nu + nu^(1/3) sum_i c_i nu^(-2i/3), i = 0..4, for large nu (DLMF
+# 10.21.40), with the coefficients written through c_0 = C1 = |a_1| / 2^(1/3),
+# a_1 the first zero of Ai
 AIRY_C1 = -float(ai_zeros(1)[0][0]) / 2.0 ** (1.0 / 3.0)
 _SERIES_C = (
     AIRY_C1,
@@ -37,7 +40,6 @@ _SERIES_C = (
     -(479.0 * AIRY_C1 ** 4 + 20.0 * AIRY_C1) / 63000.0,
     (20231.0 * AIRY_C1 ** 5 - 27506.0 * AIRY_C1 ** 2) / 8085000.0,
 )
-_SERIES_P = (1, -1, -3, -5, -7)
 # from this order on the first omitted term (~5e-4 nu^-3) is below 1e-12
 _SERIES_MIN_ORDER = 1000.0
 # power states end where a population falls below this share of those before it
@@ -59,23 +61,28 @@ def bessel_j(nu: float, x: float) -> float:
         raise ValueError("nu must be >= 0")
     if x < 0:
         raise ValueError("x must be >= 0")
+    if x > 1e9 or nu > 1e9:
+        raise BesselRangeError(f"J_nu out of supported range: nu={nu}, x={x}")
     return _jv_checked(nu, x)
 
 
-def _jv_checked(nu: float, x: float) -> float:
-    if x > 1e9 or nu > 1e9:
-        raise BesselRangeError(f"J_nu out of supported range: nu={nu}, x={x}")
-    val = float(jv(nu, x))
-    if not math.isfinite(val):
+def _jv_checked(nu, x):
+    """jv(nu, x) in one call: a float, or a list of floats for array
+    arguments; BesselRangeError when a value is not finite."""
+    val = jv(nu, x).tolist()
+    if not all(map(math.isfinite, val if isinstance(val, list) else (val,))):
         raise BesselRangeError(f"J_{nu}({x}) did not evaluate to a finite value")
     return val
 
 
 def _series_excess(nu: float) -> tuple[float, float]:
-    """j_{nu,1} - nu and its derivative in nu from the large-order series."""
+    """j_{nu,1} - nu and its derivative in nu from the large-order series,
+    as t times a polynomial in s = nu^(-2/3), t = nu^(1/3)."""
     t = nu ** (1.0 / 3.0)
-    excess = sum(c * t ** p for c, p in zip(_SERIES_C, _SERIES_P))
-    slope = sum(c * p / 3.0 * t ** (p - 3) for c, p in zip(_SERIES_C, _SERIES_P))
+    s = 1.0 / (t * t)
+    c0, c1, c2, c3, c4 = _SERIES_C
+    excess = t * (c0 + s * (c1 + s * (c2 + s * (c3 + s * c4))))
+    slope = s / 3.0 * (c0 - s * (c1 + s * (3.0 * c2 + s * (5.0 * c3 + s * 7.0 * c4))))
     return excess, slope
 
 
@@ -83,35 +90,61 @@ def _first_zero_any(nu: float) -> float:
     """First positive zero of J_nu for any order nu > -1.
 
     Orders from 1000 on take the large-order series, exact there to double
-    precision.  Orders above 5 root-find on the Airy-zone bracket
-    [nu + 1.2 nu^(1/3), nu + 2.4 nu^(1/3) + 2 nu^(-1/3)].  Smaller orders
-    expand rightward from a certified positive start (j_{nu,1} exceeds
-    sqrt((nu+1)(nu+3)) for every nu > -1) until the sign flips, which
-    cannot skip a zero because consecutive zeros are separated by more
-    than 3 in this regime, and takes at most nine unit steps since
-    j_{5,1} < 9.
+    precision.  Below that a safeguarded Halley iteration runs inside a
+    bracket [lo, hi] with J_nu(lo) > 0 >= J_nu(hi).  Orders above 5 take the
+    Airy-zone bracket [nu + 1.2 nu^(1/3), nu + 2.4 nu^(1/3) + 2 nu^(-1/3)]
+    and start from the series.  Smaller orders expand rightward from a
+    certified positive start (j_{nu,1} exceeds sqrt((nu+1)(nu+3)) for every
+    nu > -1) in unit steps until the sign flips, which cannot skip a zero
+    because consecutive zeros are separated by more than 3 in this regime,
+    and takes at most nine steps since j_{5,1} < 9; they start from the
+    midpoint.  Each step evaluates J_nu and J_{nu+1} in one call, takes
+    J' = (nu/x) J_nu - J_{nu+1} from the recurrence and J'' from Bessel's
+    equation, and moves the bracket end of J's sign to the iterate; a step
+    that would leave the bracket bisects it instead.  Halley's step is
+    cubically convergent, so once it is below 1e-6 relative the zero is
+    exact to rounding.
     """
     if nu <= -1:
         raise ValueError("nu must exceed -1")
     if nu >= _SERIES_MIN_ORDER:
         return nu + _series_excess(nu)[0]
-    f = lambda x: _jv_checked(nu, x)
     if nu > 5.0:
         t = nu ** (1.0 / 3.0)
         lo, hi = nu + 1.2 * t, nu + 2.4 * t + 2.0 / t
+        f_lo, f_hi = _jv_checked(nu, np.array([lo, hi]))
+        x = nu + _series_excess(nu)[0]
     else:
         lo = 0.95 * math.sqrt((nu + 1.0) * (nu + 3.0))
         if nu > 1.0:
-            lo = max(lo, nu + 1.0 * nu ** (1.0 / 3.0))
-        hi = lo
+            lo = max(lo, nu + nu ** (1.0 / 3.0))
+        f_lo = _jv_checked(nu, lo)
         for _ in range(10):
-            hi += 1.0
-            if f(hi) <= 0.0:
+            hi, f_hi = lo + 1.0, _jv_checked(nu, lo + 1.0)
+            if f_hi <= 0.0:
                 break
-        lo = hi - 1.0
-    if not f(lo) > 0.0 >= f(hi):
+            lo, f_lo = hi, f_hi
+        x = 0.5 * (lo + hi)
+    if not f_lo > 0.0 >= f_hi:
         raise BesselRangeError(f"failed to bracket the first zero of J_{nu} in [{lo}, {hi}]")
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
+    orders = np.array([nu, nu + 1.0])
+    for _ in range(100):
+        j0, j1 = _jv_checked(orders, x)
+        if j0 > 0.0:
+            lo = x
+        elif j0 < 0.0:
+            hi = x
+        else:
+            return x
+        d1 = nu / x * j0 - j1
+        d2 = -d1 / x - (1.0 - (nu / x) ** 2) * j0
+        newton = j0 / d1
+        step = newton / (1.0 - 0.5 * newton * d2 / d1)
+        x_new = x - step
+        if abs(step) <= 1e-6 * x and lo <= x_new <= hi:
+            return x_new
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    raise BesselRangeError(f"no convergence to the first zero of J_{nu} in [{lo}, {hi}]")
 
 
 def first_zero(nu: float) -> float:
@@ -140,9 +173,8 @@ def _excess_slope(nu: float) -> float:
         return _series_excess(nu)[1]
     x = _first_zero_any(nu)
     h = 1e-3
-    d1 = jv(nu + h, x) - jv(nu - h, x)
-    d2 = jv(nu + 2.0 * h, x) - jv(nu - 2.0 * h, x)
-    return float((8.0 * d1 - d2) / (12.0 * h * jv(nu + 1.0, x))) - 1.0
+    jp, jm, jp2, jm2, j1 = _jv_checked(nu + np.array([h, -h, 2.0 * h, -2.0 * h, 1.0]), x)
+    return (8.0 * (jp - jm) - (jp2 - jm2)) / (12.0 * h * j1) - 1.0
 
 
 def _energy(mu: float) -> float:
@@ -283,7 +315,13 @@ def power_state(ebar: float, delta: float) -> BatteryState:
     20 lambda*^(1/3) + 60 levels past the turning point r - 1, where the
     Airy-like tail has long fallen below tolerance, and the state is cut at
     the first level past the turning point whose population is below
-    TAIL_TOL of the population up to it.
+    TAIL_TOL of the population up to it. The ground vector is two steps of
+    inverse iteration at that eigenvalue 0 from the all-ones vector, each one
+    LAPACK tridiagonal solve (gtsv). The next eigenvalue lies about
+    1.75 lambda*^(-2/3) above 0 (the spacing of the first two Airy zeros)
+    and the bottom one within rounding of 0, so each step shrinks every
+    other component by their ratio, about 4e-11 at z = 1000. A failed solve
+    raises BesselRangeError.
     """
     if ebar <= 0 or delta <= 0:
         raise ValueError("ebar and delta must be positive")
@@ -292,8 +330,12 @@ def power_state(ebar: float, delta: float) -> BatteryState:
     r = _excess(res.mu_star - 1.0)
     turn = max(r - 1.0, 0.0)
     k = np.arange(int(turn + 20.0 * lam ** (1.0 / 3.0) + 60.0), dtype=float)
-    _, vec = eigh_tridiagonal(2.0 + (k + 1.0 - r) / lam, -np.ones(k.size - 1),
-                              select="i", select_range=(0, 0))
+    diag, off = 2.0 + (k + 1.0 - r) / lam, -np.ones(k.size - 1)
+    vec = np.ones((k.size, 1))
+    for _ in range(2):  # inverse iteration at the known eigenvalue 0
+        *_, vec, info = dgtsv(off, diag, off, vec / np.linalg.norm(vec))
+        if info:
+            raise BesselRangeError(f"tridiagonal solve failed (info={info}) at z={ebar / delta}")
     amps = np.abs(vec[:, 0])
     pop = amps ** 2
     small = (pop < TAIL_TOL * np.cumsum(pop)) & (k > turn)

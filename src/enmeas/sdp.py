@@ -36,7 +36,7 @@ problem data.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -239,7 +239,8 @@ class BlockSdp:
               for b, (xb, d) in enumerate(zip(x, self.block_dims))]
         comp = self.compile()
         slack = comp.b - comp.apply_a(comp.vector(xs + [np.zeros((1, 1))] * len(self.inequalities)))
-        return comp.primal_check(xs + [np.eye(1) * v for v in slack[len(self.equalities):]])
+        x_slack = [np.eye(1) * v for v in slack[len(self.equalities):]]
+        return comp.primal_check(comp.vector(xs + x_slack))
 
     # -- compiled view -----------------------------------------------------
 
@@ -451,10 +452,9 @@ class _Compiled:
         return min(float(np.linalg.eigvalsh(_mat(vg, d))[:, 0].min())
                    for vg, d in zip(self.split(v), self.sizes))
 
-    def primal_check(self, x) -> tuple[float, float]:
-        """Min eigenvalue over the blocks of x (one matrix per block, the
-        compiled slack scalars included) and the largest |A(X) - b|."""
-        v = self.vector(x)
+    def primal_check(self, v) -> tuple[float, float]:
+        """Min eigenvalue over the blocks of the flat vector v (the compiled
+        slack scalars included) and the largest |A(X) - b|."""
         return self._min_eig(v), float(np.max(np.abs(self.apply_a(v) - self.b)))
 
     def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
@@ -474,7 +474,10 @@ class _Compiled:
 @dataclass
 class SdpSolution:
     """A solve's iterate. A caller accepts it by its bounds lower, upper and
-    bracket(), checked (not verified) on first read, not by its status."""
+    bracket(), checked (not verified) on first read, not by its status.
+    primal is the flat iterate x / tau that the solver split into x; a copy
+    made by dataclasses.replace (which may carry other blocks) has none, and
+    lower then rebuilds it from x."""
 
     status: str  # optimal | infeasible | stalled | diverged | max_iter
     x: list[np.ndarray]
@@ -487,12 +490,19 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     program: _Compiled | None = field(default=None, repr=False)  # the program solved
+    primal: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, primal):
+        self._primal = primal
 
     @cached_property
     def lower(self) -> float:
         """min(objective, dual_objective) if x is PSD and holds its rows to
         10 CERT_TOL, else -inf."""
-        min_eig, worst = self.program.primal_check(self.x) if self.x else (-np.inf, 0.0)
+        if not self.x:
+            return -np.inf
+        v = self.program.vector(self.x) if self._primal is None else self._primal
+        min_eig, worst = self.program.primal_check(v)
         ok = min_eig >= -10 * CERT_TOL and worst <= 10 * CERT_TOL
         return min(self.objective, self.dual_objective) if ok else -np.inf
 
@@ -829,8 +839,9 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
         y = y / np.max(np.abs(y))
         return SdpSolution(status, [], y, [], np.nan, float(b @ y), np.nan, np.nan, np.nan,
                            it, comp)
-    return SdpSolution(status, comp.blocks(x / tau), y / tau, comp.blocks(z / tau), cx / tau,
-                       by / tau, xz / tau ** 2, rel_p, rel_d, it, comp)
+    x = x / tau
+    return SdpSolution(status, comp.blocks(x), y / tau, comp.blocks(z / tau), cx / tau,
+                       by / tau, xz / tau ** 2, rel_p, rel_d, it, comp, x)
 
 
 # ---------------------------------------------------------------------------

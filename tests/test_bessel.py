@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import ai_zeros, jn_zeros
 
 from enmeas import bessel
@@ -103,6 +104,42 @@ class TestFirstZero:
         below = first_zero(np.nextafter(_SERIES_MIN_ORDER, 0.0))
         assert first_zero(_SERIES_MIN_ORDER) == pytest.approx(below, abs=1e-11)
 
+    def test_every_evaluation_lies_inside_the_bracket(self, monkeypatch):
+        # each point where J_nu is evaluated lies strictly between the last
+        # positive and the first non-positive value seen before it: a Halley
+        # step that would leave the bracket bisects it instead (near order
+        # -1 the steps from the midpoint overshoot towards 0)
+        jv = bessel.jv
+        for nu in (-1.0 + 1e-9, -1.0 + 1e-6, -0.5, 3.0, 5.001, 200.0, 999.0):
+            seen = []
+
+            def recording(order, x):
+                val = jv(order, x)
+                if np.size(order) == 2:  # a Halley step: J_nu and J_{nu+1} at x
+                    seen.append((x, val[0]))
+                else:
+                    seen.extend(zip(np.atleast_1d(x), np.atleast_1d(val)))
+                return val
+
+            monkeypatch.setattr(bessel, "jv", recording)
+            bessel._first_zero_any(nu)
+            lo, hi = 0.0, math.inf
+            for x, val in seen:
+                assert lo < x < hi
+                lo, hi = (x, hi) if val > 0 else (lo, x)
+
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_non_finite_values_raise(self, monkeypatch, size):
+        # every jv call is checked: a Halley step (two orders) and the
+        # five-order difference of _excess_slope, whose nan used to reach
+        # energy_check
+        jv = bessel.jv
+        monkeypatch.setattr(bessel, "jv", lambda nu, x: jv(nu, x) * (
+            np.nan if np.size(nu) == size else 1.0))
+        for nu in (0.5, 50.0):
+            with pytest.raises(BesselRangeError):
+                bessel._excess_slope(nu)
+
 
 class TestMuOfLambda:
     def test_inversion_at_j01(self):
@@ -201,6 +238,26 @@ class TestPhi:
             assert abs(r.energy_check - z) <= 1e-7 * max(z, 1.0)
             assert len(calls) <= 50
 
+    def test_jv_calls_per_zero_below_the_series_order(self, monkeypatch):
+        # a safeguarded Halley step per jv call, started from the series or
+        # the bracket midpoint; a brentq zero took about 11 calls
+        counts = {"jv": 0, "zeros": 0}
+        jv, first_zero_any = bessel.jv, bessel._first_zero_any
+
+        def counted_jv(*args):
+            counts["jv"] += 1
+            return jv(*args)
+
+        def counted_zero(nu):
+            counts["zeros"] += nu < bessel._SERIES_MIN_ORDER
+            return first_zero_any(nu)
+
+        monkeypatch.setattr(bessel, "jv", counted_jv)
+        monkeypatch.setattr(bessel, "_first_zero_any", counted_zero)
+        for z in np.geomspace(0.1, 12.0, 40):
+            phi(float(z))
+        assert counts["jv"] <= 8 * counts["zeros"]
+
     def test_matches_direct_eigenvalue_maximization(self):
         # independent route: max over lambda-states of tau at fixed energy via
         # the truncated operator at the minimizer
@@ -234,6 +291,28 @@ class TestPowerState:
         h = truncated_hamiltonian(st.dim, r.lambda_star)
         ground = eig_hermitian(h).eigenvectors[:, 0]
         assert abs(np.vdot(ground, st.amplitudes)) > 1 - 1e-8
+
+    def test_matches_tridiagonal_eigensolver(self):
+        # the window power_state solves, diagonalized by LAPACK's bisection
+        # and inverse iteration; its ground vector, cut and renormalized
+        # like the state, is the state
+        for z in (0.1, 1.0, 10.0, 100.0, 1000.0):
+            st = power_state(z, 1.0)
+            r = phi(z)
+            excess = bessel._excess(r.mu_star - 1.0)
+            turn = max(excess - 1.0, 0.0)
+            k = np.arange(int(turn + 20.0 * r.lambda_star ** (1.0 / 3.0) + 60.0), dtype=float)
+            _, vec = eigh_tridiagonal(2.0 + (k + 1.0 - excess) / r.lambda_star,
+                                      -np.ones(k.size - 1), select="i", select_range=(0, 0))
+            ref = np.abs(vec[:st.dim, 0])
+            assert np.max(np.abs(ref / np.linalg.norm(ref) - st.amplitudes.real)) < 1e-10
+            np.testing.assert_array_equal(st.levels, k[:st.dim])
+
+    def test_failed_tridiagonal_solve_raises(self, monkeypatch):
+        gtsv = bessel.dgtsv
+        monkeypatch.setattr(bessel, "dgtsv", lambda *args: (*gtsv(*args)[:-1], 7))
+        with pytest.raises(BesselRangeError):
+            power_state(10.0, 1.0)
 
     def test_scales_with_delta(self):
         st = power_state(5.0, 0.5)  # z = 10 again, energies scaled by delta
@@ -296,6 +375,13 @@ def test_first_zero_matches_arbitrary_precision():
     for lam in (2.0, 10.0, 123.0):
         mu = mu_of_lambda(lam)
         assert float(mp.besseljzero(mu - 1.0, 1)) == pytest.approx(2 * lam, abs=1e-10)
+    # besseljzero rejects negative orders; refine the zero of besselj instead.
+    # 4.999 and 5.001 sit on both sides of the start switch (bracket midpoint
+    # against the series), 999.9 just below the series branch
+    for nu in (-0.9, -0.5, 4.999, 5.001, 999.9):
+        got = bessel._first_zero_any(nu)
+        ref = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(got))
+        assert got == pytest.approx(float(ref), abs=1e-12)
 
 
 def test_large_order_series_matches_arbitrary_precision():
