@@ -50,7 +50,7 @@ class _SectorProgram:
     tail_var: int | None = None  # the ladder's aggregated outer tail
 
 
-@lru_cache(maxsize=16)  # a d = 64 shape holds about 1 MB
+@lru_cache(maxsize=16)  # a d = 64 shape holds about 2.3 MB
 def _sector_shape(n_out: int, dim: int, sectors, n_pop: int, capped: bool, fixed: bool,
                   slack: bool, target: bool) -> _SectorProgram:
     """The rows of a sector program, with every right-hand side 0 but the
@@ -137,10 +137,12 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
     return replace(shape, problem=shape.problem.with_rhs(np.concatenate(rhs), obj))
 
 
-def _joint_sectors(target_levels, battery_levels) -> tuple:
+@lru_cache(maxsize=64)
+def _joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
     """The sectors of spectra.joint_eigenspaces as (rows, feeds): a sector
     holds every pair of target level m and battery level n whose energies
-    sum to its energy, so its row m is fed by population n alone."""
+    sum to its energy, so its row m is fed by population n alone. Cached
+    on the two level tuples."""
     return tuple((tuple(mi for mi, _ in sec.pairs), tuple((n,) for _, n in sec.pairs))
                  for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
 
@@ -182,7 +184,7 @@ def _assemble_ladder(
     # the ladder is target levels [0, 1] against battery levels 0..d-1; the
     # outer relaxation makes its top sector rank two: the tail population d
     # feeds both rows, and level d-1 feeds row 1 as well
-    sectors = _joint_sectors([0, 1], range(d))
+    sectors = _joint_sectors((0, 1), tuple(range(d)))
     if outer:
         sectors = sectors[:-1] + (((0, 1), ((d,), (d - 1, d))),)
     prog = _assemble_sectors(m, n_out, 2, sectors, d + outer, energy_cap=energy_cap,
@@ -195,7 +197,7 @@ def _assemble_ladder(
 def _assemble_multilevel(m: Povm, target_levels, battery_levels,
                          slack: bool = True) -> _SectorProgram:
     """The slack or raw program on the joint eigenspaces of the two spectra."""
-    sectors = _joint_sectors(target_levels, battery_levels)
+    sectors = _joint_sectors(tuple(target_levels), tuple(battery_levels))
     if m.dim != len(target_levels):
         raise ValueError("POVM dimension must match the target spectrum")
     return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(battery_levels),

@@ -13,16 +13,18 @@ self-dual embedding of the program and its dual (Ye, Todd & Mizuno 1994),
 with Nesterov-Todd scaling and Mehrotra's predictor-corrector. One run
 ends at an optimum, a Farkas functional or an improving ray.
 
-The compiled program holds every block as d^2 real coordinates over an
+The compiled program holds every block as real coordinates over an
 orthonormal basis, so an iterate is one flat real vector, <X, Z> is a dot
-product, and A(X) and A*(y) are products with one sparse real m x N
+product, and A(X) and A*(y) are products with one dense real m x N
 matrix. A 2x2 block is PSD exactly when its coordinates lie in the
-Lorentz cone L^4, and a 1x1 block is L^1: blocks of size 1 and 2 take the
-NT scaling, the step length and Mehrotra's term in closed form, from the
-spin-factor Jordan algebra, with no eigh; larger blocks take batched eigh
-per size group. The Schur complement, the one dense m x m matrix, is
-one sparse-times-dense product Q Q^T of the scaled constraints Q with a
-dense copy of their transpose, so it is symmetric to the last bit.
+Lorentz cone L^4, and a 1x1 block (v) is stored as (v, 0, 0, 0), exactly,
+the same cone with a tail that stays 0: every block of size 1 or 2 is in
+one spin group, which takes the NT scaling, the step length and
+Mehrotra's term in closed form, from the spin-factor Jordan algebra, with
+no eigh. Larger blocks take batched eigh per size group. The m x m Schur
+complement is Q Q^T for the scaled constraints Q, one syrk product (or a
+sum of them), so it is symmetric to the last bit; LAPACK potrf and potrs
+factor and solve it.
 
 A program compiles once: compile() keeps its result until the program
 changes, and with_rhs() gives a program of the same shape with other
@@ -41,7 +43,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sps
 
 from .linalg import matrix_to_json
 
@@ -310,11 +311,6 @@ def _mat(v: np.ndarray, d: int) -> np.ndarray:
     return (v @ _onb(d)).reshape(-1, d, d)
 
 
-def _indptr(rows, m):
-    """CSR row pointers of sorted entries in the given rows."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
-
-
 def _congruence(r: np.ndarray) -> np.ndarray:
     """Per block of a stack, the real d^2 x d^2 matrix M with
     vec(R^H A R) = vec(A) M; M M^T is the map A -> W A W for W = R R^H."""
@@ -333,90 +329,100 @@ def _sym(m):
     return 0.5 * (m + _ct(m))
 
 
+_SCHUR_ENTRIES = 2 ** 14  # the largest piece of Q^T that _Compiled.schur builds at once
+
+
 class _Compiled:
     """A program in the solver's layout.
 
-    Every block is a vector of d^2 real coordinates over the orthonormal
-    basis of _onb, so that <X, Z> is a dot product. Blocks of one size d
-    form a group; an iterate is one flat vector, group after group (sizes
-    ascending) and block after block, and split() views a group as (n, d^2).
-    x[g][k] of a split vector is block members[g][k]. The constraint matrix
-    a is m x N sparse real, so A(X) = a @ x and A*(y) = at @ y. It stores
-    each (row, block) coefficient as a whole d^2 segment, zeros included, so
-    that the scaled constraints of schur() share its pattern. b is the
-    right-hand side and c the objective vector. Every array is read-only,
-    because BlockSdp.with_rhs shares all but b and c between the programs
-    of one shape.
+    Every block is a vector of real coordinates over the orthonormal basis
+    of _onb, so that <X, Z> is a dot product. The blocks of size 1 and 2
+    form one spin group of width 4: a 2x2 block has its four coordinates,
+    and a 1x1 block (v) is stored as (v, 0, 0, 0), exactly, so that its
+    tail stays 0 through a solve. The blocks of one size d >= 3 form a group
+    of width d^2. sizes[g] is the d of group g's width d^2 (2 for the spin
+    group, which comes first), and spin_dims holds the sizes of the spin
+    group's blocks as an (n, 1) column. An iterate is one flat vector, group
+    after group and block after block, and split() views a group as
+    (n, width); x[g][k] of a split vector is block members[g][k].
+
+    The constraint matrix a is dense, real and m x N, so A(X) = a @ x and
+    A*(y) = y @ a. It is the transpose of a C-ordered N x m array, whose
+    rows of one group schur() reads as an (n, width, m) stack. b is the
+    right-hand side, c the objective vector and e the identity. Every array
+    is read-only, because BlockSdp.with_rhs shares all but b and c between
+    the programs of one shape.
     """
 
     def __init__(self, dims, rows, objective):
         self.dims = dims
-        m = len(rows)
         self.b = _frozen(np.array([rhs for _, rhs in rows], dtype=float))
-        self.sizes = sorted(set(dims))
+        self.sizes = sorted({max(d, 2) for d in dims})
         group = {d: g for g, d in enumerate(self.sizes)}
         self.members = [[] for _ in self.sizes]
         self.where = []  # (group, position) of every block
+        self._by_size = {}  # the blocks of each size
         for bi, d in enumerate(dims):
-            self.where.append((group[d], len(self.members[group[d]])))
-            self.members[group[d]].append(bi)
+            g = group[max(d, 2)]
+            self.where.append((g, len(self.members[g])))
+            self.members[g].append(bi)
+            self._by_size.setdefault(d, []).append(bi)
         counts = [len(mem) * d * d for mem, d in zip(self.members, self.sizes)]
-        self.starts = np.concatenate(([0], np.cumsum(counts))).astype(int)
-        n = int(self.starts[-1])
+        self.starts = _frozen(np.concatenate(([0], np.cumsum(counts))).astype(int))
+        self.spin_dims = _frozen(np.array([[float(dims[bi])] for bi in self.members[0]])
+                                 if self.sizes[:1] == [2] else np.empty((0, 1)))
+        self._first = _frozen(np.array([self.starts[g] + k * self.sizes[g] ** 2
+                                        for g, k in self.where], dtype=int))
 
-        # the (row, block) coefficients of each group: rows, block positions, matrices
-        found = [([], [], []) for _ in self.sizes]
+        found = {}  # per block size: rows, blocks and coefficient matrices
         for i, (cs, _) in enumerate(rows):
             for bi, coeff in cs.items():
-                g, k = self.where[bi]
-                found[g][0].append(i)
-                found[g][1].append(k)
-                found[g][2].append(coeff)
-        self.entries = []  # per group: block positions and coefficient coordinates
-        seg_rows, seg_cols = [], []
-        for (ids, pos, mats), d, start in zip(found, self.sizes, self.starts):
-            pos = np.array(pos, dtype=int)
-            self.entries.append((pos, _vec(np.array(mats, dtype=complex).reshape(-1, d, d))))
-            seg_rows.append(np.repeat(np.array(ids, dtype=int), d * d))
-            seg_cols.append((start + pos[:, None] * d * d + np.arange(d * d)).ravel())
-        rows_, cols = np.concatenate(seg_rows), np.concatenate(seg_cols)
-        self._order = np.lexsort((cols, rows_))  # segment values -> CSR order
-        order_t = np.lexsort((rows_[self._order], cols[self._order]))
-        self.a = sps.csr_matrix((self._segments(coef for _, coef in self.entries),
-                                 cols[self._order], _indptr(rows_, m)), shape=(m, n))
-        self.at = sps.csr_matrix((self.a.data[order_t], rows_[self._order][order_t],
-                                  _indptr(cols, n)), shape=(n, m))
-        # where each CSR entry (i, k) of a sits in the flat N x m transpose
-        self._t_index = self.a.indices.astype(int) * m + rows_[self._order]
-        for arr in (self.starts, self._order, self._t_index, *(v for e in self.entries for v in e),
-                    *(getattr(mat, k) for mat in (self.a, self.at)
-                      for k in ("data", "indices", "indptr"))):
-            _frozen(arr)
+                ids, bis, mats = found.setdefault(dims[bi], ([], [], []))
+                ids.append(i)
+                bis.append(bi)
+                mats.append(coeff)
+        at = np.zeros((int(self.starts[-1]), len(rows)))
+        for d, (ids, bis, mats) in found.items():
+            at[self._columns(d, bis), np.array(ids)[:, None]] = _vec(
+                np.array(mats, dtype=complex).reshape(-1, d, d))
+        self.a = _frozen(_frozen(at).T)
+        self._stacks = [_frozen(at[s:e].reshape(len(mem), d * d, len(rows))) for s, e, d, mem
+                        in zip(self.starts, self.starts[1:], self.sizes, self.members)]
+        self.e = _frozen(self.vector([np.eye(d) for d in dims]))
         self.c = self._objective_vector(objective)
+
+    def _columns(self, d, blocks) -> np.ndarray:
+        """The flat positions of the coordinates of the listed d x d blocks,
+        (n, d^2): a 1x1 block's is the head of its width-4 row."""
+        return self._first[blocks][:, None] + np.arange(d * d)
 
     def _objective_vector(self, objective) -> np.ndarray:
         return _frozen(self.vector([objective.get(bi, np.zeros((d, d)))
                                     for bi, d in enumerate(self.dims)]))
 
     def split(self, v) -> list[np.ndarray]:
-        """Views of a flat vector as one (n, d^2) array per group."""
+        """Views of a flat vector as one (n, width) array per group."""
         return [v[s:e].reshape(-1, d * d)
                 for s, e, d in zip(self.starts, self.starts[1:], self.sizes)]
 
     def vector(self, blocks) -> np.ndarray:
-        """The flat vector of one Hermitian matrix per block."""
-        return np.concatenate([
-            _vec(np.array([blocks[bi] for bi in mem], dtype=complex).reshape(len(mem), d, d)).ravel()
-            for mem, d in zip(self.members, self.sizes)])
+        """The flat vector of one Hermitian matrix per block; a 1x1 block
+        (v) is (v, 0, 0, 0)."""
+        out = np.zeros(int(self.starts[-1]))
+        for d, bis in self._by_size.items():
+            out[self._columns(d, bis)] = _vec(
+                np.array([blocks[bi] for bi in bis], dtype=complex).reshape(len(bis), d, d))
+        return out
 
     def blocks(self, v) -> list[np.ndarray]:
-        """One matrix per block from a flat vector; copies, so that a block
-        kept by a caller does not keep its whole group alive."""
-        mats = [_mat(vg, d) for vg, d in zip(self.split(v), self.sizes)]
-        return [mats[g][k].copy() for g, k in self.where]
-
-    def eye(self) -> np.ndarray:
-        return self.vector([np.eye(d) for d in self.dims])
+        """One matrix per block from a flat vector, a 1x1 block as 1x1;
+        copies, so that a block kept by a caller does not keep the others
+        alive."""
+        out = [None] * len(self.dims)
+        for d, bis in self._by_size.items():
+            for bi, m in zip(bis, _mat(v[self._columns(d, bis)], d)):
+                out[bi] = m.copy()
+        return out
 
     def apply_a(self, x) -> np.ndarray:
         """A(X): row i is sum_b <A_ib, X_b>."""
@@ -424,32 +430,35 @@ class _Compiled:
 
     def apply_at(self, y) -> np.ndarray:
         """A*(y) = sum_i y_i A_i."""
-        return self.at @ np.asarray(y, dtype=float)
-
-    def _segments(self, per_group) -> np.ndarray:
-        """CSR data in a's pattern from each group's (entries, d^2) values."""
-        return np.concatenate([v.ravel() for v in per_group])[self._order]
+        return np.asarray(y, dtype=float) @ self.a
 
     def schur(self, maps) -> np.ndarray:
         """A P A^T for the block-diagonal map P = M M^T, given per group the
-        (n, d^2, d^2) stack of the blocks' M (the NT scaling's R).
+        (n, width, width) stack of the blocks' M (the NT scaling's R).
 
-        Q holds the rows vec(A_ib) M_b in the pattern of a, and the Schur
-        complement is one sparse-times-dense product of Q with a dense copy
-        of Q^T. Entry (i, j) sums q_ik q_jk over row i's pattern in column
-        order, and the products outside row j's pattern are exact zeros, so
-        both triangles sum the same nonzero products in the same order: the
-        result is exactly symmetric.
+        The scaled constraints Q hold the rows vec(A_ib) M_b; Q^T stacks
+        M_b^T times block b's (width, m) slice of a^T. The Schur complement
+        is Q Q^T, the product of Q^T's transpose with itself, which numpy
+        computes with syrk, so it is exactly symmetric, and so is a sum of
+        such products. Q^T is built and multiplied in pieces of at most
+        _SCHUR_ENTRIES entries (a small program's group is one piece), so
+        that a large program holds no second copy of a.
         """
-        q = sps.csr_matrix((self._segments(np.einsum("ek,ekc->ec", coef, mg[pos])
-                                           for (pos, coef), mg in zip(self.entries, maps)),
-                            self.a.indices, self.a.indptr), shape=self.a.shape)
-        qt = np.zeros(self.at.shape)
-        qt.flat[self._t_index] = q.data
-        return q @ qt
+        m = len(self.b)
+        s = np.zeros((m, m))
+        for mg, ag in zip(maps, self._stacks):
+            step = max(1, _SCHUR_ENTRIES // ag[0].size)
+            for k in range(0, len(ag), step):
+                qt = np.matmul(mg[k:k + step].swapaxes(1, 2), ag[k:k + step]).reshape(-1, m)
+                s += qt.T @ qt
+        return s
 
     def _min_eig(self, v) -> float:
-        return min(float(np.linalg.eigvalsh(_mat(vg, d))[:, 0].min())
+        """The least eigenvalue over the blocks of v: (v0 - |v'|) / sqrt d
+        in closed form on the spin group, eigvalsh on the others."""
+        return min(float(np.min((vg[:, 0] - np.linalg.norm(vg[:, 1:], axis=1))
+                                / np.sqrt(self.spin_dims[:, 0])))
+                   if d == 2 else float(np.linalg.eigvalsh(_mat(vg, d))[:, 0].min())
                    for vg, d in zip(self.split(v), self.sizes))
 
     def primal_check(self, v) -> tuple[float, float]:
@@ -562,36 +571,44 @@ def _apply(m, v):
     return np.matmul(m, v[:, :, None])[:, :, 0]
 
 
+_J = np.array([1.0, -1.0, -1.0, -1.0])  # the spin factor's J
+_DIAG_J, _JJ = np.diag(_J), np.outer(_J, _J)
+_E = np.array([1.0, 0.0, 0.0, 0.0])
+
+
 class _Spin:
-    """A group of 1x1 or 2x2 blocks as spin-factor (Lorentz) cones.
+    """The spin group: 1x1 and 2x2 blocks as spin-factor (Lorentz) cones.
 
     A 2x2 block's coordinates v are PSD exactly when v0 >= |v'| for the
-    tail v' = (v1, v2, v3): the cone L^4. A 1x1 block is L^1, the same cone
-    with an empty tail. There (XY + YX)/2 is u o v = (u.v, u0 v' + v0 u')/sqrt d,
-    the identity is e = (sqrt d, 0) and v^T J v stands for the determinant,
-    so the NT scaling, the step length and Mehrotra's term have closed forms
+    tail v' = (v1, v2, v3): the cone L^4. A 1x1 block is L^1, stored as
+    (v0, 0, 0, 0); each closed form below maps a zero tail to a zero tail,
+    exactly, so it is the 1x1 block's own form. With d the block's size,
+    (XY + YX)/2 is u o v = (u.v, u0 v' + v0 u')/sqrt d, the identity is
+    e = (sqrt d, 0) and v^T J v stands for the determinant, so the NT
+    scaling, the step length and Mehrotra's term have closed forms
     (Alizadeh & Goldfarb, Math. Program. 95, 2003, sections 4-5). With
     P(u) = 2 u u^T - J and beta = sqrt(det x / det z), the scaling is
     R = sqrt(beta) P(u~) and R^2 = beta P(v), for the NT point v of the
-    normalized pair and its square root u~; R z = R^-1 x is lam.
+    normalized pair and its square root u~; R z = R^-1 x is lam. d is an
+    (n, 1) column of block sizes.
     """
 
     def __init__(self, x, z, d):
         n, self.sd = len(x), np.sqrt(d)
-        j = np.where(np.arange(d * d) == 0, 1.0, -1.0)
         self.v = np.concatenate((x, z))  # x over z, for one step-length pass
         self.q = _lorentz(self.v)
-        xb, zb = np.split(self.v / np.sqrt(self.q)[:, None], 2)
-        v = (xb + j * zb) / np.sqrt(2.0 + 2.0 * np.einsum("ij,ij->i", xb, zb))[:, None]
-        u = v + (j > 0)  # v + e, then normalized: the square root of v
+        vb = self.v / np.sqrt(self.q)[:, None]
+        xb, zb = vb[:n], vb[n:]
+        v = (xb + _J * zb) / np.sqrt(2.0 + 2.0 * np.einsum("ij,ij->i", xb, zb))[:, None]
+        u = v + _E  # v + e, then normalized: the square root of v
         u /= np.sqrt(2.0 * u[:, :1])
         beta = np.sqrt(self.q[:n] / self.q[n:])[:, None, None]
-        pu = 2.0 * u[:, :, None] * u[:, None, :] - np.diag(j)
+        pu = 2.0 * u[:, :, None] * u[:, None, :] - _DIAG_J
         self.r = np.sqrt(beta) * pu
-        self.rinv = np.outer(j, j) * pu / np.sqrt(beta)  # P(u)^-1 = J P(u) J
-        self.w2 = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(j))
+        self.rinv = _JJ * pu / np.sqrt(beta)  # P(u)^-1 = J P(u) J
+        self.w2 = beta * (2.0 * v[:, :, None] * v[:, None, :] - _DIAG_J)
         self.lam = _apply(self.r, z)
-        self.zinv = z * (d * j) / self.q[n:, None]  # d J z / det z
+        self.zinv = z * (d * _J) / self.q[n:, None]  # d J z / det z
 
     def _jordan(self, u, v):
         out = u[:, :1] * v + v[:, :1] * u
@@ -601,8 +618,8 @@ class _Spin:
     def solve(self, lam, w):
         """s with lam o s = w (the arrow matrix of lam inverted)."""
         s = np.empty_like(w)
-        s[:, 0] = self.sd * (lam[:, 0] * w[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], w[:, 1:]))
-        s[:, 0] /= _lorentz(lam)
+        s[:, 0] = self.sd[:, 0] * (lam[:, 0] * w[:, 0]
+                                   - np.einsum("ij,ij->i", lam[:, 1:], w[:, 1:])) / _lorentz(lam)
         s[:, 1:] = (self.sd * w[:, 1:] - s[:, :1] * lam[:, 1:]) / lam[:, :1]
         return s
 
@@ -678,24 +695,27 @@ def _second_order(r, lam, z, dx, dz):
     return -(r @ ((p + _ct(p)) / (lam[:, :, None] + lam[:, None, :])) @ _ct(r))
 
 
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=float)
+
+
 def _factor_schur(s):
-    """A solve with s: its Cholesky factor, shifted on the diagonal when
-    rounding leaves s indefinite, and one step of iterative refinement,
-    which keeps the Newton residual small when s becomes ill-conditioned
-    near the optimum."""
+    """A solve with s: its Cholesky factor (LAPACK potrf), shifted on the
+    diagonal when rounding leaves s indefinite, and one step of iterative
+    refinement, which keeps the Newton residual small when s becomes
+    ill-conditioned near the optimum. A non-finite s raises SdpError:
+    potrf can factor a nan without a word."""
+    if not np.isfinite(s).all():
+        raise SdpError("the Schur complement is not finite")
     m = s.shape[0]
-    base = 1e-14 * (np.trace(s) / m + 1.0)
+    base = 1e-14 * (s.trace() / m + 1.0)
     solve = lambda r: np.linalg.lstsq(s, r, rcond=None)[0]
-    potrs = sla.get_lapack_funcs("potrs", (s,))  # cho_solve without its per-call checks
     for jitter in (0.0, base, 1e3 * base, 1e6 * base):
-        try:
-            shifted = s if jitter == 0.0 else s.copy()
-            shifted.flat[::m + 1] += jitter
-            cf, _ = sla.cho_factor(shifted, lower=True, overwrite_a=bool(jitter))
-            solve = lambda r: potrs(cf, r, lower=1)[0]
+        shifted = s if jitter == 0.0 else s.copy()
+        shifted.flat[::m + 1] += jitter
+        cf, info = _POTRF(shifted, lower=1, clean=0, overwrite_a=bool(jitter))
+        if info == 0:
+            solve = lambda r: _POTRS(cf, r, lower=1)[0]
             break
-        except (np.linalg.LinAlgError, sla.LinAlgError):
-            pass
     return lambda r: (u := solve(r)) + solve(r - s @ u)
 
 
@@ -711,10 +731,11 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
     one Cholesky factor of the Schur complement, solved for the tau column
     and for the Mehrotra predictor and corrector, and (X, tau) and
     (y, Z, kappa) share one step length.
-    X and Z are flat coordinate vectors (see _Compiled); groups of 1x1 and
-    2x2 blocks scale as spin-factor cones (_Spin), larger ones by eigh.
+    X and Z are flat coordinate vectors (see _Compiled); the spin group of
+    1x1 and 2x2 blocks scales as spin-factor cones (_Spin), the groups of
+    larger blocks by eigh (_Eigh).
     """
-    b, c, e = comp.b, comp.c, comp.eye()
+    b, c, e = comp.b, comp.c, comp.e
     nu = sum(comp.dims) + 1
     x, z = e.copy(), e.copy()
     y = np.zeros(b.size)
@@ -753,7 +774,7 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
             if it == max_iter:
                 break
 
-            cones = [(_Spin if d <= 2 else _Eigh)(xg, zg, d)
+            cones = [_Spin(xg, zg, comp.spin_dims) if d == 2 else _Eigh(xg, zg, d)
                      for xg, zg, d in zip(comp.split(x), comp.split(z), comp.sizes)]
 
             def scaled(v):

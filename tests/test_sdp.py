@@ -486,10 +486,13 @@ def test_compiled_operators_match_per_row_reference(case):
     assert_close(np.dot(comp.vector(x), comp.vector(z)),
                  sum(np.trace(a @ b).real for a, b in zip(x, z)))
 
-    # W = R R^H, with the real positive R that 1x1 blocks have
+    # W = R R^H, with the real positive R that 1x1 blocks have; a 1x1
+    # block's map in the spin group is its 1x1 map times I_4, as in sdp._Spin
     r = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) if d > 1
          else rng.uniform(0.5, 2.0, (1, 1)) for d in dims]
-    s = comp.schur([sdp._congruence(np.array([r[b] for b in mem])) for mem in comp.members])
+    maps = [np.array([sdp._congruence(r[b][None])[0] * (np.eye(4) if dims[b] == 1 else 1.0)
+                      for b in mem]) for mem in comp.members]
+    s = comp.schur(maps)
     assert_close(s, reference_schur(rows, dims, [a @ a.conj().T for a in r]))
     assert np.array_equal(s, s.T)
 
@@ -501,6 +504,189 @@ def test_compiled_operators_match_per_row_reference(case):
         min_eig, b_dot_y = comp.dual_check(y, farkas=farkas)
         assert_close(min_eig, want)
         assert_close(b_dot_y, np.dot(rhs, y))
+
+
+# ---------------------------------------------------------------------------
+# The layout: a dense constraint matrix, one spin group for 1x1 and 2x2 blocks
+# ---------------------------------------------------------------------------
+
+def spin_row(comp, v, b):
+    """Block b's row of a flat vector v in the compiled layout."""
+    g, k = comp.where[b]
+    return comp.split(np.ascontiguousarray(v))[g][k]
+
+
+def test_scalar_block_is_stored_exactly_with_a_zero_tail():
+    # a 1x1 block's coefficient, objective entry and identity are (a, 0, 0, 0),
+    # with a the scalar itself to the last bit
+    rng = np.random.default_rng(12)
+    p = BlockSdp()
+    x, s, t = p.add_block(2), p.add_scalar(), p.add_scalar()
+    coeff = [float(v) for v in rng.standard_normal(3) * 10.0 ** rng.integers(-8, 8, 3)]
+    p.add_equality({x: np.eye(2), s: coeff[0]}, 1.0)
+    p.add_equality({s: coeff[1], t: 1.0}, 2.0)
+    p.add_inequality({x: np.diag([1.0, 0.0]), t: coeff[2]}, 3.0)
+    p.set_objective({s: coeff[0] / 3.0, x: np.eye(2)})
+    comp = p.compile()
+    assert comp.sizes == [2] and comp.dims == [2, 1, 1, 1]
+    assert comp.spin_dims[:, 0].tolist() == [2.0, 1.0, 1.0, 1.0]
+    bits = lambda *v: np.array(v, dtype=float).tobytes()
+    assert spin_row(comp, comp.a[0], s).tobytes() == bits(coeff[0], 0, 0, 0)
+    assert spin_row(comp, comp.a[1], s).tobytes() == bits(coeff[1], 0, 0, 0)
+    assert spin_row(comp, comp.a[2], t).tobytes() == bits(coeff[2], 0, 0, 0)
+    assert spin_row(comp, comp.a[2], 3).tobytes() == bits(1, 0, 0, 0)  # the slack scalar
+    assert spin_row(comp, comp.a[1], x).tobytes() == bits(0, 0, 0, 0)
+    assert spin_row(comp, comp.c, s).tobytes() == bits(coeff[0] / 3.0, 0, 0, 0)
+    for b in (s, t, 3):
+        assert spin_row(comp, comp.e, b).tobytes() == bits(1, 0, 0, 0)
+    assert spin_row(comp, comp.e, x).tolist() == [pytest.approx(2.0 ** 0.5, rel=1e-15), 0, 0, 0]
+    # a 1x1 block comes back as a 1x1 block, and a round trip is exact
+    blocks = [herm(rng, d) for d in comp.dims]
+    back = comp.blocks(comp.vector(blocks))
+    assert [b.shape for b in back] == [(2, 2), (1, 1), (1, 1), (1, 1)]
+    for got, want in zip(back[1:], blocks[1:]):
+        assert got.tobytes() == want.real.astype(complex).tobytes()
+    assert_close(back[0], blocks[0])
+
+
+@pytest.mark.parametrize("case", ["ladder", "scalars", "qutrit"])
+def test_scalar_tails_stay_zero_through_a_solve(case, monkeypatch):
+    """Every iterate the spin group sees, and the answer, has a 1x1 block's
+    tail exactly 0: on a ladder membership program, an LP of scalars and a
+    qutrit program, whose spin group sits beside an eigh group."""
+    seen = []
+
+    class Recording(sdp._Spin):
+        def __init__(self, x, z, d):
+            seen.append((x.copy(), z.copy(), d[:, 0] == 1))
+            super().__init__(x, z, d)
+
+    monkeypatch.setattr(sdp, "_Spin", Recording)
+    rng = np.random.default_rng(13)
+    if case == "ladder":
+        p = charact._assemble_ladder(degrade(projective_qubit("x"), 0.8), 5).problem
+    elif case == "scalars":
+        p = BlockSdp()
+        ids = [p.add_scalar() for _ in range(6)]
+        a = rng.standard_normal((3, 6))
+        for row, rhs in zip(a, a @ (rng.random(6) + 0.1)):
+            p.add_equality(dict(zip(ids, row)), rhs)
+        p.set_objective({b: -1.0 for b in ids})
+    else:
+        m3 = random_rank_one_povm(rng, 3, 3)
+        p = charact._assemble_multilevel(m3, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).problem
+    sol = solve(p)
+    assert sol.status == "optimal" and len(seen) == sol.iterations - 1
+    assert all(one.any() for _, _, one in seen)
+    for x, z, one in seen:
+        assert np.all(x[one, 1:] == 0.0) and np.all(z[one, 1:] == 0.0)
+    comp = sol.program
+    one = comp.spin_dims[:, 0] == 1
+    assert np.all(comp.split(sol._primal)[0][one, 1:] == 0.0)
+    assert all(b.shape == (d, d) for b, d in zip(sol.x + sol.z, comp.dims + comp.dims))
+
+
+def test_spin_group_least_eigenvalue_is_the_blocks_least_eigenvalue():
+    # (v0 - |v'|) / sqrt d over a mixed 1x1 / 2x2 group, against eigvalsh of
+    # blocks(), through primal_check and dual_check, with each block in turn
+    # the least one, on well-conditioned and on nearly singular blocks
+    rng = np.random.default_rng(14)
+    p = BlockSdp()
+    dims = [int(d) for d in rng.choice([1, 2], 16)] + [3]
+    for d in dims:
+        p.add_block(d)
+    p.add_equality({0: np.eye(dims[0])}, 1.0)
+    comp = p.compile()
+    assert comp.sizes == [2, 3]
+    for scale in (1.0, 1e-9):
+        for j in range(len(dims)):
+            mats = [random_pd(rng, 1, d, scale)[0] + (0.0 if b == j else 10.0 * np.eye(d))
+                    for b, d in enumerate(dims)]
+            mats[j] = mats[j] - 0.5 * scale * np.eye(dims[j])  # the least, maybe negative
+            v = comp.vector(mats)
+            want = min(np.linalg.eigvalsh(b)[0] for b in comp.blocks(v))
+            tol = 1e-14 * 12.0  # every block's norm is below 12
+            assert abs(comp.primal_check(v)[0] - want) <= tol
+            p.set_objective({b: -m for b, m in enumerate(mats)})
+            assert abs(p.compile().dual_check(np.zeros(1))[0] - want) <= tol
+
+
+@pytest.mark.parametrize("case", ["ladder", "qutrit", "sphere"])
+def test_schur_complement_is_exactly_symmetric(case):
+    rng = np.random.default_rng(15)
+    if case == "ladder":
+        p = charact._assemble_ladder(degrade(projective_qubit("x"), 0.8), 10).problem
+    elif case == "qutrit":
+        m3 = random_rank_one_povm(rng, 3, 3)
+        p = charact._assemble_multilevel(m3, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).problem
+    else:
+        p = sphere_program()
+    comp = p.compile()
+    for _ in range(3):
+        x, z = (comp.vector([random_pd(rng, 1, d, 1e-6)[0] for d in comp.dims]) for _ in "xz")
+        cones = [sdp._Spin(xg, zg, comp.spin_dims) if d == 2 else sdp._Eigh(xg, zg, d)
+                 for xg, zg, d in zip(comp.split(x), comp.split(z), comp.sizes)]
+        s = comp.schur([k.r for k in cones])
+        assert np.array_equal(s, s.T)
+        assert np.all(np.isfinite(s)) and np.all(np.diag(s) > 0)
+
+
+# ---------------------------------------------------------------------------
+# The Schur solve: LAPACK potrf and potrs, a shifted factor, refinement
+# ---------------------------------------------------------------------------
+
+def counted_factor(monkeypatch):
+    """Count potrf calls and forbid the lstsq fallback."""
+    calls = []
+    potrf = sdp._POTRF
+    monkeypatch.setattr(sdp, "_POTRF", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+
+    def no_lstsq(*a, **k):
+        raise AssertionError("lstsq fallback")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    return calls
+
+
+def test_factor_schur_solves_a_positive_definite_matrix(monkeypatch):
+    calls = counted_factor(monkeypatch)
+    rng = np.random.default_rng(16)
+    g = rng.standard_normal((30, 30))
+    s = g @ g.T + 1e-3 * np.eye(30)
+    before = s.copy()
+    r = rng.standard_normal(30)
+    u = sdp._factor_schur(s)(r)
+    assert len(calls) == 1 and np.array_equal(s, before)
+    assert np.linalg.norm(s @ u - r) <= 1e-12 * np.linalg.norm(s, 2) * np.linalg.norm(u)
+    assert np.linalg.norm(u - np.linalg.solve(s, r)) <= 1e-9 * np.linalg.norm(u)
+
+
+def test_factor_schur_shifts_a_rounding_level_indefinite_matrix(monkeypatch):
+    # eigenvalues 1 ... 1e-3 and one at -1e-17 of the trace: potrf fails,
+    # the shifted factor succeeds, and refinement restores the residual
+    calls = counted_factor(monkeypatch)
+    rng = np.random.default_rng(17)
+    q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    w = np.geomspace(1.0, 1e-3, 20)
+    w[-1] = -1e-17 * w.sum()
+    s = (q * w) @ q.T
+    s = 0.5 * (s + s.T)
+    r = s @ rng.standard_normal(20)  # in the range of s
+    u = sdp._factor_schur(s)(r)
+    assert len(calls) >= 2
+    assert np.linalg.norm(s @ u - r) <= 1e-10 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_schur_rejects_a_non_finite_matrix(bad, monkeypatch):
+    # potrf factors a nan without complaint, so the check comes first
+    calls = counted_factor(monkeypatch)
+    for where in ((0, 0), (3, 1), (5, 5)):
+        s = np.eye(6) * 3.0 + 0.1
+        s[where] = s[where[::-1]] = bad
+        with pytest.raises(SdpError, match="not finite"):
+            sdp._factor_schur(s)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +704,37 @@ def random_pd(rng, n, d, ratio):
 
 
 def norms(a):
-    """Spectral norm of each matrix of a stack."""
-    return np.linalg.norm(a, 2, axis=(1, 2))
+    """Spectral norm of each matrix of a stack or list."""
+    return np.array([np.linalg.norm(m, 2) for m in a])
 
 
-@pytest.mark.parametrize("d", [1, 2])
+def spin_coords(mats):
+    """Spin-group rows of a list of 1x1 and 2x2 matrices: a 1x1 block (v)
+    is (v, 0, 0, 0)."""
+    out = np.zeros((len(mats), 4))
+    for k, m in enumerate(mats):
+        out[k, :m.size] = sdp._vec(np.asarray(m, dtype=complex)[None])[0]
+    return out
+
+
+def spin_mats(v, dims):
+    """The 1x1 and 2x2 matrices of spin-group rows."""
+    return [sdp._mat(row[None, :d * d], d)[0] for row, d in zip(v, dims)]
+
+
+def draw_blocks(rng, n, d, ratio_x, ratio_z, paired):
+    """x, z, dx, dz and y: n random d x d blocks each, x and z PD."""
+    xm = random_pd(rng, n, d, ratio_x)
+    if paired:  # Z singular where X is not, on X's eigenvectors
+        w, u = np.linalg.eigh(xm)
+        zm = (u * (ratio_z * rng.uniform(0.5, 2.0, (n, d)) / w)[:, None, :]) @ u.conj().swapaxes(1, 2)
+    else:
+        zm = random_pd(rng, n, d, ratio_z)
+    dxm, dzm, ym = (np.array([herm(rng, d) for _ in range(n)]) for _ in range(3))
+    return xm, zm, dxm, dzm, ym
+
+
+@pytest.mark.parametrize("d", [1, 2, "mixed"])
 @pytest.mark.parametrize("ratio_x, ratio_z, paired", [
     (1.0, 1.0, False), (1e-12, 1.0, False), (1.0, 1e-12, False), (1e-12, 1e-12, False),
     (1e-12, 1e-12, True)])
@@ -530,7 +742,8 @@ def test_spin_factor_closed_forms_match_matrix_forms(d, ratio_x, ratio_z, paired
     """The NT scaling, step length, Jordan product, inverse and Mehrotra's
     term of sdp._Spin against the matrix forms, on random PD blocks and on
     near-singular ones (eigenvalue ratio 1e-12; paired: X and Z singular
-    along complementary directions, as near an optimum).
+    along complementary directions, as near an optimum), for a group of
+    1x1 blocks, of 2x2 blocks and of both mixed at random.
 
     Each error is relative to the size that the rounding of the inputs
     allows (for a product, the product of its factors' norms; for an
@@ -539,61 +752,78 @@ def test_spin_factor_closed_forms_match_matrix_forms(d, ratio_x, ratio_z, paired
     the result. Near a singular block a result can move by 1e-4 of itself
     under a last-bit change of the data, for the eigh forms as for the
     closed ones, so a plain relative error would test the data, not the
-    formula."""
-    rng = np.random.default_rng(7 + d)
+    formula. Every result keeps a 1x1 block's tail exactly 0."""
+    rng = np.random.default_rng(10 if d == "mixed" else 7 + d)
     n = 40
-    xm = random_pd(rng, n, d, ratio_x)
-    if paired:  # Z singular where X is not, on X's eigenvectors
-        w, u = np.linalg.eigh(xm)
-        zm = (u * (ratio_z * rng.uniform(0.5, 2.0, (n, d)) / w)[:, None, :]) @ u.conj().swapaxes(1, 2)
-    else:
-        zm = random_pd(rng, n, d, ratio_z)
-    dxm, dzm, ym = (np.array([herm(rng, d) for _ in range(n)]) for _ in range(3))
-    x, z, dx, dz, y = (sdp._vec(m) for m in (xm, zm, dxm, dzm, ym))
-    k = sdp._Spin(x, z, d)
+    sizes = (1, 2) if d == "mixed" else (d,)
+    drawn = {b: draw_blocks(rng, n, b, ratio_x, ratio_z, paired) for b in sizes}
+    dims = rng.choice(sizes, n) if d == "mixed" else np.full(n, d)
+    xm, zm, dxm, dzm, ym = ([drawn[b][i][k] for k, b in enumerate(dims)] for i in range(5))
+    x, z, dx, dz, y = map(spin_coords, (xm, zm, dxm, dzm, ym))
+    k = sdp._Spin(x, z, dims[:, None].astype(float))
+    one = dims == 1
 
-    def check(got, want, scale):
-        err = np.linalg.norm(np.reshape(got - want, (n, -1)), axis=1)
-        assert np.all(err <= 1e-12 * scale)
+    def check(got, want, scale, rows=slice(None)):
+        got = np.asarray(got)[rows]
+        err = np.linalg.norm(np.reshape(got - np.asarray(want)[rows], (len(got), -1)), axis=1)
+        assert np.all(err <= 1e-12 * scale[rows])
+        if got.ndim == 2:  # a 1x1 block's tail stays 0
+            assert np.all(got[one[rows], 1:] == 0.0)
 
     vnorm = lambda v: np.linalg.norm(v, axis=1)
+    inv = lambda mats: [np.linalg.inv(m) for m in mats]
     # R^2 z = x and R z = R^-1 x (= lam)
     check(sdp._apply(k.w2, z), x, norms(k.w2) * vnorm(z))
     check(sdp._apply(k.r, z), sdp._apply(k.rinv, x),
           norms(k.r) * vnorm(z) + norms(k.rinv) * vnorm(x))
     check(k.r @ k.r, k.w2, norms(k.r) ** 2)
+    for mat in (k.r, k.rinv, k.w2):  # a 1x1 block's maps are diagonal
+        assert np.all(mat[one] * (1.0 - np.eye(4)) == 0.0)
+    assert np.all(k.lam[one, 1:] == 0.0) and np.all(k.zinv[one, 1:] == 0.0)
     # the Jordan product is (XY + YX)/2
-    check(k._jordan(x, y), sdp._vec(0.5 * (xm @ ym + ym @ xm)), norms(xm) * norms(ym))
+    check(k._jordan(x, y), spin_coords([0.5 * (a @ b + b @ a) for a, b in zip(xm, ym)]),
+          norms(xm) * norms(ym))
     # the inverse: x \ e
     e = np.zeros_like(x)
-    e[:, 0] = np.sqrt(d)
-    inv = np.linalg.inv(xm)
-    check(k.solve(x, e), sdp._vec(inv), norms(inv) ** 2 * norms(xm))
+    e[:, 0] = np.sqrt(dims)
+    check(k.solve(x, e), spin_coords(inv(xm)), norms(inv(xm)) ** 2 * norms(xm))
     # sm z^-1 - x, and Mehrotra's term against the Lyapunov form
-    check(k.center(0.3, 0 * dx, 0 * dz), sdp._vec(0.3 * np.linalg.inv(zm) - xm),
-          0.3 * norms(np.linalg.inv(zm)) ** 2 * norms(zm) + norms(xm))
+    check(k.center(0.3, 0 * dx, 0 * dz),
+          spin_coords([0.3 * np.linalg.inv(b) - a for a, b in zip(xm, zm)]),
+          0.3 * norms(inv(zm)) ** 2 * norms(zm) + norms(xm))
     # Mehrotra's term: in the NT-scaled space it is lam \\ (dx~ o dz~), the
     # Lyapunov solve of _second_order taken in lam's eigenbasis
-    lam = sdp._mat(k.lam, d)
-    w, u = np.linalg.eigh(lam)
-    check(k.solve(k.lam, k._jordan(dx, dz)), -sdp._vec(sdp._second_order(u, w, lam, dxm, dzm)),
-          norms(dxm) * norms(dzm) * w[:, -1] / w[:, 0] ** 2)
+    lam = spin_mats(k.lam, dims)
+    want, scale = [], []
+    for lm, a, b in zip(lam, dxm, dzm):
+        w, u = np.linalg.eigh(lm)
+        want.append(-sdp._second_order(u[None], w[None], lm[None], a[None], b[None])[0])
+        scale.append(np.linalg.norm(a, 2) * np.linalg.norm(b, 2) * w[-1] / w[0] ** 2)
+    check(k.solve(k.lam, k._jordan(dx, dz)), spin_coords(want), np.array(scale))
     if ratio_x == ratio_z == 1.0:  # and in X's space, where the eigh form is accurate
-        ref = sdp._Eigh(x, z, d)
-        want = sdp._second_order(ref.rm, ref.lam, ref.z, dxm, dzm)
-        check(k.center(0.0, dx, dz) + x, sdp._vec(want), norms(want))
+        want = [None] * n
+        for b in sizes:
+            rows = np.flatnonzero(dims == b)
+            ref = sdp._Eigh(sdp._vec(np.array([xm[i] for i in rows])),
+                            sdp._vec(np.array([zm[i] for i in rows])), b)
+            for i, m in zip(rows, sdp._second_order(ref.rm, ref.lam, ref.z,
+                                                    np.array([dxm[i] for i in rows]),
+                                                    np.array([dzm[i] for i in rows]))):
+                want[i] = m
+        check(k.center(0.0, dx, dz) + x, spin_coords(want), norms(want))
     # the step length: -1/lam_min(X^-1/2 dX X^-1/2), and inf where dX is PSD
     for i in range(n):
         w, u = np.linalg.eigh(xm[i])
         xmh = (u / np.sqrt(w)) @ u.conj().T
         lmin = np.linalg.eigvalsh(xmh @ dxm[i] @ xmh)[0]
-        one = sdp._Spin(x[i:i + 1], z[i:i + 1], d)
-        alpha = one.max_step(dx[i:i + 1], z[i:i + 1])  # z + alpha z never leaves the cone
+        one_block = sdp._Spin(x[i:i + 1], z[i:i + 1], dims[i:i + 1, None].astype(float))
+        alpha = one_block.max_step(dx[i:i + 1], z[i:i + 1])  # z + alpha z never leaves the cone
         got = -1.0 / alpha if np.isfinite(alpha) else 0.0
         scale = np.linalg.norm(np.linalg.inv(xm[i]), 2) * (
             np.linalg.norm(dxm[i], 2) + abs(lmin) * np.linalg.norm(xm[i], 2))
         assert abs(got - min(lmin, 0.0)) <= 1e-12 * scale
-        assert one.max_step(sdp._vec(random_pd(rng, 1, d, 1.0)), z[i:i + 1]) == np.inf
+        pd = spin_coords(random_pd(rng, 1, dims[i], 1.0))
+        assert one_block.max_step(pd, z[i:i + 1]) == np.inf
 
 
 def test_no_eigh_on_a_qubit_program(monkeypatch):
