@@ -154,36 +154,32 @@ def first_zero(nu: float) -> float:
     return _first_zero_any(nu)
 
 
-def _excess(nu: float) -> float:
-    """j_{nu,1} - nu, free of cancellation at large orders."""
+def _zero(nu: float) -> tuple[float, float]:
+    """j_{nu,1} and j_{nu,1} - nu, the latter free of cancellation at large orders."""
     if nu >= _SERIES_MIN_ORDER:
-        return _series_excess(nu)[0]
-    return _first_zero_any(nu) - nu
+        r = _series_excess(nu)[0]
+        return nu + r, r
+    j = _first_zero_any(nu)
+    return j, j - nu
 
 
-def _excess_slope(nu: float) -> float:
-    """d(j_{nu,1} - nu)/dnu.
+def _energy(mu: float, j: float, r: float) -> float:
+    """lambda * dmu/dlambda - mu on the curve j_{mu-1,1} = 2 lambda, given
+    j = j_{mu-1,1} and r = j - (mu - 1) (_zero).
 
-    Large orders differentiate the series; smaller ones differentiate
-    J_nu(j_{nu,1}) = 0 implicitly, dj/dnu = dJ_nu/dnu / J_{nu+1} at the zero
-    (since dJ_nu/dx = -J_{nu+1} there), with dJ_nu/dnu the five-point
-    difference in the order (relative error ~1e-10).
+    With nu = mu - 1 this is (r - 1 - mu r') / (1 + r') for r' = dr/dnu,
+    which keeps its digits when j and mu are both huge. Large orders
+    differentiate the series; smaller ones differentiate J_nu(j) = 0
+    implicitly, dj/dnu = dJ_nu/dnu / J_{nu+1} at the zero (since
+    dJ_nu/dx = -J_{nu+1} there), with dJ_nu/dnu the five-point difference
+    in the order (relative error ~1e-10).
     """
+    nu, h = mu - 1.0, 1e-3
     if nu >= _SERIES_MIN_ORDER:
-        return _series_excess(nu)[1]
-    x = _first_zero_any(nu)
-    h = 1e-3
-    jp, jm, jp2, jm2, j1 = _jv_checked(nu + np.array([h, -h, 2.0 * h, -2.0 * h, 1.0]), x)
-    return (8.0 * (jp - jm) - (jp2 - jm2)) / (12.0 * h * j1) - 1.0
-
-
-def _energy(mu: float) -> float:
-    """lambda * dmu/dlambda - mu on the curve j_{mu-1,1} = 2 lambda.
-
-    With r = j - nu and nu = mu - 1 this is (r - 1 - mu r') / (1 + r'), which
-    keeps its digits when j and mu are both huge.
-    """
-    r, dr = _excess(mu - 1.0), _excess_slope(mu - 1.0)
+        dr = _series_excess(nu)[1]
+    else:
+        jp, jm, jp2, jm2, j1 = _jv_checked(nu + np.array([h, -h, 2.0 * h, -2.0 * h, 1.0]), j)
+        dr = (8.0 * (jp - jm) - (jp2 - jm2)) / (12.0 * h * j1) - 1.0
     return (r - 1.0 - mu * dr) / (1.0 + dr)
 
 
@@ -218,7 +214,8 @@ def energy_of_lambda(lam: float) -> float:
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    return _energy(mu_of_lambda(lam))
+    mu = mu_of_lambda(lam)
+    return _energy(mu, *_zero(mu - 1.0))
 
 
 @dataclass(frozen=True)
@@ -243,16 +240,22 @@ def phi(z: float) -> PhiResult:
     parabolic minimization of the negated deficit in log mu (tolerance
     1e-10) pins it.
     """
+    return _phi(z)[0]
+
+
+def _phi(z: float) -> tuple[PhiResult, float]:
+    """phi(z) and r = j - (mu* - 1); the search keeps each zero it solves,
+    so the minimizer's zero is solved once."""
     if z <= 0:
         raise ValueError("z must be positive")
 
-    cache: dict[float, float] = {}
+    cache: dict[float, tuple[float, float, float]] = {}
 
-    def neg_deficit(t: float) -> float:  # t = log mu
+    def point(t: float) -> tuple[float, float, float]:  # log mu -> (-deficit, j, r)
         if t not in cache:
             mu = math.exp(t)
-            r = _excess(mu - 1.0)
-            cache[t] = (z + 1.0 - r) / (mu - 1.0 + r)
+            j, r = _zero(mu - 1.0)
+            cache[t] = (z + 1.0 - r) / (mu - 1.0 + r), j, r
         return cache[t]
 
     # candidate scales: small-z behavior mu ~ z, large-z growth ~ z^3
@@ -260,29 +263,30 @@ def phi(z: float) -> PhiResult:
     lo = min(z, mu_asym) / 16.0
     hi = max(z, mu_asym) * 16.0
     grid = np.linspace(math.log(lo), math.log(hi), 9).tolist()
-    vals = [neg_deficit(t) for t in grid]
+    vals = [point(t)[0] for t in grid]
     i = int(np.argmin(vals))
     # expand outward if the scan minimum sits on an edge
     for _ in range(60):
         if i == 0:
             grid.insert(0, grid[0] - math.log(8.0))
-            vals.insert(0, neg_deficit(grid[0]))
+            vals.insert(0, point(grid[0])[0])
         elif i == len(grid) - 1:
             grid.append(grid[-1] + math.log(8.0))
-            vals.append(neg_deficit(grid[-1]))
+            vals.append(point(grid[-1])[0])
         else:
             break
         i = int(np.argmin(vals))
-    t_star = brent(neg_deficit, brack=tuple(grid[i - 1:i + 2]), tol=1e-10)
+    t_star = brent(lambda t: point(t)[0], brack=tuple(grid[i - 1:i + 2]), tol=1e-10)
     mu_star = math.exp(t_star)
+    neg, j, r = point(t_star)
     return PhiResult(
         z=float(z),
-        phi=float(1.0 + neg_deficit(t_star)),
-        lambda_star=float(0.5 * _first_zero_any(mu_star - 1.0)),
+        phi=float(1.0 + neg),
+        lambda_star=float(0.5 * j),
         mu_star=float(mu_star),
-        energy_check=float(_energy(mu_star)),
-        deficit=float(-neg_deficit(t_star)),
-    )
+        energy_check=float(_energy(mu_star, j, r)),
+        deficit=float(-neg),
+    ), r
 
 
 def truncated_hamiltonian(d: int, lam: float) -> np.ndarray:
@@ -310,9 +314,9 @@ def power_state(ebar: float, delta: float) -> BatteryState:
 
     The amplitudes are the ground vector of the tridiagonal
     T = tridiag(-1, 2 + (k + 1 - r)/lambda*, -1), which is H_lambda*/lambda*
-    shifted so that its bottom eigenvalue is 0; r = j - (mu* - 1) carries
-    mu* - 2 lambda* = 1 - r with all its digits. The window runs
-    20 lambda*^(1/3) + 60 levels past the turning point r - 1, where the
+    shifted so that its bottom eigenvalue is 0; r = j - (mu* - 1), from
+    phi's search, carries mu* - 2 lambda* = 1 - r with all its digits. The
+    window runs 20 lambda*^(1/3) + 60 levels past the turning point r - 1, where the
     Airy-like tail has long fallen below tolerance, and the state is cut at
     the first level past the turning point whose population is below
     TAIL_TOL of the population up to it. The ground vector is two steps of
@@ -325,9 +329,8 @@ def power_state(ebar: float, delta: float) -> BatteryState:
     """
     if ebar <= 0 or delta <= 0:
         raise ValueError("ebar and delta must be positive")
-    res = phi(ebar / delta)
+    res, r = _phi(ebar / delta)
     lam = res.lambda_star
-    r = _excess(res.mu_star - 1.0)
     turn = max(r - 1.0, 0.0)
     k = np.arange(int(turn + 20.0 * lam ** (1.0 / 3.0) + 60.0), dtype=float)
     diag, off = 2.0 + (k + 1.0 - r) / lam, -np.ones(k.size - 1)

@@ -120,7 +120,7 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
                for _, feeds in sectors]
     if m is not None:
         rhs += [r for r in map(sdp.matrix_rhs, m.elements) for _ in range(1 + slack)]
-    if energy_cap is not None and q_fixed is None:
+    if energy_cap is not None:
         rhs.append([float(energy_cap)])
 
     obj = None
@@ -166,20 +166,12 @@ def _assemble_ladder(
         if m.dim != 2:
             raise ValueError("the ladder programs characterize qubit POVMs")
         n_out = m.n_outcomes
-    if n_out is None:
-        raise ValueError("need an outcome count")
-    if outer and d < 2:
-        raise ValueError("the outer relaxation needs d >= 2")
     if q_fixed is not None:
         q_fixed = np.asarray(q_fixed, dtype=float)
         if q_fixed.size != d or np.any(q_fixed < 0):
             raise ValueError("fixed energy distribution must be d nonnegative weights")
         if abs(q_fixed.sum() - 1.0) > 1e-9:
             raise ValueError("fixed energy distribution must sum to 1")
-        if outer:
-            raise ValueError("fixed distributions are only supported for the inner form")
-        if energy_cap is not None:
-            raise ValueError("energy cap with a fixed distribution is redundant")
 
     # the ladder is target levels [0, 1] against battery levels 0..d-1; the
     # outer relaxation makes its top sector rank two: the tail population d
@@ -250,8 +242,8 @@ def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
     """Replay the decomposition in the raw (slack=False) program builder(m).
 
     The certificate's blocks, populations p and tail weight take their
-    places in it; every block must be PSD and every row must hold to
-    10 CERT_TOL. A missing or mis-shaped entry fails the check.
+    places in it, and it must pass the primal rule of SdpSolution.lower
+    (BlockSdp.primal_check). A missing or mis-shaped entry fails the check.
     """
     prog = builder(m)
     x = [None] * len(prog.problem.block_dims)
@@ -264,26 +256,26 @@ def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
                 x[v] = w
         if prog.tail_var is not None:
             x[prog.tail_var] = cert["tail_weight"]
-        min_eig, worst = prog.problem.primal_check(x)
+        return prog.problem.primal_check(x)
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    return min_eig >= -10 * sdp.CERT_TOL and worst <= 10 * sdp.CERT_TOL
 
 
 def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
     """Replay the Farkas functional against the slack program builder(m).
 
-    The dual vector must be feasible for that program's dual
-    (A*(y) - C PSD on every block) and its objective b.y = -margin must be
-    strictly negative; weak duality then bounds every decomposition's
-    residual away from zero. A missing or mis-shaped entry fails the check.
+    The dual vector must pass sdp.dual_holds, the rule of
+    SdpSolution.upper, on that program's dual (A*(y) - C PSD on every
+    block), and its objective b.y must lie below -max(CERT_TOL, margin/2);
+    weak duality then bounds every decomposition's residual away from zero.
+    A missing or mis-shaped entry fails the check.
     """
     try:
         min_eig, b_dot_y = builder(m).problem.compile().dual_check(cert["dual"])
         bound = -max(sdp.CERT_TOL, 0.5 * cert["margin"])
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
-    return min_eig >= -sdp.CERT_TOL and b_dot_y < bound
+    return sdp.dual_holds(min_eig) and b_dot_y < bound
 
 
 # ---------------------------------------------------------------------------

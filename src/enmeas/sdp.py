@@ -38,7 +38,7 @@ problem data.
 from __future__ import annotations
 
 import copy
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -62,21 +62,12 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
     Re X_ij and Im X_ij for i < j; dim^2 matrices in total, so pairing a
     matrix equality against all of them encodes it exactly.
     """
-    out = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 0.5
-            e[j, i] = 0.5
-            out.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 0.5j
-            e[j, i] = -0.5j
-            out.append(e)
+    entries = [(i, i, 1.0, 1.0) for i in range(dim)] + [
+        (i, j, *pair) for i in range(dim) for j in range(i + 1, dim)
+        for pair in ((0.5, 0.5), (0.5j, -0.5j))]
+    out = [np.zeros((dim, dim), dtype=complex) for _ in entries]
+    for e, (i, j, upper, lower) in zip(out, entries):
+        e[i, j], e[j, i] = upper, lower
     return out
 
 
@@ -93,9 +84,18 @@ def _hermitian(a, dim: int, what: str) -> np.ndarray:
         m = m * np.eye(1)
     if m.shape != (dim, dim):
         raise SdpError(f"{what} must be {dim}x{dim}, got {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+    top = np.max(np.abs(m))
+    if not top < np.inf:  # a nan or inf entry
+        raise SdpError(f"{what} has an entry that is not finite")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, top):
         raise SdpError(f"{what} is not Hermitian")
     return 0.5 * (m + m.conj().T)
+
+
+def _finite(value, what: str) -> float:
+    if not abs(v := float(value)) < np.inf:
+        raise SdpError(f"{what} is {v}, not finite")
+    return v
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class BlockSdp:
 
     def add_equality(self, coeffs: dict, rhs: float) -> int:
         """sum_b <coeffs[b], X_b> = rhs; returns the constraint index."""
-        self.equalities.append((self._coeffs(coeffs), float(rhs)))
+        self.equalities.append((self._coeffs(coeffs), _finite(rhs, "right-hand side")))
         self._compiled = None
         return len(self.equalities) - 1
 
@@ -184,7 +184,7 @@ class BlockSdp:
                 sub = basis if rows is None else basis[:, rows][:, :, rows]
                 if sub.shape[1] != dim:
                     raise SdpError(f"block {b} is {dim}x{dim}, placed on {sub.shape[1]} rows")
-                coeffs = _frozen(scale * sub)
+                coeffs = _frozen(_finite(scale, f"scale of block {b}") * sub)
                 cols.append((b, coeffs, np.any(coeffs != 0, axis=(1, 2))))
             else:
                 if dim != 1:
@@ -201,7 +201,7 @@ class BlockSdp:
 
     def add_inequality(self, coeffs: dict, rhs: float) -> None:
         """sum_b <coeffs[b], X_b> <= rhs (compiled via a slack scalar)."""
-        self.inequalities.append((self._coeffs(coeffs), float(rhs)))
+        self.inequalities.append((self._coeffs(coeffs), _finite(rhs, "right-hand side")))
         self._compiled = None
 
     def set_objective(self, coeffs: dict) -> None:
@@ -218,6 +218,8 @@ class BlockSdp:
         values = np.array(rhs, dtype=float)
         if values.shape != comp.b.shape:
             raise SdpError(f"{values.size} right-hand sides for {comp.b.size} rows")
+        if not np.isfinite(values).all():
+            raise SdpError("a right-hand side is not finite")
         n = len(self.equalities)
         vals = values.tolist()
         out = BlockSdp(list(self.block_dims), list(self.block_names),
@@ -230,16 +232,17 @@ class BlockSdp:
             comp.c = comp._objective_vector(out.objective)
         return out
 
-    def primal_check(self, x) -> tuple[float, float]:
-        """The compiled program's primal_check of x (one Hermitian matrix
-        per block), with each inequality's slack scalar at rhs - lhs, so
-        that a violated inequality shows as a negative eigenvalue."""
+    def primal_check(self, x) -> bool:
+        """Whether x (one Hermitian matrix per block) passes the compiled
+        program's primal_check, the primal rule, with each inequality's
+        slack scalar at rhs - lhs, so that a violated inequality shows as a
+        negative eigenvalue."""
         if len(x) != len(self.block_dims):
             raise SdpError(f"{len(x)} blocks given for {len(self.block_dims)}")
         xs = [_hermitian(xb, d, f"block {b}")
               for b, (xb, d) in enumerate(zip(x, self.block_dims))]
         comp = self.compile()
-        slack = comp.b - comp.apply_a(comp.vector(xs + [np.zeros((1, 1))] * len(self.inequalities)))
+        slack = comp.b - comp.a @ comp.vector(xs + [np.zeros((1, 1))] * len(self.inequalities))
         x_slack = [np.eye(1) * v for v in slack[len(self.equalities):]]
         return comp.primal_check(comp.vector(xs + x_slack))
 
@@ -256,18 +259,13 @@ class BlockSdp:
         return self._compiled
 
     def to_json(self) -> dict:
+        coeffs = lambda cs: {str(b): matrix_to_json(a) for b, a in cs.items()}
         return {
             "block_dims": self.block_dims,
             "block_names": self.block_names,
-            "equalities": [
-                {"coeffs": {str(b): matrix_to_json(a) for b, a in cs.items()}, "rhs": rhs}
-                for cs, rhs in self.equalities
-            ],
-            "inequalities": [
-                {"coeffs": {str(b): matrix_to_json(a) for b, a in cs.items()}, "rhs": rhs}
-                for cs, rhs in self.inequalities
-            ],
-            "objective": {str(b): matrix_to_json(a) for b, a in self.objective.items()},
+            "equalities": [{"coeffs": coeffs(cs), "rhs": rhs} for cs, rhs in self.equalities],
+            "inequalities": [{"coeffs": coeffs(cs), "rhs": rhs} for cs, rhs in self.inequalities],
+            "objective": coeffs(self.objective),
         }
 
 
@@ -424,14 +422,6 @@ class _Compiled:
                 out[bi] = m.copy()
         return out
 
-    def apply_a(self, x) -> np.ndarray:
-        """A(X): row i is sum_b <A_ib, X_b>."""
-        return self.a @ x
-
-    def apply_at(self, y) -> np.ndarray:
-        """A*(y) = sum_i y_i A_i."""
-        return np.asarray(y, dtype=float) @ self.a
-
     def schur(self, maps) -> np.ndarray:
         """A P A^T for the block-diagonal map P = M M^T, given per group the
         (n, width, width) stack of the blocks' M (the NT scaling's R).
@@ -461,10 +451,12 @@ class _Compiled:
                    if d == 2 else float(np.linalg.eigvalsh(_mat(vg, d))[:, 0].min())
                    for vg, d in zip(self.split(v), self.sizes))
 
-    def primal_check(self, v) -> tuple[float, float]:
-        """Min eigenvalue over the blocks of the flat vector v (the compiled
-        slack scalars included) and the largest |A(X) - b|."""
-        return self._min_eig(v), float(np.max(np.abs(self.apply_a(v) - self.b)))
+    def primal_check(self, v) -> bool:
+        """The primal rule, which SdpSolution.lower and every member replay
+        apply: every block of the flat vector v (the compiled slack scalars
+        included) PSD and every row of A(X) = b held, both to 10 CERT_TOL."""
+        return (self._min_eig(v) >= -10 * CERT_TOL
+                and float(np.max(np.abs(self.a @ v - self.b))) <= 10 * CERT_TOL)
 
     def dual_check(self, y, farkas: bool = False) -> tuple[float, float]:
         """Min eigenvalue of A*(y) - C over the blocks, and b.y.
@@ -476,43 +468,50 @@ class _Compiled:
         y = np.asarray(y, dtype=float)
         if y.shape != self.b.shape:
             raise SdpError(f"dual vector has {y.size} entries for {self.b.size} rows")
-        aty = self.apply_at(y)
+        aty = y @ self.a
         return self._min_eig(aty if farkas else aty - self.c), float(np.dot(self.b, y))
+
+
+def dual_holds(min_eig: float) -> bool:
+    """The dual rule, which SdpSolution.upper and every dual replay apply to
+    a dual_check: A*(y) - C, or A*(y) in the Farkas form, PSD to CERT_TOL."""
+    return min_eig >= -CERT_TOL
 
 
 @dataclass
 class SdpSolution:
-    """A solve's iterate. A caller accepts it by its bounds lower, upper and
-    bracket(), checked (not verified) on first read, not by its status.
-    primal is the flat iterate x / tau that the solver split into x; a copy
-    made by dataclasses.replace (which may carry other blocks) has none, and
-    lower then rebuilds it from x."""
+    """A solve's answer: the flat iterates x_flat = x / tau and z_flat = z / tau
+    of program (empty for an infeasible program), from which x and z, one
+    matrix per block, are read on first use. A caller accepts it by its
+    bounds lower, upper and bracket(), checked (not verified) on first read
+    by the primal rule (_Compiled.primal_check) and the dual rule
+    (dual_holds), not by its status; a dataclasses.replace copy is checked
+    anew."""
 
     status: str  # optimal | infeasible | stalled | diverged | max_iter
-    x: list[np.ndarray]
+    x_flat: np.ndarray
     y: np.ndarray
-    z: list[np.ndarray]
+    z_flat: np.ndarray
     objective: float
     dual_objective: float
     gap: float
     primal_residual: float
     dual_residual: float
     iterations: int
-    program: _Compiled | None = field(default=None, repr=False)  # the program solved
-    primal: InitVar[np.ndarray | None] = None
+    program: _Compiled = field(repr=False)  # the program solved
 
-    def __post_init__(self, primal):
-        self._primal = primal
+    @cached_property
+    def x(self) -> list[np.ndarray]:
+        return self.program.blocks(self.x_flat) if self.x_flat.size else []
+
+    @cached_property
+    def z(self) -> list[np.ndarray]:
+        return self.program.blocks(self.z_flat) if self.z_flat.size else []
 
     @cached_property
     def lower(self) -> float:
-        """min(objective, dual_objective) if x is PSD and holds its rows to
-        10 CERT_TOL, else -inf."""
-        if not self.x:
-            return -np.inf
-        v = self.program.vector(self.x) if self._primal is None else self._primal
-        min_eig, worst = self.program.primal_check(v)
-        ok = min_eig >= -10 * CERT_TOL and worst <= 10 * CERT_TOL
+        """min(objective, dual_objective) if x_flat passes the primal rule, else -inf."""
+        ok = self.x_flat.size and self.program.primal_check(self.x_flat)
         return min(self.objective, self.dual_objective) if ok else -np.inf
 
     @cached_property
@@ -522,8 +521,8 @@ class SdpSolution:
 
     @cached_property
     def upper(self) -> float:
-        """max(objective, dual_objective) if A*(y) - C >= -CERT_TOL (weak duality), else +inf."""
-        ok = self.dual_min_eig >= -CERT_TOL
+        """max(objective, dual_objective) if y passes dual_holds (weak duality), else +inf."""
+        ok = dual_holds(self.dual_min_eig)
         return float(np.fmax(self.objective, self.dual_objective)) if ok else np.inf
 
     def bracket(self) -> tuple[float, float]:
@@ -745,7 +744,7 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
     status = "max_iter"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, max_iter + 1):
-            ax, aty = comp.apply_a(x), comp.apply_at(y)
+            ax, aty = comp.a @ x, y @ comp.a
             rp = tau * b - ax
             rd = tau * c + z - aty
             cx, by, xz = float(c @ x), float(b @ y), float(x @ z)
@@ -787,8 +786,8 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
             solve_fn = _factor_schur(s)
             # the tau column: dX = W V W moves A(X) by b for V = C - A*(dy_tau),
             # and den is the pivot of the tau row after eliminating dy
-            dy_tau = solve_fn(comp.apply_a(scaled(c)) - b)
-            v = c - comp.apply_at(dy_tau)
+            dy_tau = solve_fn(comp.a @ scaled(c) - b)
+            v = c - dy_tau @ comp.a
             wvw = scaled(v)
             den = float(c @ wvw) - float(b @ dy_tau) + kappa / tau
             wrw = scaled(rd)
@@ -798,8 +797,8 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
                 A(dX) - dtau b = rp_, dX + W dZ W = h with the dual
                 residual folded into h, <C, dX> - b.dy - dkappa = rg_ and
                 kappa dtau + tau dkappa = rtk; h = None stands for 0."""
-                dy = solve_fn(-rp_ if h is None else comp.apply_a(h) - rp_)
-                aty_ = comp.apply_at(dy)
+                dy = solve_fn(-rp_ if h is None else comp.a @ h - rp_)
+                aty_ = dy @ comp.a
                 dx = -scaled(aty_)
                 if h is not None:
                     dx += h
@@ -807,7 +806,7 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
                 return dx + dtau * wvw, dy + dtau * dy_tau, aty_ - dtau * v, dtau
 
             def residual(dx, dy, dtau, rtk):
-                e_p = rp - comp.apply_a(dx) + dtau * b
+                e_p = rp - comp.a @ dx + dtau * b
                 e_g = rg - float(c @ dx) + float(b @ dy) + (rtk - kappa * dtau) / tau
                 err = max(float(np.linalg.norm(e_p)) / (1.0 + norm_rp), abs(e_g) / (1.0 + abs(rg)))
                 return e_p, e_g, err
@@ -858,11 +857,10 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
 
     if status == "infeasible":
         y = y / np.max(np.abs(y))
-        return SdpSolution(status, [], y, [], np.nan, float(b @ y), np.nan, np.nan, np.nan,
-                           it, comp)
-    x = x / tau
-    return SdpSolution(status, comp.blocks(x), y / tau, comp.blocks(z / tau), cx / tau,
-                       by / tau, xz / tau ** 2, rel_p, rel_d, it, comp, x)
+        return SdpSolution(status, np.empty(0), y, np.empty(0), np.nan, float(b @ y), np.nan,
+                           np.nan, np.nan, it, comp)
+    return SdpSolution(status, x / tau, y / tau, z / tau, cx / tau, by / tau, xz / tau ** 2,
+                       rel_p, rel_d, it, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -870,13 +868,14 @@ def _ipm(comp: _Compiled, tol: float, max_iter: int) -> SdpSolution:
 # ---------------------------------------------------------------------------
 
 def verify_infeasibility_certificate(problem: BlockSdp, y) -> bool:
-    """Re-check a Farkas functional y, A*(y) PSD and b.y < 0, directly on
-    the problem data, both to CERT_TOL. A malformed y fails the check."""
+    """Re-check a Farkas functional y directly on the problem data: A*(y)
+    PSD by the Farkas form of dual_holds, the rule that upper applies, and
+    b.y < -CERT_TOL. A malformed y fails the check."""
     try:
         min_eig, b_dot_y = problem.compile().dual_check(y, farkas=True)
     except (KeyError, ValueError, TypeError, SdpError):
         return False
-    return min_eig >= -CERT_TOL and b_dot_y < -CERT_TOL
+    return dual_holds(min_eig) and b_dot_y < -CERT_TOL
 
 
 def solve(problem: BlockSdp, tol: float = DEFAULT_TOL,
@@ -890,9 +889,10 @@ def solve(problem: BlockSdp, tol: float = DEFAULT_TOL,
     interior-point run answers every case. An infeasible program's y is the
     embedding's Farkas functional, scaled to max |y_i| = 1 (check it with
     verify_infeasibility_certificate), and dual_objective is its b.y; it
-    has no primal or dual point, so x and z are empty and the objective,
-    gap and residuals are nan (the embedding's iterate divided by a
-    vanishing tau would mean nothing).
+    has no primal or dual point, so x_flat and z_flat (and x and z) are
+    empty and the objective, gap and residuals are nan (the embedding's
+    iterate divided by a vanishing tau would mean nothing). The solution
+    is accepted by its checked bounds (SdpSolution), not by its status.
     """
     comp = problem.compile()
     if comp.b.size == 0:

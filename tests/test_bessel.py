@@ -131,14 +131,14 @@ class TestFirstZero:
     @pytest.mark.parametrize("size", [2, 5])
     def test_non_finite_values_raise(self, monkeypatch, size):
         # every jv call is checked: a Halley step (two orders) and the
-        # five-order difference of _excess_slope, whose nan used to reach
+        # five-order difference of _energy's slope, whose nan used to reach
         # energy_check
         jv = bessel.jv
         monkeypatch.setattr(bessel, "jv", lambda nu, x: jv(nu, x) * (
             np.nan if np.size(nu) == size else 1.0))
         for nu in (0.5, 50.0):
             with pytest.raises(BesselRangeError):
-                bessel._excess_slope(nu)
+                bessel._energy(nu + 1.0, *bessel._zero(nu))
 
 
 class TestMuOfLambda:
@@ -228,10 +228,10 @@ class TestPhi:
 
     def test_energy_check_and_search_cost_over_the_domain(self, monkeypatch):
         # the search maximizes the deficit, so energy_check = z is a result,
-        # not a constraint; each _excess call below order 1000 is a Bessel zero
+        # not a constraint; each _zero call below order 1000 is a Bessel zero
         calls = []
-        excess = bessel._excess
-        monkeypatch.setattr(bessel, "_excess", lambda nu: calls.append(nu) or excess(nu))
+        zero = bessel._zero
+        monkeypatch.setattr(bessel, "_zero", lambda nu: calls.append(nu) or zero(nu))
         for z in np.geomspace(1e-2, 1e6, 200):
             calls.clear()
             r = phi(float(z))
@@ -299,7 +299,7 @@ class TestPowerState:
         for z in (0.1, 1.0, 10.0, 100.0, 1000.0):
             st = power_state(z, 1.0)
             r = phi(z)
-            excess = bessel._excess(r.mu_star - 1.0)
+            excess = bessel._zero(r.mu_star - 1.0)[1]
             turn = max(excess - 1.0, 0.0)
             k = np.arange(int(turn + 20.0 * r.lambda_star ** (1.0 / 3.0) + 60.0), dtype=float)
             _, vec = eigh_tridiagonal(2.0 + (k + 1.0 - excess) / r.lambda_star,

@@ -550,3 +550,47 @@ def test_second_verdict_of_a_shape_assembles_nothing(monkeypatch):
     calls.clear()
     assert not membership_finite(degrade(sigma_x_povm(), 0.99), d).is_member
     assert calls == []
+
+
+def test_certificate_replays_accept_exactly_what_the_bounds_accept():
+    # a replay applies the rule of the replayed program's own bound: lower
+    # for a member's blocks, shifted by -k CERT_TOL I across the 10 CERT_TOL
+    # edge, and upper for a non-member's perturbed y
+    d, tol = 3, sdp.CERT_TOL
+    raw = lambda m: charact._assemble_ladder(m, d, slack=False)
+    slack = lambda m: charact._assemble_ladder(m, d)
+
+    def bounds(comp, x_flat, y):
+        return sdp.SdpSolution("optimal", x_flat, y, np.empty(0), 0.0, 0.0, 0.0, 0.0, 0.0,
+                               0, comp)
+
+    m = degrade(sigma_x_povm(), 0.5)
+    cert = membership_finite(m, d).certificate
+    prog = raw(m)
+    comp = prog.problem.compile()
+    seen = set()
+    for k in (0.0, 1.0, 2.0, 3.0, 4.0, 5.5, 8.0, 9.5, 10.5, 12.0, 20.0):
+        blocks = {s: [b - k * tol * np.eye(len(b)) for b in per_x]
+                  for s, per_x in cert["blocks"].items()}
+        x = [None] * len(prog.problem.block_dims)
+        for per_x, given in zip(prog.blocks, blocks.values()):
+            for b, blk in zip(per_x, given):
+                x[b] = blk
+        for v, w in zip(prog.p_vars, cert["p"]):
+            x[v] = np.array([[w]])
+        accepted = bounds(comp, comp.vector(x), np.zeros(comp.b.size)).lower > -np.inf
+        assert verify_member_certificate(m, {**cert, "blocks": blocks}, raw) == accepted, k
+        seen.add(accepted)
+    assert seen == {True, False}
+
+    m = degrade(sigma_x_povm(), 0.99)
+    cert = membership_finite(m, d).certificate
+    comp = slack(m).problem.compile()
+    rng = np.random.default_rng(21)
+    seen = set()
+    for scale in (0.0, 1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-5):
+        y = cert["dual"] + scale * rng.standard_normal(cert["dual"].shape)
+        accepted = bounds(comp, np.empty(0), y).upper < np.inf
+        assert verify_nonmember_certificate(m, {**cert, "dual": y}, slack) == accepted, scale
+        seen.add(accepted)
+    assert seen == {True, False}

@@ -110,7 +110,7 @@ class TestDualityAndCertificates:
             lower, upper = sol.bracket()
             assert lower - 1e-8 <= np.linalg.eigvalsh(h)[-1] <= upper + 1e-8
             bad_y = replace(sol, y=sol.y - 1e-3)
-            bad_x = replace(sol, x=[sol.x[0] - 1e-3 * np.eye(3)])
+            bad_x = replace(sol, x_flat=sol.x_flat - 1e-3 * sol.program.e)  # x - 1e-3 I
             assert bad_y.upper == np.inf and bad_y.lower == lower
             assert bad_x.lower == -np.inf and bad_x.upper == upper
             for bad in (bad_y, bad_x):
@@ -480,8 +480,8 @@ def test_compiled_operators_match_per_row_reference(case):
     x = [herm(rng, d) for d in dims]
     z = [herm(rng, d) for d in dims]
     y = rng.standard_normal(len(rows))
-    assert_close(comp.apply_a(comp.vector(x)), reference_apply_a(rows, x))
-    for got, want in zip(comp.blocks(comp.apply_at(y)), reference_apply_at(rows, dims, y)):
+    assert_close(comp.a @ comp.vector(x), reference_apply_a(rows, x))
+    for got, want in zip(comp.blocks(y @ comp.a), reference_apply_at(rows, dims, y)):
         assert_close(got, want)
     assert_close(np.dot(comp.vector(x), comp.vector(z)),
                  sum(np.trace(a @ b).real for a, b in zip(x, z)))
@@ -582,13 +582,13 @@ def test_scalar_tails_stay_zero_through_a_solve(case, monkeypatch):
         assert np.all(x[one, 1:] == 0.0) and np.all(z[one, 1:] == 0.0)
     comp = sol.program
     one = comp.spin_dims[:, 0] == 1
-    assert np.all(comp.split(sol._primal)[0][one, 1:] == 0.0)
+    assert np.all(comp.split(sol.x_flat)[0][one, 1:] == 0.0)
     assert all(b.shape == (d, d) for b, d in zip(sol.x + sol.z, comp.dims + comp.dims))
 
 
 def test_spin_group_least_eigenvalue_is_the_blocks_least_eigenvalue():
     # (v0 - |v'|) / sqrt d over a mixed 1x1 / 2x2 group, against eigvalsh of
-    # blocks(), through primal_check and dual_check, with each block in turn
+    # blocks(), through _min_eig and dual_check, with each block in turn
     # the least one, on well-conditioned and on nearly singular blocks
     rng = np.random.default_rng(14)
     p = BlockSdp()
@@ -606,7 +606,7 @@ def test_spin_group_least_eigenvalue_is_the_blocks_least_eigenvalue():
             v = comp.vector(mats)
             want = min(np.linalg.eigvalsh(b)[0] for b in comp.blocks(v))
             tol = 1e-14 * 12.0  # every block's norm is below 12
-            assert abs(comp.primal_check(v)[0] - want) <= tol
+            assert abs(comp._min_eig(v) - want) <= tol
             p.set_objective({b: -m for b, m in enumerate(mats)})
             assert abs(p.compile().dual_check(np.zeros(1))[0] - want) <= tol
 
@@ -883,7 +883,7 @@ def test_a_failed_check_raises_in_every_caller(caller, side, raises, monkeypatch
     def doctored(*args, **kwargs):
         sol = solve_fn(*args, **kwargs)
         if side == "x":
-            return replace(sol, x=[b - np.eye(len(b)) for b in sol.x])
+            return replace(sol, x_flat=sol.x_flat - sol.program.e)  # every block - I
         return replace(sol, y=sol.y + rng.standard_normal(sol.y.shape))
 
     CALLERS[caller]()
@@ -908,3 +908,43 @@ def test_a_solve_stopped_by_max_iter_is_returned_once_its_bracket_closes(caller,
     got = value(CALLERS[caller]())
     assert [s.status for s in solved] == ["optimal", "max_iter"]
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_a_solution_builds_its_blocks_only_when_they_are_read(monkeypatch):
+    # the solver keeps its flat iterates: a non-member verdict reads y and
+    # its bound, never a block; quantum_distance reads x, built once
+    calls = []
+    blocks_fn = sdp._Compiled.blocks
+    monkeypatch.setattr(sdp._Compiled, "blocks",
+                        lambda self, v: calls.append(len(v)) or blocks_fn(self, v))
+    assert not charact.membership_finite(degrade(projective_qubit("x"), 0.99), 3).is_member
+    assert calls == []
+    distances.quantum_distance(projective_qubit("x"), projective_qubit("z"))
+    assert len(calls) == 1
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _small_program():
+    """A scalar (block 0) and a 2x2 block (block 1), with one row."""
+    p = BlockSdp()
+    p.add_equality({p.add_scalar(): 1.0, p.add_block(2): np.eye(2)}, 1.0)
+    return p
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: _small_program().add_equality({1: [[NAN, 0], [0, 1]]}, 1.0),
+    lambda: _small_program().set_objective({0: NAN}),
+    lambda: sdp.matrix_rhs([[INF, 0], [0, 1]]),
+    lambda: _small_program().add_equality({0: 1.0}, NAN),
+    lambda: _small_program().add_inequality({0: 1.0}, -INF),
+    lambda: _small_program().with_rhs([NAN]),
+    lambda: _small_program().add_matrix_equality([(0, [0], NAN)], np.eye(1)),
+    lambda: charact.membership_energy(degrade(projective_qubit("x"), 0.5), NAN, 1.0, 4),
+], ids=["coefficient", "objective", "matrix_rhs", "equality_rhs", "inequality_rhs",
+        "with_rhs", "placement_scale", "membership_energy"])
+def test_non_finite_data_is_rejected_before_a_solve(bad, monkeypatch):
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: pytest.fail("solved non-finite data"))
+    with pytest.raises(SdpError, match="not finite"):
+        bad()
