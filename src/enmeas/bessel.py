@@ -5,8 +5,10 @@ The best tau reachable at mean battery energy z*Delta is
     phi(z) = min_{lambda > 0} (z + mu(lambda)) / (2 lambda),
 
 where mu(lambda) solves the transcendental equation  j_{mu-1,1} = 2 lambda
-(j_{nu,1} = first positive zero of J_nu).  Every extreme point of the
-minimand is a global minimum, so Brent's search on a bracket is exact.
+(j_{nu,1} = first positive zero of J_nu).  The minimand is stationary
+where the ground state's mean energy lambda dmu/dlambda - mu equals z, and
+that energy strictly increases in mu, so the minimizer is the one root of
+this energy condition, which Brent's root finder on a bracket pins.
 Large orders take the series j_{nu,1} = nu + C1 nu^(1/3) + ..., so phi is
 defined for every z > 0, and its search keeps 1 - phi to full relative
 precision; smaller orders find the zero by a safeguarded Halley iteration
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brent, brentq
+from scipy.optimize import brentq
 from scipy.special import ai_zeros, jv
 
 from .tau import BatteryState
@@ -224,21 +226,24 @@ class PhiResult:
     phi: float
     lambda_star: float
     mu_star: float
-    energy_check: float  # lambda*dmu/dlambda - mu at the minimizer; should equal z
+    energy_check: float  # lambda*dmu/dlambda - mu at the minimizer; z to the search's tolerance
     deficit: float  # 1 - phi, to full relative precision where phi rounds to 1
 
 
 def phi(z: float) -> PhiResult:
     """Best tau at mean energy z (in units of the gap), with its minimizer.
 
-    The search runs over mu, with 2 lambda = j_{mu-1,1} =: j, and maximizes
-    the deficit 1 - (z + mu)/j = (r - z - 1)/j, where r = j - (mu - 1) comes
+    The search runs over mu, with 2 lambda = j_{mu-1,1} =: j, and the
+    deficit is 1 - (z + mu)/j = (r - z - 1)/j, where r = j - (mu - 1) comes
     straight from the large-order series when the order is large.  The
     deficit then keeps full relative precision even where it falls to
     1e-12, so the optimum is as sharp at z = 1e6 as at z = 1.  The minimand
-    has only global minima, so a 9-point geometric scan followed by Brent's
-    parabolic minimization of the negated deficit in log mu (tolerance
-    1e-10) pins it.
+    is stationary exactly where the ground state's mean energy
+    E(mu) = lambda dmu/dlambda - mu equals z, and E strictly increases in
+    mu, so the minimizer is the one root of E(mu) = z.  Brent's root finder
+    in log mu (tolerance 1e-8) finds it in [z, mu_asym], the small-z and
+    large-z scales, an end moved outward when rounding in E puts the root
+    just past it.  energy_check is E at that root.
     """
     return _phi(z)[0]
 
@@ -251,41 +256,32 @@ def _phi(z: float) -> tuple[PhiResult, float]:
 
     cache: dict[float, tuple[float, float, float]] = {}
 
-    def point(t: float) -> tuple[float, float, float]:  # log mu -> (-deficit, j, r)
+    def point(t: float) -> tuple[float, float, float]:  # log mu -> (E, j, r)
         if t not in cache:
             mu = math.exp(t)
             j, r = _zero(mu - 1.0)
-            cache[t] = (z + 1.0 - r) / (mu - 1.0 + r), j, r
+            cache[t] = _energy(mu, j, r), j, r
         return cache[t]
 
-    # candidate scales: small-z behavior mu ~ z, large-z growth ~ z^3
-    mu_asym = 27.0 * (z + 1.0) ** 3 / (8.0 * AIRY_C1 ** 3)
-    lo = min(z, mu_asym) / 16.0
-    hi = max(z, mu_asym) * 16.0
-    grid = np.linspace(math.log(lo), math.log(hi), 9).tolist()
-    vals = [point(t)[0] for t in grid]
-    i = int(np.argmin(vals))
-    # expand outward if the scan minimum sits on an edge
-    for _ in range(60):
-        if i == 0:
-            grid.insert(0, grid[0] - math.log(8.0))
-            vals.insert(0, point(grid[0])[0])
-        elif i == len(grid) - 1:
-            grid.append(grid[-1] + math.log(8.0))
-            vals.append(point(grid[-1])[0])
-        else:
-            break
-        i = int(np.argmin(vals))
-    t_star = brent(lambda t: point(t)[0], brack=tuple(grid[i - 1:i + 2]), tol=1e-10)
-    mu_star = math.exp(t_star)
-    neg, j, r = point(t_star)
+    # E(mu) ~ mu for small mu and ~ (2/3) C1 mu^(1/3) - 1 for large mu, so
+    # the root lies in [z, mu_asym] up to rounding in E
+    lo = math.log(z)
+    hi = math.log(27.0 * (z + 1.0) ** 3 / (8.0 * AIRY_C1 ** 3))
+    step = 1e-2
+    while point(lo)[0] > z:
+        lo, hi, step = lo - step, lo, 8.0 * step
+    while point(hi)[0] < z:
+        lo, hi, step = hi, hi + step, 8.0 * step
+    t_star = brentq(lambda t: point(t)[0] - z, lo, hi, xtol=1e-8)
+    energy, j, r = point(t_star)
+    deficit = (r - z - 1.0) / j
     return PhiResult(
         z=float(z),
-        phi=float(1.0 + neg),
+        phi=float(1.0 - deficit),
         lambda_star=float(0.5 * j),
-        mu_star=float(mu_star),
-        energy_check=float(_energy(mu_star, j, r)),
-        deficit=float(-neg),
+        mu_star=float(math.exp(t_star)),
+        energy_check=float(energy),
+        deficit=float(deficit),
     ), r
 
 

@@ -357,6 +357,8 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     upper bound, the inner truncation's lower bound and attaining POVM; the
     gap shrinks as O(ebar / (delta d)). A bound that fails its check raises.
     """
+    if ebar <= 0 or delta <= 0:
+        raise ValueError("ebar and delta must be positive")
     if d < 2:
         raise ValueError("d must be >= 2")
     v = [np.asarray(x, dtype=complex) for x in v]

@@ -9,6 +9,7 @@ norm of the difference of the induced measure-and-prepare channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -169,6 +170,23 @@ def classical_distance(m0: Povm, m1: Povm) -> DistanceResult:
     )
 
 
+@lru_cache(maxsize=16)
+def _diamond_shape(d: int, n: int) -> tuple[sdp.BlockSdp, int, tuple[int, ...], tuple[int, ...]]:
+    """The compiled rows of the n-outcome diamond-norm program on d x d
+    blocks, with no objective, and its rho, U_x and V_x block indices; every
+    pair of this shape shares them and sets only its objective."""
+    p = sdp.BlockSdp()
+    rho = p.add_block(d, "rho")
+    us = tuple(p.add_block(d, f"U{x}") for x in range(n))
+    vs = tuple(p.add_block(d, f"V{x}") for x in range(n))
+    for x in range(n):
+        p.add_matrix_equality([(us[x], None, 1.0), (vs[x], None, 1.0), (rho, None, -2.0)],
+                              np.zeros((d, d)))
+    p.add_equality({rho: np.eye(d)}, 1.0)
+    p.compile()  # with_rhs copies share it
+    return p, rho, us, vs
+
+
 def quantum_distance(m0: Povm, m1: Povm) -> DistanceResult:
     """Half the diamond norm of the difference of measure-and-prepare channels.
 
@@ -179,26 +197,16 @@ def quantum_distance(m0: Povm, m1: Povm) -> DistanceResult:
     are half the solution's bracket(), which raises when it is not closed.
     """
     diffs = _matched_differences(m0, m1)
-    d = m0.dim
-    n = len(diffs)
-    p = sdp.BlockSdp()
-    rho = p.add_block(d, "rho")
-    us = [p.add_block(d, f"U{x}") for x in range(n)]
-    vs = [p.add_block(d, f"V{x}") for x in range(n)]
-    for x in range(n):
-        p.add_matrix_equality([(us[x], None, 1.0), (vs[x], None, 1.0), (rho, None, -2.0)],
-                              np.zeros((d, d)))
-    p.add_equality({rho: np.eye(d)}, 1.0)
+    shape, rho, us, vs = _diamond_shape(m0.dim, len(diffs))
     # objective sum_x <D_x^T, (V_x - U_x)/2>; transpose matches the Choi pairing
     obj = {}
     for x, dd in enumerate(diffs):
         dt = dd.T
         obj[vs[x]] = 0.5 * dt
         obj[us[x]] = -0.5 * dt
-    p.set_objective(obj)
-    sol = sdp.solve(p, tol=_SDP_TOL)
+    sol = sdp.solve(shape.with_rhs([rhs for _, rhs in shape.equalities], obj), tol=_SDP_TOL)
     lower, upper = sol.bracket()
-    xs = [0.5 * (sol.block(vs[x]) - sol.block(us[x])) for x in range(n)]
+    xs = [0.5 * (sol.block(v) - sol.block(u)) for u, v in zip(us, vs)]
     return DistanceResult(
         value=0.5 * sol.objective,
         witness={"rho": sol.block(rho), "X": xs, "bounds": (0.5 * lower, 0.5 * upper)},

@@ -103,28 +103,47 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
     j = np.searchsorted(s, target)
     lower = np.where((j > 0) & (np.abs(s[np.maximum(j - 1, 0)] - target) <= tol), j - 1, -1)
     upper = np.where((j < n) & (np.abs(s[np.minimum(j, n - 1)] - target) <= tol), j, -1)
-    lower, upper = lower.tolist(), upper.tolist()
-    rank, nus = order.tolist(), s.tolist()
-    used = [False] * n
-    chains: list[Chain] = []
-    # s is ascending, so scanning left to right starts every chain at its
-    # bottom, and the chains come out sorted by nu
-    for start in range(n):
-        if used[start]:
-            continue
-        ids = [start]
-        used[start] = True
-        cur = start
-        while True:
-            nxt = lower[cur]
-            if nxt < 0 or used[nxt]:
-                nxt = upper[cur]
+    if gaps.min(initial=np.inf) > 2.0 * tol:
+        # no two levels within 2 tol: every level has at most one successor
+        # candidate, above it (or itself when delta <= tol), and no two
+        # levels share one, so the walk below would make no choice. Each
+        # chain is then a run of ascending indices under its lowest level,
+        # its head, found by pointer jumping on the predecessors: after k
+        # jumps every level points 2^k links down or at its head.
+        succ, idx = np.maximum(lower, upper), np.arange(n)
+        linked = (succ >= 0) & (succ != idx)
+        head = idx.copy()
+        head[succ[linked]] = idx[linked]
+        for _ in range(n.bit_length()):
+            head = head[head]
+        perm = np.argsort(head, kind="stable")
+        starts = np.flatnonzero(head[perm] == perm)
+        ids, cuts = order[perm].tolist(), [*starts.tolist(), n]
+        chains = [Chain(nu=nu, level_ids=tuple(ids[a:b]))
+                  for nu, a, b in zip(s[perm[starts]].tolist(), cuts, cuts[1:])]
+    else:
+        lower, upper = lower.tolist(), upper.tolist()
+        rank, nus = order.tolist(), s.tolist()
+        used = [False] * n
+        chains = []
+        # s is ascending, so scanning left to right starts every chain at
+        # its bottom, and the chains come out sorted by nu
+        for start in range(n):
+            if used[start]:
+                continue
+            ids = [start]
+            used[start] = True
+            cur = start
+            while True:
+                nxt = lower[cur]
                 if nxt < 0 or used[nxt]:
-                    break
-            ids.append(nxt)
-            used[nxt] = True
-            cur = nxt
-        chains.append(Chain(nu=nus[start], level_ids=tuple(rank[i] for i in ids)))
+                    nxt = upper[cur]
+                    if nxt < 0 or used[nxt]:
+                        break
+                ids.append(nxt)
+                used[nxt] = True
+                cur = nxt
+            chains.append(Chain(nu=nus[start], level_ids=tuple(rank[i] for i in ids)))
 
     # near misses: candidates j - 1, j, j + 1 of every level, in that order
     cand = j[:, None] + np.arange(-1, 2)

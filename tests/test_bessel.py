@@ -227,8 +227,9 @@ class TestPhi:
             assert r.phi == 1.0 - r.deficit
 
     def test_energy_check_and_search_cost_over_the_domain(self, monkeypatch):
-        # the search maximizes the deficit, so energy_check = z is a result,
-        # not a constraint; each _zero call below order 1000 is a Bessel zero
+        # the search solves energy_check = z, so this checks its tolerance
+        # and cost (test_deficit_is_maximal_at_the_minimizer checks that the
+        # root is the optimum); each _zero call below order 1000 is a Bessel zero
         calls = []
         zero = bessel._zero
         monkeypatch.setattr(bessel, "_zero", lambda nu: calls.append(nu) or zero(nu))
@@ -238,9 +239,24 @@ class TestPhi:
             assert abs(r.energy_check - z) <= 1e-7 * max(z, 1.0)
             assert len(calls) <= 50
 
+    def test_deficit_is_maximal_at_the_minimizer(self):
+        # the deficit (r - z - 1)/j at mu* beats mu* e^(+-1e-4) and e^(+-1e-2),
+        # evaluated from its own zeros, independently of the energy condition
+        def deficit(z, mu):
+            j, r = bessel._zero(mu - 1.0)
+            return (r - z - 1.0) / j
+
+        for z in np.geomspace(1e-6, 1e10, 60):
+            z = float(z)
+            r = phi(z)
+            assert r.deficit == deficit(z, r.mu_star)
+            for step in (1e-4, -1e-4, 1e-2, -1e-2):
+                assert r.deficit >= deficit(z, r.mu_star * math.exp(step))
+
     def test_jv_calls_per_zero_below_the_series_order(self, monkeypatch):
         # a safeguarded Halley step per jv call, started from the series or
-        # the bracket midpoint; a brentq zero took about 11 calls
+        # the bracket midpoint, and one call for the energy at each search
+        # point; a brentq zero took about 11 calls
         counts = {"jv": 0, "zeros": 0}
         jv, first_zero_any = bessel.jv, bessel._first_zero_any
 

@@ -250,6 +250,16 @@ class TestOptimizeEnergy:
 
         assert validate(povm, tol=1e-6).ok
 
+    def test_nonpositive_energy_or_gap_raises_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("optimize_energy solved a program")
+
+        monkeypatch.setattr(sdp, "solve", no_solve)
+        v = [0.25 * np.eye(2), 0.25 * np.eye(2)]
+        for ebar, delta in ((-1.0, 1.0), (0.0, 1.0), (5.0, 0.0), (5.0, -1.0)):
+            with pytest.raises(ValueError, match="ebar and delta must be positive"):
+                optimize_energy(v, ebar, delta, 4)
+
     def test_matches_phi_at_moderate_truncation(self):
         plus = 0.5 * np.array([[1, 1], [1, 1]], complex)
         minus = 0.5 * np.array([[1, -1], [-1, 1]], complex)

@@ -91,16 +91,20 @@ def test_greedy_walk_matches_the_per_level_loop():
     cases = list(_greedy_corpus())
     assert any(len(dec.chains) > 1 and dec.near_misses
                for dec in (decompose_chains(lv, d, t) for lv, d, t in cases))
+    walked = set()  # whether a case has two levels within 2 tol, the walk's case
     for levels, delta, tol in cases:
         dec = decompose_chains(levels, delta, tol)
         ref_tol = default_grouping_tol(levels, delta) if tol is None else tol
+        walked.add(bool(np.diff(np.sort(levels)).min(initial=np.inf) <= 2.0 * ref_tol))
         chains, near = greedy_loop_chains(np.asarray(levels, dtype=float), delta, ref_tol)
         assert dec.grouping_tol == ref_tol
         assert dec.chains == chains
         assert [c.level_ids for c in dec.chains] == [c.level_ids for c in chains]
         assert dec.near_misses == near
         assert all(type(i) is int for c in dec.chains for i in c.level_ids)
+        assert all(type(c.nu) is float for c in dec.chains)
         assert all(type(x) is int for a, b, _ in dec.near_misses for x in (a, b))
+    assert walked == {False, True}
 
 
 def test_two_levels_within_tol_of_one_target():
