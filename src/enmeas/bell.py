@@ -22,15 +22,9 @@ PARTY_DIM = 4
 
 
 def _party_number_projectors() -> list[np.ndarray]:
-    sectors = {0: [(0, 0)], 1: [(0, 1), (1, 0)], 2: [(1, 1)]}
-    out = []
-    for total in (0, 1, 2):
-        p = np.zeros((PARTY_DIM, PARTY_DIM), dtype=complex)
-        for occ in sectors[total]:
-            i = _IDX[occ]
-            p[i, i] = 1.0
-        out.append(p)
-    return out
+    """Projectors onto one party's local photon number 0, 1 and 2."""
+    number = np.array([sum(occ) for occ in sorted(_IDX, key=_IDX.get)])
+    return [np.diag((number == total).astype(complex)) for total in (0, 1, 2)]
 
 
 def _single_photon_ops() -> tuple[np.ndarray, np.ndarray]:
@@ -47,10 +41,7 @@ def _single_photon_ops() -> tuple[np.ndarray, np.ndarray]:
 def reference_observables() -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The dichotomic settings A_1, A_2 and B_1, B_2 on each party's modes."""
     sx, sz = _single_photon_ops()
-    p00 = np.zeros((PARTY_DIM, PARTY_DIM), dtype=complex)
-    p00[_IDX[(0, 0)], _IDX[(0, 0)]] = 1.0
-    p11 = np.zeros((PARTY_DIM, PARTY_DIM), dtype=complex)
-    p11[_IDX[(1, 1)], _IDX[(1, 1)]] = 1.0
+    p00, _, p11 = _party_number_projectors()
     a = [p00 - p11 + sz, p00 - p11 + sx]
     b = [
         -p00 + p11 + (sx - sz) / sqrt(2.0),
@@ -116,7 +107,6 @@ class BellScenario:
     state: np.ndarray
     alice: list[np.ndarray]
     bob: list[np.ndarray]
-    dich_tol: float = 1e-10
 
     def __post_init__(self):
         self.state = as_hermitian(self.state, herm_tol=1e-9)
@@ -131,7 +121,7 @@ class BellScenario:
             raise ValueError("state must be PSD with unit trace")
         for o in self.alice + self.bob:
             w = np.linalg.eigvalsh(as_hermitian(o, herm_tol=1e-9))
-            if np.max(np.abs(np.abs(w) - 1.0)) > self.dich_tol:
+            if np.max(np.abs(np.abs(w) - 1.0)) > 1e-10:
                 raise ValueError("observables must be dichotomic (eigenvalues +-1)")
 
 
@@ -152,8 +142,16 @@ def chsh_value(s: BellScenario) -> float:
 
 
 def chsh_mixture_bound() -> float:
-    """Weighted bound: separable weight 6/8 at 2 plus entangled 2/8 at 2 sqrt 2."""
-    return 6.0 / 8.0 * 2.0 + 2.0 / 8.0 * 2.0 * sqrt(2.0)
+    """2 (1 - w) + 2 sqrt(2) w for the dephased state's weight w = <e|rho|e> on
+    its entangled component e; the rest, at most 2, must be a nonnegative
+    diagonal (so separable) state to 1e-12, else ValueError. Here w = 1/4."""
+    rho, e = build_dephased_state(), entangled_component()
+    w = float(np.vdot(e, rho @ e).real)
+    rest = rho - w * np.outer(e, e.conj())
+    diag = np.diag(rest).real
+    if np.max(np.abs(rest - np.diag(diag))) > 1e-12 or diag.min() < -1e-12:
+        raise ValueError("the state less its entangled component is not a nonnegative diagonal")
+    return 2.0 * (1.0 - w) + 2.0 * sqrt(2.0) * w
 
 
 def _sign_observable(g: np.ndarray) -> np.ndarray:

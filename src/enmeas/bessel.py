@@ -88,8 +88,9 @@ def _series_excess(nu: float) -> tuple[float, float]:
     return excess, slope
 
 
-def _first_zero_any(nu: float) -> float:
-    """First positive zero of J_nu for any order nu > -1.
+def _zero(nu: float) -> tuple[float, float]:
+    """j_{nu,1}, the first positive zero of J_nu for any order nu > -1, and
+    j_{nu,1} - nu, the latter free of cancellation at large orders.
 
     Orders from 1000 on take the large-order series, exact there to double
     precision.  Below that a safeguarded Halley iteration runs inside a
@@ -110,7 +111,8 @@ def _first_zero_any(nu: float) -> float:
     if nu <= -1:
         raise ValueError("nu must exceed -1")
     if nu >= _SERIES_MIN_ORDER:
-        return nu + _series_excess(nu)[0]
+        r = _series_excess(nu)[0]
+        return nu + r, r
     if nu > 5.0:
         t = nu ** (1.0 / 3.0)
         lo, hi = nu + 1.2 * t, nu + 2.4 * t + 2.0 / t
@@ -137,14 +139,14 @@ def _first_zero_any(nu: float) -> float:
         elif j0 < 0.0:
             hi = x
         else:
-            return x
+            return x, x - nu
         d1 = nu / x * j0 - j1
         d2 = -d1 / x - (1.0 - (nu / x) ** 2) * j0
         newton = j0 / d1
         step = newton / (1.0 - 0.5 * newton * d2 / d1)
         x_new = x - step
         if abs(step) <= 1e-6 * x and lo <= x_new <= hi:
-            return x_new
+            return x_new, x_new - nu
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     raise BesselRangeError(f"no convergence to the first zero of J_{nu} in [{lo}, {hi}]")
 
@@ -153,16 +155,7 @@ def first_zero(nu: float) -> float:
     """First positive zero j_{nu,1} of J_nu, nu >= 0, to ~1e-12."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    return _first_zero_any(nu)
-
-
-def _zero(nu: float) -> tuple[float, float]:
-    """j_{nu,1} and j_{nu,1} - nu, the latter free of cancellation at large orders."""
-    if nu >= _SERIES_MIN_ORDER:
-        r = _series_excess(nu)[0]
-        return nu + r, r
-    j = _first_zero_any(nu)
-    return j, j - nu
+    return _zero(nu)[0]
 
 
 def _energy(mu: float, j: float, r: float) -> float:
@@ -197,7 +190,7 @@ def mu_of_lambda(lam: float) -> float:
     target = 2.0 * lam
 
     def g(mu: float) -> float:
-        return _first_zero_any(mu - 1.0) - target
+        return _zero(mu - 1.0)[0] - target
 
     lo = 1e-9
     while g(lo) > 0:  # extremely small lambda: shrink the lower end

@@ -17,6 +17,7 @@ import numpy as np
 from . import sdp
 from .linalg import as_hermitian
 from .povm import Povm
+from .tau import epsilon_from_tau
 
 ENUMERATION_LIMIT = 24  # d > 2: 2^(n-1) eigenproblems beyond this is rejected
 _TOL = 1e-10  # relative: zero and parallel generators, dependent subsets, lines
@@ -214,8 +215,7 @@ def quantum_distance(m0: Povm, m1: Povm) -> DistanceResult:
     )
 
 
-def seesaw_lower_bound(m0: Povm, m1: Povm, restarts: int = 10,
-                       iters: int = 200, seed: int = 0) -> DistanceResult:
+def seesaw_lower_bound(m0: Povm, m1: Povm, restarts: int = 10, seed: int = 0) -> DistanceResult:
     """Monotone alternating lower bound on the quantum distance.
 
     Alternates between the optimal input state (top eigenvector step) and
@@ -242,7 +242,7 @@ def seesaw_lower_bound(m0: Povm, m1: Povm, restarts: int = 10,
             vec /= np.linalg.norm(vec)
         rho_big = np.outer(vec, vec.conj())
         val = -np.inf
-        for _ in range(iters):
+        for _ in range(200):
             ss = []
             for dd in diffs:
                 red = as_hermitian(partial_d(rho_big, dd), herm_tol=1e-8)
@@ -267,8 +267,7 @@ def seesaw_lower_bound(m0: Povm, m1: Povm, restarts: int = 10,
 
 
 def set_distance_epsilon(tau: float) -> tuple[float, float]:
-    """Worst-case classical and quantum set distances of a tau-quality device."""
-    if not (0.0 <= tau <= 1.0 + 1e-12):
-        raise ValueError("tau must lie in [0, 1]")
-    eps = 0.5 * (1.0 - min(tau, 1.0))
+    """Worst-case classical and quantum set distances of a tau-quality device:
+    both are epsilon_from_tau(tau) = (1 - tau)/2."""
+    eps = epsilon_from_tau(tau)
     return eps, eps

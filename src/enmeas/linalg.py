@@ -69,9 +69,9 @@ def min_eig(m) -> float:
     return float(np.linalg.eigvalsh(as_hermitian(m, np.inf))[0])
 
 
-def is_psd(m, tol: float = 1e-9, herm_tol: float = DEFAULT_HERM_TOL) -> bool:
+def is_psd(m, tol: float = 1e-9) -> bool:
     """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol."""
-    a = as_hermitian(m, herm_tol)
+    a = as_hermitian(m)
     return float(np.linalg.eigvalsh(a)[0]) >= -tol
 
 
@@ -121,6 +121,6 @@ def matrix_from_json(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def hermitian_from_json(data, herm_tol: float = 1e-9) -> np.ndarray:
-    """Deserialize and symmetrize a Hermitian matrix (tolerance-checked)."""
-    return as_hermitian(matrix_from_json(data), herm_tol)
+def hermitian_from_json(data) -> np.ndarray:
+    """Deserialize and symmetrize a Hermitian matrix (Hermitian to 1e-9)."""
+    return as_hermitian(matrix_from_json(data), 1e-9)

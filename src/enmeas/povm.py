@@ -57,11 +57,11 @@ class Povm:
         }
 
     @classmethod
-    def from_json(cls, data: dict, tol: float = 1e-9) -> "Povm":
+    def from_json(cls, data: dict) -> "Povm":
         elems = data["elements"]
         labels = list(elems.keys())
         mats = [hermitian_from_json(elems[l]) for l in labels]
-        return cls(elements=mats, labels=labels, tol=tol)
+        return cls(elements=mats, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ class PhysicalPovm:
     chains: ChainDecomposition
     blocks: list[dict]  # one dict per outcome: (chain, k) -> rank x rank Hermitian
     labels: list | None = None
-    tol: float = 1e-9
 
     def __post_init__(self):
         self.layout = sector_layout(self.chains)
@@ -175,7 +174,7 @@ class PhysicalPovm:
                 if m is None:
                     bl[key] = np.zeros((sec.rank, sec.rank), dtype=complex)
                 else:
-                    m = as_hermitian(m, herm_tol=max(self.tol, 1e-12))
+                    m = as_hermitian(m, herm_tol=1e-9)
                     if m.shape != (sec.rank, sec.rank):
                         raise ValueError(
                             f"sector {key} expects rank {sec.rank}, got {m.shape}"
@@ -199,10 +198,10 @@ class PhysicalPovm:
         """Route any sub-normalization deficit to an extra null outcome."""
         deficits = self.completeness_deficits()
         worst = max(operator_norm(d) for d in deficits.values())
-        if worst <= self.tol:
+        if worst <= 1e-9:
             return self
         lows = min(float(np.linalg.eigvalsh(d)[0]) for d in deficits.values())
-        if lows < -self.tol:
+        if lows < -1e-9:
             raise ValueError(
                 f"sector blocks exceed completeness: min deficit eigenvalue {lows:.3e}"
             )
@@ -211,7 +210,6 @@ class PhysicalPovm:
             chains=self.chains,
             blocks=blocks,
             labels=list(self.labels) + ["null"],
-            tol=self.tol,
         )
 
 
@@ -219,14 +217,7 @@ def constant_blocks(m: Povm, chains: ChainDecomposition) -> PhysicalPovm:
     """Copy one qubit POVM into every sector (restricted at the chain ends)."""
     if m.dim != 2:
         raise ValueError("constant_blocks requires a qubit POVM")
-    blocks = []
-    for mx in m.elements:
-        bl = {}
-        for sec in sector_layout(chains):
-            sub = np.array([[mx[a, b] for (b, _) in sec.rows] for (a, _) in sec.rows])
-            bl[(sec.chain, sec.k)] = sub
-        blocks.append(bl)
-    return PhysicalPovm(chains=chains, blocks=blocks, labels=list(m.labels))
+    return _sector_blocks(m, chains, None)
 
 
 def phase_aligned_blocks(m: Povm, battery: BatteryState, chains: ChainDecomposition) -> PhysicalPovm:
@@ -238,21 +229,23 @@ def phase_aligned_blocks(m: Povm, battery: BatteryState, chains: ChainDecomposit
     """
     if m.dim != 2:
         raise ValueError("phase_aligned_blocks requires a qubit POVM")
-    rho = battery.density()
+    return _sector_blocks(m, chains, battery.density())
+
+
+def _sector_blocks(m: Povm, chains: ChainDecomposition, rho: np.ndarray | None) -> PhysicalPovm:
+    """Each element of ``m`` restricted to every sector's rows; given a
+    battery density rho, each rank-two block is phase-aligned to rho."""
     blocks = [dict() for _ in m.elements]
     for sec in sector_layout(chains):
-        if sec.rank == 2:
-            lvl_hi = sec.rows[0][1]  # battery level k paired with target 0
-            lvl_lo = sec.rows[1][1]  # battery level k-1 paired with target 1
-            ov = rho[lvl_hi, lvl_lo]
+        targets = [a for a, _ in sec.rows]
+        subs = [mx[np.ix_(targets, targets)] for mx in m.elements]
+        if rho is not None and sec.rank == 2:
+            ov = rho[sec.rows[0][1], sec.rows[1][1]]  # <j,k| sigma |j,k-1>
             theta = 0.0 if abs(ov) == 0 else float(np.angle(ov))
             u = np.diag([1.0, np.exp(1j * theta)])
-            rot = [u.conj().T @ mx @ u for mx in m.elements]
-        else:
-            a = sec.rows[0][0]
-            rot = [np.array([[mx[a, a]]], dtype=complex) for mx in m.elements]
-        for i in range(len(m.elements)):
-            blocks[i][(sec.chain, sec.k)] = rot[i]
+            subs = [u.conj().T @ sub @ u for sub in subs]
+        for bl, sub in zip(blocks, subs):
+            bl[(sec.chain, sec.k)] = sub
     return PhysicalPovm(chains=chains, blocks=blocks, labels=list(m.labels))
 
 
@@ -277,7 +270,7 @@ def effective_povm(phys: PhysicalPovm, battery: BatteryState, chains: ChainDecom
                 for jj, (b, lvl_b) in enumerate(sec.rows):
                     out[a, b] += rho[lvl_b, lvl_a] * sub[i, jj]
         elems.append(out)
-    return Povm(elements=elems, labels=list(phys.labels), tol=max(battery.norm_tol, 1e-9))
+    return Povm(elements=elems, labels=list(phys.labels))
 
 
 def joint_operators(phys: PhysicalPovm) -> list[np.ndarray]:
@@ -323,7 +316,7 @@ def degrade(m: Povm, tau: float | TauResult, phase: float = 0.0) -> Povm:
     return Povm(elements=elems, labels=list(m.labels), tol=m.tol)
 
 
-def batteryless_decomposition(m: Povm, target_levels, tol: float = 1e-9) -> np.ndarray:
+def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
     """Outcome distributions p_x^(m) of a measurement needing no battery.
 
     Requires every element to commute with the (non-degenerate) energy
@@ -336,18 +329,18 @@ def batteryless_decomposition(m: Povm, target_levels, tol: float = 1e-9) -> np.n
     h = np.diag(levels)
     for label, mx in zip(m.labels, m.elements):
         cn = commutator_norm(mx, h)
-        if cn > tol * max(1.0, float(np.max(np.abs(levels)))):
+        if cn > 1e-9 * max(1.0, float(np.max(np.abs(levels)))):
             raise ValueError(
                 f"element {label} does not commute with the energy operator: "
                 f"||[M_x, H]|| = {cn:.3e}; only energy-diagonal POVMs are "
                 "implementable without a battery"
             )
     table = np.array([np.real(np.diag(mx)) for mx in m.elements])
-    if np.min(table) < -tol:
+    if np.min(table) < -1e-9:
         raise ValueError("negative outcome probability in the decomposition")
     table = np.clip(table, 0.0, None)
     cols = table.sum(axis=0)
-    if np.max(np.abs(cols - 1.0)) > max(10 * tol, 1e-8):
+    if np.max(np.abs(cols - 1.0)) > 1e-8:
         raise ValueError("per-level outcome distributions do not sum to 1")
     return table / cols
 
@@ -377,7 +370,7 @@ class KrausSet:
         return sum(a @ rho @ a.conj().T for a in self.operators)
 
 
-def check_energy_conserving(kraus: KrausSet, h_levels, tol: float = 1e-9):
+def check_energy_conserving(kraus: KrausSet, h_levels):
     """Check [A_i, H] = 0 for all i and Kraus completeness, H = diag(levels).
 
     Returns (ok, diagnostics) where diagnostics records each commutator norm
@@ -390,7 +383,7 @@ def check_energy_conserving(kraus: KrausSet, h_levels, tol: float = 1e-9):
     scale = max(1.0, float(np.max(np.abs(levels))))
     comms = [commutator_norm(a, h) for a in kraus.operators]
     resid = kraus.completeness_residual()
-    ok = max(comms, default=0.0) <= tol * scale and resid <= tol
+    ok = max(comms, default=0.0) <= 1e-9 * scale and resid <= 1e-9
     return ok, {"commutator_norms": comms, "completeness_residual": resid}
 
 

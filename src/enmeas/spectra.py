@@ -201,12 +201,13 @@ def _check_nondegenerate(levels: np.ndarray, tol: float, name: str) -> None:
         raise ValueError(f"degenerate {name} spectrum within grouping_tol {tol:.3e}")
 
 
-def joint_eigenspaces(target_levels, battery_levels, grouping_tol: float | None = None) -> JointEigenstructure:
+def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
     """Group all sums E_m + mu_n into equal-energy sectors.
 
     Within a sector the m indices are pairwise distinct and so are the n
     indices (a consequence of both spectra being non-degenerate), which is
-    what makes the per-sector POVM blocks well defined.
+    what makes the per-sector POVM blocks well defined. Sums within 1e-9
+    times the larger spectral spread (at least 1) share a sector.
     """
     et = np.asarray(target_levels, dtype=float)
     eb = np.asarray(battery_levels, dtype=float)
@@ -215,7 +216,7 @@ def joint_eigenspaces(target_levels, battery_levels, grouping_tol: float | None 
     if not (np.all(np.isfinite(et)) and np.all(np.isfinite(eb))):
         raise ValueError("spectra must be finite")
     spread = max(et.max() - et.min(), eb.max() - eb.min(), 1.0)
-    tol = 1e-9 * spread if grouping_tol is None else float(grouping_tol)
+    tol = 1e-9 * spread
     _check_nondegenerate(et, tol, "target")
     _check_nondegenerate(eb, tol, "battery")
 

@@ -20,6 +20,8 @@ from scipy.special import gammaln
 from .linalg import as_hermitian, matrix_from_json, matrix_to_json
 from .spectra import ChainDecomposition
 
+NORM_TOL = 1e-10  # slack on a state's norm^2, trace and least eigenvalue
+
 
 @dataclass
 class BatteryState:
@@ -28,7 +30,6 @@ class BatteryState:
     amplitudes: np.ndarray | None = None  # pure state coefficients
     rho: np.ndarray | None = None  # density matrix (mixed)
     levels: np.ndarray | None = None  # optional energies per index
-    norm_tol: float = 1e-10
 
     def __post_init__(self):
         if (self.amplitudes is None) == (self.rho is None):
@@ -36,16 +37,16 @@ class BatteryState:
         if self.amplitudes is not None:
             a = np.asarray(self.amplitudes, dtype=complex).ravel()
             nrm = float(np.sum(np.abs(a) ** 2))
-            if abs(nrm - 1.0) > self.norm_tol:
+            if abs(nrm - 1.0) > NORM_TOL:
                 raise ValueError(f"pure state norm^2 = {nrm:.12f} differs from 1 beyond tol")
             self.amplitudes = a
         else:
             r = as_hermitian(self.rho, herm_tol=1e-9)
             w = np.linalg.eigvalsh(r)
-            if w[0] < -self.norm_tol:
+            if w[0] < -NORM_TOL:
                 raise ValueError(f"density matrix not PSD: min eigenvalue {w[0]:.3e}")
             tr = float(np.trace(r).real)
-            if abs(tr - 1.0) > self.norm_tol:
+            if abs(tr - 1.0) > NORM_TOL:
                 raise ValueError(f"density matrix trace {tr:.12f} differs from 1 beyond tol")
             self.rho = r
         if self.levels is not None:
@@ -211,11 +212,12 @@ class EnergyDensity:
         return total
 
     @classmethod
-    def gaussian(cls, mean: float, variance: float, cutoff_sigmas: float = 12.0) -> "EnergyDensity":
+    def gaussian(cls, mean: float, variance: float) -> "EnergyDensity":
+        """The normal density, cut off 12 standard deviations from its mean."""
         if variance <= 0:
             raise ValueError("variance must be positive")
         s = math.sqrt(variance)
-        lo, hi = mean - cutoff_sigmas * s, mean + cutoff_sigmas * s
+        lo, hi = mean - 12.0 * s, mean + 12.0 * s
         norm = 1.0 / math.sqrt(2 * math.pi * variance)
 
         def f(e):
@@ -245,8 +247,8 @@ class EnergyDensity:
         return cls(f=f, support=(float(e[0]), float(e[-1])))
 
 
-def _quad_with_edges(func, lo: float, hi: float, edges, panels: int = 24) -> float:
-    """Adaptive quadrature over fixed panels plus declared breakpoints.
+def _quad_with_edges(func, lo: float, hi: float, edges) -> float:
+    """Adaptive quadrature over 24 fixed panels plus declared breakpoints.
 
     Panelling keeps narrowly concentrated densities (widths well below the
     support) visible to the adaptive rule's initial samples.
@@ -254,7 +256,7 @@ def _quad_with_edges(func, lo: float, hi: float, edges, panels: int = 24) -> flo
     if hi <= lo:
         return 0.0
     pts = {p for p in edges if lo < p < hi}
-    pts.update(np.linspace(lo, hi, panels + 1)[1:-1])
+    pts.update(np.linspace(lo, hi, 25)[1:-1])
     grid = [lo] + sorted(pts) + [hi]
     total = 0.0
     with warnings.catch_warnings():
@@ -320,29 +322,14 @@ def tau_near_resonant(
     def integrand(e):
         return math.sqrt(max(g1(e) * g2(e), 0.0))
 
-    # supports: g1 on [lo,hi] u [lo+delta+eps, hi+delta+eps];
-    #           g2 on [lo-delta,hi-delta] u [lo+eps, hi+eps]
+    # g1 lives on s1 and g2 on s2, so their product vanishes outside the
+    # overlaps; one integral over the hull of those covers them all
     s1 = [(lo, hi), (lo + delta + eps, hi + delta + eps)]
     s2 = [(lo - delta, hi - delta), (lo + eps, hi + eps)]
-    pieces = []
-    for a1, b1 in s1:
-        for a2, b2 in s2:
-            a, b = max(a1, a2), min(b1, b2)
-            if b > a:
-                pieces.append((a, b))
-    if not pieces:
+    overlaps = [(max(a1, a2), min(b1, b2)) for a1, b1 in s1 for a2, b2 in s2
+                if min(b1, b2) > max(a1, a2)]
+    if not overlaps:
         return 0.0
-    # merge overlaps so nothing is integrated twice
-    pieces.sort()
-    merged = [pieces[0]]
-    for a, b in pieces[1:]:
-        la, lb = merged[-1]
-        if a <= lb:
-            merged[-1] = (la, max(lb, b))
-        else:
-            merged.append((a, b))
-    edges = [lo, hi, lo + delta + eps, hi + delta + eps, lo - delta, hi - delta, lo + eps, hi + eps]
-    total = 0.0
-    for a, b in merged:
-        total += _quad_with_edges(integrand, a, b, edges)
-    return min(total, 1.0)
+    a, b = min(a for a, _ in overlaps), max(b for _, b in overlaps)
+    edges = [x for piece in s1 + s2 for x in piece]
+    return min(_quad_with_edges(integrand, a, b, edges), 1.0)

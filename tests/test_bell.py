@@ -101,6 +101,24 @@ def test_mixture_bound():
     assert chsh_mixture_bound() < 2 * math.sqrt(2)
 
 
+def test_mixture_bound_is_derived_from_the_state(monkeypatch):
+    import enmeas.bell as bell
+
+    rho = build_dephased_state()
+    # without dephasing the rest keeps coherences: not a separable remainder
+    psi = shared_pure_state()
+    monkeypatch.setattr(bell, "build_dephased_state", lambda: np.outer(psi, psi.conj()))
+    with pytest.raises(ValueError, match="not a nonnegative diagonal"):
+        chsh_mixture_bound()
+    # diluting with a diagonal product state moves the entangled weight 1/4
+    product = np.zeros((16, 16), complex)
+    product[0, 0] = 1.0
+    monkeypatch.setattr(bell, "build_dephased_state", lambda: 0.6 * rho + 0.4 * product)
+    w = 0.6 * 0.25
+    assert chsh_mixture_bound() == pytest.approx(2 * (1 - w) + 2 * math.sqrt(2) * w, abs=1e-14)
+    assert chsh_mixture_bound() < 6 / 8 * 2 + 2 / 8 * 2 * math.sqrt(2) - 0.05
+
+
 def test_outcome_sign_tables_are_dichotomic_maps():
     tables = outcome_sign_tables()
     for party in ("A", "B"):

@@ -122,7 +122,7 @@ class TestFirstZero:
                 return val
 
             monkeypatch.setattr(bessel, "jv", recording)
-            bessel._first_zero_any(nu)
+            bessel._zero(nu)
             lo, hi = 0.0, math.inf
             for x, val in seen:
                 assert lo < x < hi
@@ -160,12 +160,10 @@ class TestMuOfLambda:
             assert first_zero(mu - 1.0) == pytest.approx(2 * lam, abs=1e-9)
 
     def test_roundtrip_small_lambda(self):
-        from enmeas.bessel import _first_zero_any
-
         for lam in (0.05, 0.3, 1.0):
             mu = mu_of_lambda(lam)
             assert mu < 1.0 + 1e-12
-            assert _first_zero_any(mu - 1.0) == pytest.approx(2 * lam, abs=1e-9)
+            assert bessel._zero(mu - 1.0)[0] == pytest.approx(2 * lam, abs=1e-9)
 
     def test_increasing(self):
         vals = [mu_of_lambda(l) for l in np.geomspace(0.05, 200, 25)]
@@ -258,7 +256,7 @@ class TestPhi:
         # the bracket midpoint, and one call for the energy at each search
         # point; a brentq zero took about 11 calls
         counts = {"jv": 0, "zeros": 0}
-        jv, first_zero_any = bessel.jv, bessel._first_zero_any
+        jv, zero = bessel.jv, bessel._zero
 
         def counted_jv(*args):
             counts["jv"] += 1
@@ -266,10 +264,10 @@ class TestPhi:
 
         def counted_zero(nu):
             counts["zeros"] += nu < bessel._SERIES_MIN_ORDER
-            return first_zero_any(nu)
+            return zero(nu)
 
         monkeypatch.setattr(bessel, "jv", counted_jv)
-        monkeypatch.setattr(bessel, "_first_zero_any", counted_zero)
+        monkeypatch.setattr(bessel, "_zero", counted_zero)
         for z in np.geomspace(0.1, 12.0, 40):
             phi(float(z))
         assert counts["jv"] <= 8 * counts["zeros"]
@@ -395,7 +393,7 @@ def test_first_zero_matches_arbitrary_precision():
     # 4.999 and 5.001 sit on both sides of the start switch (bracket midpoint
     # against the series), 999.9 just below the series branch
     for nu in (-0.9, -0.5, 4.999, 5.001, 999.9):
-        got = bessel._first_zero_any(nu)
+        got = bessel._zero(nu)[0]
         ref = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(got))
         assert got == pytest.approx(float(ref), abs=1e-12)
 

@@ -3,8 +3,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,3 +368,15 @@ def test_reproduce_out_file_serializes_numpy_values(tmp_path, capsys):
     code, _, _ = run_cli(["reproduce", "power-state", "--out", str(path)], capsys)
     assert code == 0
     assert json.loads(path.read_text())[0]["passed"] is True
+
+
+def test_readme_cli_block_parses():
+    # each command of the README's CLI block, less its comment, redirect and
+    # [optional] parts, is accepted by the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("enmeas ")]
+    assert len(lines) == 24
+    for line in lines:
+        words = re.sub(r"\[[^]]*\]", "", line.split("#")[0].split(">")[0]).split()
+        build_parser().parse_args(words[1:])

@@ -144,6 +144,21 @@ class TestDegrade:
                 for a, b in zip(eff.elements, ref.elements):
                     assert np.allclose(a, b, atol=1e-12)
 
+    def test_phase_aligned_blocks_copy_exactly_on_real_coherences(self):
+        # with every adjacent coherence real and nonnegative (one of them 0)
+        # no sector is rotated: the blocks are the constant copy, bit for bit
+        rng = np.random.default_rng(4)
+        chains = decompose_chains([0.0, 1.0, 2.0, 3.0, 4.5, 5.5, 7.2], 1.0)
+        amps = rng.uniform(0.1, 1.0, 7)
+        amps[2] = 0.0
+        batt = BatteryState.pure(amps / np.linalg.norm(amps))
+        for m in (random_rank_one_povm(rng, 2, 3), projective_qubit("y")):
+            const = constant_blocks(m, chains)
+            aligned = phase_aligned_blocks(m, batt, chains)
+            assert [sorted(bl) for bl in aligned.blocks] == [sorted(bl) for bl in const.blocks]
+            for bc, ba in zip(const.blocks, aligned.blocks):
+                assert all(np.array_equal(bc[k], ba[k]) for k in bc)
+
 
 class TestBatterylessDecomposition:
     def test_energy_projectors(self):

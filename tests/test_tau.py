@@ -278,6 +278,36 @@ class TestTauNearResonant:
         bound = abs(c0 * c1) * math.exp(-1.5 * m_over_s * eps)
         assert got >= bound - 1e-6
 
+    @pytest.mark.parametrize("c0, eps, mean, variance, delta", [
+        (0.6, 0.1, 0.0, 1.0, 0.5),  # wide clock: delta below its width, pieces overlap
+        (0.6, 13.0, 0.0, 0.25, 1.0),  # two disjoint overlaps
+        (0.6, -0.3, 0.0, 1.0, 0.5),  # negative detuning
+        (0.8, -1e-3, 50.0, 4e-4, 1.0),
+        (0.6, 0.0, 10.0, 1e-4, 1.0),  # exact resonance
+        (0.6, 3.0, 0.0, 0.01, 5.0),  # no overlap
+        (1 / math.sqrt(2), 2e-5, 50.0, 1e-6, 1e4),  # narrow clock, large gap
+    ])
+    def test_matches_a_trapezoid_sum(self, c0, eps, mean, variance, delta):
+        c1 = math.sqrt(1.0 - c0 ** 2)
+        clock = EnergyDensity.gaussian(mean, variance)
+        got = tau_near_resonant(c0, c1, eps, clock, delta)
+        # sqrt(g1 g2) vanishes where g1 does: outside the clock's support
+        # and its copy shifted by delta + eps
+        p0, p1 = c0 ** 2, c1 ** 2
+        lo, hi = clock.support
+        first, second = sorted([(lo, hi), (lo + delta + eps, hi + delta + eps)])
+        spans = [first, second] if second[0] > first[1] else [(first[0], max(first[1], second[1]))]
+        ref = 0.0
+        for a, b in spans:
+            e = np.linspace(a, b, 200_000 // len(spans))
+            g1 = p0 * clock(e) + p1 * clock(e - delta - eps)
+            g2 = p0 * clock(e + delta) + p1 * clock(e - eps)
+            y = np.sqrt(g1 * g2)
+            ref += float(np.sum(np.diff(e) * (y[1:] + y[:-1])) / 2.0)
+        assert got == pytest.approx(ref, abs=1e-8)
+        if ref == 0.0:
+            assert got == 0.0
+
     def test_unnormalized_amplitudes_rejected(self):
         clock = EnergyDensity.gaussian(10.0, 1e-4)
         with pytest.raises(ValueError):
