@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import as_hermitian
+from .linalg import as_hermitian, operator_sign
 
 # one party's pair of modes, occupation basis |n, n'> at index 2n + n'
 _IDX = {(n, npr): 2 * n + npr for n in (0, 1) for npr in (0, 1)}
@@ -154,12 +154,6 @@ def chsh_mixture_bound() -> float:
     return 2.0 * (1.0 - w) + 2.0 * sqrt(2.0) * w
 
 
-def _sign_observable(g: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(as_hermitian(g, herm_tol=1e-8))
-    s = np.where(w >= 0.0, 1.0, -1.0)
-    return (u * s) @ u.conj().T
-
-
 def optimize_chsh_seesaw(rho: np.ndarray, dims: tuple[int, int], restarts: int = 20,
                          iters: int = 500, seed: int = 0,
                          seeds_ab: list | None = None):
@@ -184,7 +178,7 @@ def optimize_chsh_seesaw(rho: np.ndarray, dims: tuple[int, int], restarts: int =
 
     def random_dichotomic(d):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return _sign_observable(g + g.conj().T)
+        return operator_sign(g + g.conj().T)
 
     best_val, best_obs = -np.inf, None
     starts = list(seeds_ab or [])
@@ -198,10 +192,10 @@ def optimize_chsh_seesaw(rho: np.ndarray, dims: tuple[int, int], restarts: int =
         for _ in range(iters):
             g1 = tr_b(bob[0] + bob[1])
             g2 = tr_b(bob[0] - bob[1])
-            alice = [_sign_observable(g1), _sign_observable(g2)]
+            alice = [operator_sign(g1), operator_sign(g2)]
             h1 = tr_a(alice[0] + alice[1])
             h2 = tr_a(alice[0] - alice[1])
-            bob = [_sign_observable(h1), _sign_observable(h2)]
+            bob = [operator_sign(h1), operator_sign(h2)]
             new = float(np.trace(rho @ chsh_operator(alice, bob)).real)
             if new - val < 1e-12:
                 val = new

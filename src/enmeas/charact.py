@@ -326,6 +326,15 @@ def optimize_finite(v: list[np.ndarray], d: int):
     return sol.objective, Povm(elements=_reconstruct(prog, sol), tol=1e-6), sol
 
 
+def _energy_budget(ebar: float, delta: float, d: int) -> float:
+    """z = ebar / delta, for positive ebar and delta and a ladder of d >= 2 levels."""
+    if ebar <= 0 or delta <= 0:
+        raise ValueError("ebar and delta must be positive")
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return ebar / delta
+
+
 def membership_energy(m: Povm, ebar: float, delta: float, d: int) -> MembershipVerdict:
     """Membership test for mean battery energy <= ebar at gap delta.
 
@@ -334,11 +343,7 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int) -> MembershipV
     ebar / (delta (d-1)), carrying both the failed inner margin and the
     feasible outer decomposition.
     """
-    if ebar <= 0 or delta <= 0:
-        raise ValueError("ebar and delta must be positive")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    z = ebar / delta
+    z = _energy_budget(ebar, delta, d)
     gap = z / (d - 1)
     inner = _decide(_assemble_ladder(m, d, energy_cap=z), gap)
     if inner.is_member:
@@ -357,12 +362,8 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     upper bound, the inner truncation's lower bound and attaining POVM; the
     gap shrinks as O(ebar / (delta d)). A bound that fails its check raises.
     """
-    if ebar <= 0 or delta <= 0:
-        raise ValueError("ebar and delta must be positive")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    z = _energy_budget(ebar, delta, d)
     v = [np.asarray(x, dtype=complex) for x in v]
-    z = ebar / delta
     outer = _assemble_ladder(None, d, n_out=len(v), outer=True, energy_cap=z, slack=False,
                              objective=v)
     upper = sdp.solve(outer.problem).upper

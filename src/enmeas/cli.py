@@ -79,6 +79,16 @@ def _load_state(path) -> BatteryState:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _chains(levels, delta) -> spectra.ChainDecomposition:
+    """The chains of levels at gap delta, with a warning on stderr when
+    level pairs miss delta by less than 10x the grouping tolerance."""
+    chains = spectra.decompose_chains(levels, delta)
+    if chains.near_misses:
+        print(f"warning: {len(chains.near_misses)} level pair(s) miss the gap delta by less "
+              f"than 10x the grouping tolerance: {chains.near_misses}", file=sys.stderr)
+    return chains
+
+
 def _tau(args, fn, name, param=float, **fixed) -> int:
     """tau and epsilon of fn at --<name>, or one row per point of the --sweep-* grid."""
     if args.sweep_min is not None:
@@ -117,13 +127,7 @@ def _cmd_tau_state(args):
     state = _load_state(args.file)
     if state.levels is None:
         raise ValueError("state file must carry levels to build chains")
-    chains = spectra.decompose_chains(state.levels, args.delta)
-    if chains.near_misses:
-        print(
-            f"warning: {len(chains.near_misses)} level pair(s) miss the gap "
-            f"delta by less than 10x the grouping tolerance: {chains.near_misses}",
-            file=sys.stderr,
-        )
+    chains = _chains(state.levels, args.delta)
     res = tau_mod.tau_of_state(state, chains)
     _write_json({"tau": res.tau, "epsilon": res.epsilon, "chains": chains.to_json()}, args.out)
     return 0
@@ -148,7 +152,7 @@ def _cmd_phi_sweep(args):
 def _cmd_power_state(args):
     st = bessel.power_state(args.ebar, args.delta)
     payload = st.to_json()
-    chains = spectra.decompose_chains(st.levels, args.delta)
+    chains = _chains(st.levels, args.delta)
     res = tau_mod.tau_of_state(st, chains)
     payload["tau"] = res.tau
     payload["mean_energy"] = st.mean_energy()
@@ -183,7 +187,7 @@ def _cmd_povm_effective(args):
     state = _load_state(args.state)
     if state.levels is None:
         raise ValueError("battery state file must carry levels")
-    chains = spectra.decompose_chains(state.levels, args.delta)
+    chains = _chains(state.levels, args.delta)
     phys = povm_mod.constant_blocks(p, chains)
     _write_json(povm_mod.effective_povm(phys, state, chains).to_json(), args.out)
     return 0
@@ -264,14 +268,7 @@ def _cmd_bell_seesaw(args):
 
 def _cmd_spectrum_chains(args):
     data = _load_json(args.file)
-    dec = spectra.decompose_chains(data["levels"], data["delta"])
-    if dec.near_misses:
-        print(
-            f"warning: near-resonant level pairs within 10x grouping tolerance: "
-            f"{[(a, b, g) for a, b, g in dec.near_misses]}",
-            file=sys.stderr,
-        )
-    _write_json(dec.to_json(), args.out)
+    _write_json(_chains(data["levels"], data["delta"]).to_json(), args.out)
     return 0
 
 

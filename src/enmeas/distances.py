@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import sdp
-from .linalg import as_hermitian
+from .linalg import operator_sign
 from .povm import Povm
 from .tau import epsilon_from_tau
 
@@ -243,11 +243,7 @@ def seesaw_lower_bound(m0: Povm, m1: Povm, restarts: int = 10, seed: int = 0) ->
         rho_big = np.outer(vec, vec.conj())
         val = -np.inf
         for _ in range(200):
-            ss = []
-            for dd in diffs:
-                red = as_hermitian(partial_d(rho_big, dd), herm_tol=1e-8)
-                w, u = np.linalg.eigh(red)
-                ss.append((u * np.sign(w)) @ u.conj().T)
+            ss = [operator_sign(partial_d(rho_big, dd)) for dd in diffs]
             h = sum(np.kron(dd, s) for dd, s in zip(diffs, ss))
             w, u = np.linalg.eigh(h)
             new_val = 0.5 * float(w[-1])

@@ -65,8 +65,10 @@ def eigvals_hermitian(h, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def min_eig(m) -> float:
-    return float(np.linalg.eigvalsh(as_hermitian(m, np.inf))[0])
+def operator_sign(m) -> np.ndarray:
+    """sgn(M) of a matrix Hermitian to 1e-8, with +1 on its zero eigenvalues."""
+    w, u = np.linalg.eigh(as_hermitian(m, herm_tol=1e-8))
+    return (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
 
 
 def is_psd(m, tol: float = 1e-9) -> bool:

@@ -15,7 +15,7 @@ from .linalg import (
     psd_sqrt,
 )
 from .spectra import ChainDecomposition
-from .tau import BatteryState, TauResult
+from .tau import BatteryState
 
 
 @dataclass
@@ -293,15 +293,13 @@ def joint_operators(phys: PhysicalPovm) -> list[np.ndarray]:
     return ops
 
 
-def degrade(m: Povm, tau: float | TauResult, phase: float = 0.0) -> Povm:
+def degrade(m: Povm, tau: float, phase: float = 0.0) -> Povm:
     """Scale the off-diagonal of each element by tau, keeping the diagonal.
 
     This is the effective POVM a tau-quality battery produces when every
     sector runs a phase-aligned copy of ``m``. An optional basis phase
     conjugates the result by diag(1, e^{i phase}).
     """
-    if isinstance(tau, TauResult):
-        tau = tau.tau
     if m.dim != 2:
         raise ValueError("degrade is defined for qubit POVMs")
     if not (0.0 <= tau <= 1.0 + 1e-12):
@@ -314,6 +312,11 @@ def degrade(m: Povm, tau: float | TauResult, phase: float = 0.0) -> Povm:
         out[1, 0] *= tau
         elems.append(u.conj().T @ out @ u)
     return Povm(elements=elems, labels=list(m.labels), tol=m.tol)
+
+
+def _commutation_bound(levels: np.ndarray) -> float:
+    """1e-9 max(1, max|E|): the largest ||[A, diag(levels)]|| of an A that conserves energy."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(levels))))
 
 
 def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
@@ -329,7 +332,7 @@ def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
     h = np.diag(levels)
     for label, mx in zip(m.labels, m.elements):
         cn = commutator_norm(mx, h)
-        if cn > 1e-9 * max(1.0, float(np.max(np.abs(levels)))):
+        if cn > _commutation_bound(levels):
             raise ValueError(
                 f"element {label} does not commute with the energy operator: "
                 f"||[M_x, H]|| = {cn:.3e}; only energy-diagonal POVMs are "
@@ -380,10 +383,9 @@ def check_energy_conserving(kraus: KrausSet, h_levels):
     if levels.size != kraus.dim:
         raise ValueError("h_levels length must match Kraus dimension")
     h = np.diag(levels)
-    scale = max(1.0, float(np.max(np.abs(levels))))
     comms = [commutator_norm(a, h) for a in kraus.operators]
     resid = kraus.completeness_residual()
-    ok = max(comms, default=0.0) <= 1e-9 * scale and resid <= 1e-9
+    ok = max(comms, default=0.0) <= _commutation_bound(levels) and resid <= 1e-9
     return ok, {"commutator_norms": comms, "completeness_residual": resid}
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import bell, bessel, charact, distances, spectra, tau as tau_mod
 from .linalg import eig_hermitian, operator_norm
@@ -58,14 +59,6 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # Shared fixtures
 # ---------------------------------------------------------------------------
-
-def coupling_matrix(d: int) -> np.ndarray:
-    """Tridiagonal matrix with 1/2 off the diagonal; top eigenvalue cos(pi/(d+1))."""
-    a = np.zeros((d, d))
-    off = 0.5 * np.ones(d - 1)
-    a += np.diag(off, 1) + np.diag(off, -1)
-    return a
-
 
 def sphere_povm_pair(n: int = 64):
     """Antipodal direction discretization of the uniform rank-one POVM vs noise.
@@ -176,7 +169,9 @@ def check_finite_spectrum_optimum():
     worst_eig = 0.0
     worst_pop = 0.0
     for d in range(2, 201):
-        top = eig_hermitian(coupling_matrix(d)).eigenvalues[-1]
+        # the coupling matrix, 1/2 off the diagonal: its top eigenvalue
+        top = float(eigvalsh_tridiagonal(np.zeros(d), np.full(d - 1, 0.5), select="i",
+                                         select_range=(d - 1, d - 1))[0])
         worst_eig = max(worst_eig, abs(tau_mod.tau_finite(d) - top))
         pops = tau_mod.optimal_finite_state(d).populations()
         k = np.arange(d)
@@ -219,7 +214,7 @@ def check_power_state():
     d = st.dim
     h = bessel.truncated_hamiltonian(d, r.lambda_star)
     ground = eig_hermitian(h).eigenvectors[:, 0]
-    overlap = abs(np.vdot(ground, st.amplitudes))
+    overlap = float(abs(np.vdot(ground, st.amplitudes)))
     en = st.mean_energy()
     ok = (abs(t - r.phi) <= 1e-6 and abs(en - z) <= 1e-6 * z and overlap > 1 - 1e-8)
     return ok, {"tau_minus_phi": t - r.phi, "energy_err": en - z, "overlap": overlap}

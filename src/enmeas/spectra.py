@@ -59,6 +59,19 @@ class ChainDecomposition:
         }
 
 
+def _sorted_distinct(levels: np.ndarray, tol: float, name: str):
+    """(order, sorted levels, gaps) of levels whose sorted gaps all exceed
+    tol; else ValueError naming the indices of the closest pair."""
+    order = np.argsort(levels)
+    s = levels[order]
+    gaps = np.diff(s)
+    if np.any(gaps <= tol):
+        k = int(np.argmin(gaps))
+        raise ValueError(f"degenerate {name} spectrum: levels {order[k]} and {order[k+1]} "
+                         f"differ by {gaps[k]:.3e} <= grouping_tol {tol:.3e}")
+    return order, s, gaps
+
+
 def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = None) -> ChainDecomposition:
     """Partition a battery spectrum into maximal chains (nu_j + k*delta).
 
@@ -86,16 +99,7 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         raise ValueError("delta must be positive")
     tol = default_grouping_tol(levels, delta) if grouping_tol is None else float(grouping_tol)
 
-    order = np.argsort(levels)
-    s = levels[order]
-    gaps = np.diff(s)
-    if np.any(gaps <= tol):
-        k = int(np.argmin(gaps))
-        raise ValueError(
-            f"degenerate battery spectrum: levels {order[k]} and {order[k+1]} "
-            f"differ by {gaps[k]:.3e} <= grouping_tol {tol:.3e}"
-        )
-
+    order, s, gaps = _sorted_distinct(levels, tol, "battery")
     n = levels.size
     # the successor candidates of every level: j - 1, then j, each within tol
     # of its target s + delta, where j = searchsorted(s, s + delta)
@@ -195,12 +199,6 @@ class JointEigenstructure:
         }
 
 
-def _check_nondegenerate(levels: np.ndarray, tol: float, name: str) -> None:
-    s = np.sort(levels)
-    if s.size > 1 and np.min(np.diff(s)) <= tol:
-        raise ValueError(f"degenerate {name} spectrum within grouping_tol {tol:.3e}")
-
-
 def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
     """Group all sums E_m + mu_n into equal-energy sectors.
 
@@ -217,8 +215,8 @@ def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
         raise ValueError("spectra must be finite")
     spread = max(et.max() - et.min(), eb.max() - eb.min(), 1.0)
     tol = 1e-9 * spread
-    _check_nondegenerate(et, tol, "target")
-    _check_nondegenerate(eb, tol, "battery")
+    _sorted_distinct(et, tol, "target")
+    _sorted_distinct(eb, tol, "battery")
 
     sums = [(et[m] + eb[n], m, n) for m in range(et.size) for n in range(eb.size)]
     sums.sort(key=lambda t: t[0])

@@ -108,7 +108,6 @@ class BatteryState:
 class TauResult:
     tau: float
     epsilon: float
-    optimizer: BatteryState | None = None
 
 
 def epsilon_from_tau(tau: float) -> float:
@@ -134,7 +133,7 @@ def tau_of_state(state: BatteryState, chains: ChainDecomposition) -> TauResult:
     else:
         total = sum(np.abs(state.rho[i[1:], i[:-1]]).sum() for i in ids)
     tau = min(float(total), 1.0)
-    return TauResult(tau=tau, epsilon=epsilon_from_tau(tau), optimizer=None)
+    return TauResult(tau=tau, epsilon=epsilon_from_tau(tau))
 
 
 def optimal_finite_state(d: int) -> BatteryState:
@@ -269,6 +268,11 @@ def _quad_with_edges(func, lo: float, hi: float, edges) -> float:
     return float(total)
 
 
+def _overlap(g1, g2, a: float, b: float, edges) -> float:
+    """The integral of sqrt(g1 g2) over [a, b], panels broken at edges, clipped at 1."""
+    return min(_quad_with_edges(lambda e: math.sqrt(max(g1(e) * g2(e), 0.0)), a, b, edges), 1.0)
+
+
 def tau_continuous(f: EnergyDensity, delta: float) -> float:
     """tau of a pure battery state with continuous energy density f.
 
@@ -279,15 +283,8 @@ def tau_continuous(f: EnergyDensity, delta: float) -> float:
         raise ValueError("delta must be >= 0")
     f.check_normalized()
     lo, hi = f.support
-    a, b = lo, hi - delta
-    if b <= a:
-        return 0.0
-
-    def integrand(e):
-        return math.sqrt(max(float(f(e)) * float(f(e + delta)), 0.0))
-
-    edges = [lo, hi, lo - delta, hi - delta]
-    return min(_quad_with_edges(integrand, a, b, edges), 1.0)
+    return _overlap(lambda e: float(f(e)), lambda e: float(f(e + delta)), lo, hi - delta,
+                    [lo, hi, lo - delta, hi - delta])
 
 
 def tau_near_resonant(
@@ -319,9 +316,6 @@ def tau_near_resonant(
     def g2(e):
         return p0 * float(sig(e + delta)) + p1 * float(sig(e - eps))
 
-    def integrand(e):
-        return math.sqrt(max(g1(e) * g2(e), 0.0))
-
     # g1 lives on s1 and g2 on s2, so their product vanishes outside the
     # overlaps; one integral over the hull of those covers them all
     s1 = [(lo, hi), (lo + delta + eps, hi + delta + eps)]
@@ -331,5 +325,4 @@ def tau_near_resonant(
     if not overlaps:
         return 0.0
     a, b = min(a for a, _ in overlaps), max(b for _, b in overlaps)
-    edges = [x for piece in s1 + s2 for x in piece]
-    return min(_quad_with_edges(integrand, a, b, edges), 1.0)
+    return _overlap(g1, g2, a, b, [x for piece in s1 + s2 for x in piece])

@@ -26,6 +26,8 @@ def _drive(name):
     print(f"[{status}] {r.name}: got {r.got} (want {r.expected}) "
           f"in {r.seconds:.2f}s")
     assert r.passed, f"{r.name}: got {r.got}, expected {r.expected}. {r.detail}"
+    # plain Python numbers: numpy scalars print as np.float64(...) in the table and JSON
+    assert "np." not in repr(r.got), f"{r.name}: got {r.got!r}"
 
 
 class TestCriterion01FiniteSpectrum:

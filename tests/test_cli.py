@@ -187,6 +187,27 @@ def test_tau_state_command(tmp_path, capsys):
     assert json.loads(out)["tau"] == pytest.approx(math.cos(math.pi / 4), abs=1e-10)
 
 
+def test_near_miss_warning_is_the_same_in_every_command(tmp_path, capsys):
+    # 1 + 5e-9 misses the gap 1 by more than the grouping tolerance 3e-9
+    # and by less than 10x it
+    levels = [0.0, 1.0 + 5e-9, 3.0]
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(optimal_finite_state(3).to_json() | {"levels": levels}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"delta": 1.0, "levels": levels}))
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps(projective_qubit("x").to_json()))
+    errs = []
+    for args in (["tau", "state", "--file", str(state), "--delta", "1"],
+                 ["spectrum", "chains", "--file", str(spec)],
+                 ["povm", "effective", "--file", str(povm), "--state", str(state), "--delta", "1"]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 0
+        errs.append(err)
+    assert errs[0].startswith("warning: 1 level pair(s) miss the gap delta")
+    assert errs[1] == errs[0] and errs[2] == errs[0]
+
+
 def test_tau_gaussian(capsys):
     code, out, _ = run_cli(
         ["tau", "gaussian", "--sigma", "1.0", "--delta", "1.0"], capsys)

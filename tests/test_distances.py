@@ -242,6 +242,12 @@ class TestSeesaw:
         m = projective_qubit("x")
         assert seesaw_lower_bound(m, m, restarts=2).value == pytest.approx(0.0, abs=1e-10)
 
+    def test_guess_observables_are_dichotomic_when_the_povms_agree(self):
+        # every reduced operator is 0; its sign is I, a +-1 observable
+        m = projective_qubit("x")
+        guesses = seesaw_lower_bound(m, m, restarts=2).witness["guess_observables"]
+        assert guesses and all(np.allclose(s @ s, np.eye(2), atol=1e-12) for s in guesses)
+
 
 class TestProperties:
     def test_triangle_inequalities(self):

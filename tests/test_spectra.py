@@ -164,6 +164,11 @@ def test_degenerate_levels_rejected():
         decompose_chains([0.0, 0.0, 1.0], 1.0)
 
 
+def test_joint_degenerate_target_names_both_levels():
+    with pytest.raises(ValueError, match="degenerate target spectrum: levels 0 and 1 "):
+        joint_eigenspaces([0.0, 1e-12], [0.0, 1.0])
+
+
 def test_near_miss_reporting():
     tol = 1e-9
     dec = decompose_chains([0.0, 1.0 + 5e-9], 1.0, grouping_tol=tol)
