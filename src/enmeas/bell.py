@@ -50,19 +50,6 @@ def reference_observables() -> tuple[list[np.ndarray], list[np.ndarray]]:
     return a, b
 
 
-def outcome_sign_tables() -> dict:
-    """Detector-count to +-1 label maps realizing the reference settings.
-
-    Keys are (N1, N2) photon counts at the two local detectors; the tables
-    express how the dichotomic outcomes are read off in hardware and are
-    exercised in tests only through the operator identities they encode.
-    """
-    return {
-        "A": {(0, 0): +1, (0, 1): +1, (1, 1): -1, (1, 0): -1},
-        "B": {(1, 1): +1, (0, 1): +1, (0, 0): -1, (1, 0): -1},
-    }
-
-
 def shared_pure_state() -> np.ndarray:
     """|phi>_AB |+>_A' |+>_B' arranged as (A A') x (B B'), a 16-vector."""
     amp = 1.0 / (2.0 * sqrt(2.0))

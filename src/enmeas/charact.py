@@ -42,45 +42,50 @@ class MembershipVerdict:
 @dataclass(frozen=True)
 class _SectorProgram:
     problem: sdp.BlockSdp
-    n_out: int
-    dim: int  # target dimension
     blocks: tuple[tuple[int, ...], ...]  # blocks[s][x]
     sector_rows: tuple[tuple[int, ...], ...]  # target level of each sector row
     p_vars: tuple[int, ...] | None  # battery populations; None when they are fixed
-    tail_var: int | None = None  # the ladder's aggregated outer tail
+
+
+def _target_dim(sector_rows) -> int:
+    return 1 + max(map(max, sector_rows))
 
 
 @lru_cache(maxsize=16)  # a d = 64 shape holds about 2.3 MB
-def _sector_shape(n_out: int, dim: int, sectors, n_pop: int, capped: bool, fixed: bool,
-                  slack: bool, target: bool) -> _SectorProgram:
+def _sector_shape(sectors, n_out: int, populations: str, target: str | None) -> _SectorProgram:
     """The rows of a sector program, with every right-hand side 0 but the
-    populations' sum 1, and no objective unless it has the slack t."""
+    populations' sum 1, and no objective unless it has the slack t.
+    populations: "free", "capped" or "fixed"; target: None, "raw" or "slack"."""
+    sector_rows = tuple(rows for rows, _ in sectors)
+    dim = _target_dim(sector_rows)
+    n_pop = 1 + max(n for _, feeds in sectors for pops in feeds for n in pops)
     p = sdp.BlockSdp()
     blocks = tuple(tuple(p.add_block(len(rows), f"B[{s}][{x}]") for x in range(n_out))
                    for s, (rows, _) in enumerate(sectors))
-    p_vars = None if fixed else tuple(p.add_scalar(f"p{n}") for n in range(n_pop))
+    p_vars = None if populations == "fixed" else tuple(p.add_scalar(f"p{n}")
+                                                        for n in range(n_pop))
 
     for s, (rows, feeds) in enumerate(sectors):
         terms = [(b, None, 1.0) for b in blocks[s]]
-        if not fixed:
+        if p_vars is not None:
             terms += [(p_vars[n], [i], -1.0) for i, pops in enumerate(feeds) for n in pops]
         p.add_matrix_equality(terms, np.zeros((len(rows), len(rows))))
 
     if p_vars is not None:
         p.add_equality({v: 1.0 for v in p_vars}, 1.0)
-        if capped:
+        if populations == "capped":
             p.add_inequality({v: float(n) for n, v in enumerate(p_vars) if n > 0}, 0.0)
 
-    if target:
+    if target is not None:
         zero = np.zeros((dim, dim))
-        if slack:
+        if target == "slack":
             t = p.add_scalar("t")
             us = [p.add_block(dim, f"U{x}") for x in range(n_out)]
             vs = [p.add_block(dim, f"V{x}") for x in range(n_out)]
             p.set_objective({t: -1.0})
         for x in range(n_out):
             placed = [(blocks[s][x], rows, 1.0) for s, (rows, _) in enumerate(sectors)]
-            if slack:
+            if target == "slack":
                 # -t I <= sum of blocks - M_x <= t I through U_x, V_x >= 0
                 p.add_matrix_equality(placed + [(us[x], None, 1.0)]
                                       + [(t, [i], -1.0) for i in range(dim)], zero)
@@ -89,15 +94,15 @@ def _sector_shape(n_out: int, dim: int, sectors, n_pop: int, capped: bool, fixed
             else:
                 p.add_matrix_equality(placed, zero)
     p.compile()  # compiled once, shared by every program of this shape
-    return _SectorProgram(problem=p, n_out=n_out, dim=dim, blocks=blocks,
-                          sector_rows=tuple(rows for rows, _ in sectors), p_vars=p_vars)
+    return _SectorProgram(problem=p, blocks=blocks, sector_rows=sector_rows, p_vars=p_vars)
 
 
-def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int, *,
+def _assemble_sectors(m: Povm | None, sectors, *,
                       energy_cap: float | None = None,
                       q_fixed: np.ndarray | None = None,
                       slack: bool = True,
-                      objective: list[np.ndarray] | None = None) -> _SectorProgram:
+                      objective: list[np.ndarray] | None = None,
+                      n_out: int | None = None) -> _SectorProgram:
     """One PSD block per sector and outcome, tied to the target.
 
     A sector is (rows, feeds), as tuples: the target level of each of its
@@ -105,12 +110,16 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
     is the diagonal of the fed populations. The target's elements are the
     sums of the blocks placed on their rows. Population n has energy n
     gaps, which is what the energy cap counts (it is used by the ladder
-    only). The rows depend only on the shape, which _sector_shape assembles
-    and compiles once; the target's elements, the cap and the fixed
-    populations fill the right-hand sides, and the objective fills c.
+    only). The outcome count is the target's, else the objective's, else
+    n_out; a program without a target has no slack form. The rows depend
+    only on the shape, which _sector_shape assembles and compiles once; the
+    target's elements, the cap and the fixed populations fill the
+    right-hand sides, and the objective fills c.
     """
-    shape = _sector_shape(n_out, dim, sectors, n_pop, energy_cap is not None,
-                          q_fixed is not None, slack, m is not None)
+    n_out = m.n_outcomes if m is not None else len(objective) if objective is not None else n_out
+    populations = "fixed" if q_fixed is not None else "free" if energy_cap is None else "capped"
+    shape = _sector_shape(sectors, n_out, populations,
+                          None if m is None else "slack" if slack else "raw")
     # right-hand sides in row order: sector by sector, sum p = 1, the
     # target's elements (twice with the slack), the energy cap
     if q_fixed is None:
@@ -124,9 +133,7 @@ def _assemble_sectors(m: Povm | None, n_out: int, dim: int, sectors, n_pop: int,
         rhs.append([float(energy_cap)])
 
     obj = None
-    if m is None and objective is not None:
-        if len(objective) != n_out:
-            raise ValueError("objective needs one Hermitian matrix per outcome")
+    if objective is not None:
         obj = {}
         for x, vx in enumerate(objective):
             vx = np.asarray(vx, dtype=complex)
@@ -147,25 +154,16 @@ def _joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
                  for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
 
 
-def _assemble_ladder(
-    m: Povm | None,
-    d: int,
-    n_out: int | None = None,
-    *,
-    outer: bool = False,
-    energy_cap: float | None = None,
-    q_fixed: np.ndarray | None = None,
-    slack: bool = True,
-    objective: list[np.ndarray] | None = None,
-) -> _SectorProgram:
+def _assemble_ladder(m: Povm | None, d: int, *, outer: bool = False,
+                     energy_cap: float | None = None, q_fixed: np.ndarray | None = None,
+                     slack: bool = True, objective: list[np.ndarray] | None = None,
+                     n_out: int | None = None) -> _SectorProgram:
     """The finite / inner / outer / fixed-weight programs of a qubit target
     on the d-level ladder battery."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if m is not None:
-        if m.dim != 2:
-            raise ValueError("the ladder programs characterize qubit POVMs")
-        n_out = m.n_outcomes
+    if m is not None and m.dim != 2:
+        raise ValueError("the ladder programs characterize qubit POVMs")
     if q_fixed is not None:
         q_fixed = np.asarray(q_fixed, dtype=float)
         if q_fixed.size != d or np.any(q_fixed < 0):
@@ -179,11 +177,8 @@ def _assemble_ladder(
     sectors = _joint_sectors((0, 1), tuple(range(d)))
     if outer:
         sectors = sectors[:-1] + (((0, 1), ((d,), (d - 1, d))),)
-    prog = _assemble_sectors(m, n_out, 2, sectors, d + outer, energy_cap=energy_cap,
-                             q_fixed=q_fixed, slack=slack, objective=objective)
-    if outer:
-        prog = replace(prog, p_vars=prog.p_vars[:-1], tail_var=prog.p_vars[-1])
-    return prog
+    return _assemble_sectors(m, sectors, energy_cap=energy_cap, q_fixed=q_fixed, slack=slack,
+                             objective=objective, n_out=n_out)
 
 
 def _assemble_multilevel(m: Povm, target_levels, battery_levels,
@@ -192,16 +187,16 @@ def _assemble_multilevel(m: Povm, target_levels, battery_levels,
     sectors = _joint_sectors(tuple(target_levels), tuple(battery_levels))
     if m.dim != len(target_levels):
         raise ValueError("POVM dimension must match the target spectrum")
-    return _assemble_sectors(m, m.n_outcomes, m.dim, sectors, len(battery_levels),
-                             slack=slack)
+    return _assemble_sectors(m, sectors, slack=slack)
 
 
 def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]:
+    dim = _target_dim(prog.sector_rows)
     out = []
-    for x in range(prog.n_out):
-        mx = np.zeros((prog.dim, prog.dim), dtype=complex)
+    for x in range(len(prog.blocks[0])):
+        mx = np.zeros((dim, dim), dtype=complex)
         for rows, blk in zip(prog.sector_rows, prog.blocks):
-            mx[np.ix_(rows, rows)] += sol.block(blk[x])
+            mx[np.ix_(rows, rows)] += sol.x[blk[x]]
         out.append(mx)
     return out
 
@@ -226,23 +221,22 @@ def _decide(prog: _SectorProgram, gap_bound: float | None = None) -> MembershipV
 
 
 def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
-    """A solved program's primal point, as verify_member_certificate reads it."""
+    """A solved program's primal point, as verify_member_certificate reads it;
+    an outer program's p ends with the tail population p[d]."""
     cert = {
-        "blocks": {s: [sol.block(b) for b in per_x] for s, per_x in enumerate(prog.blocks)},
+        "blocks": {s: [sol.x[b] for b in per_x] for s, per_x in enumerate(prog.blocks)},
         "reconstruction": _reconstruct(prog, sol),
     }
     if prog.p_vars is not None:
         cert["p"] = np.array([sol.scalar(v) for v in prog.p_vars])
-    if prog.tail_var is not None:
-        cert["tail_weight"] = sol.scalar(prog.tail_var)
     return cert
 
 
 def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
     """Replay the decomposition in the raw (slack=False) program builder(m).
 
-    The certificate's blocks, populations p and tail weight take their
-    places in it, and it must pass the primal rule of SdpSolution.lower
+    The certificate's blocks and populations p take their places in it,
+    and it must pass the primal rule of SdpSolution.lower
     (BlockSdp.primal_check). A missing or mis-shaped entry fails the check.
     """
     prog = builder(m)
@@ -254,8 +248,6 @@ def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
         if prog.p_vars is not None:
             for v, w in zip(prog.p_vars, cert["p"], strict=True):
                 x[v] = w
-        if prog.tail_var is not None:
-            x[prog.tail_var] = cert["tail_weight"]
         return prog.problem.primal_check(x)
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
@@ -299,7 +291,7 @@ def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
     """
     if m.dim != 2:
         raise ValueError("the ladder programs characterize qubit POVMs")
-    prog = _assemble_ladder(None, d, n_out=m.n_outcomes, slack=False)
+    prog = _assemble_ladder(None, d, n_out=m.n_outcomes)
     p = prog.problem  # a with_rhs copy: its lists are its own
     t = p.add_scalar("t")
     p.add_inequality({t: 1.0}, 1.0)
@@ -320,7 +312,7 @@ def optimize_finite(v: list[np.ndarray], d: int):
     Returns (value, optimal Povm, SdpSolution), the value in its bracket().
     """
     v = [np.asarray(x, dtype=complex) for x in v]
-    prog = _assemble_ladder(None, d, n_out=len(v), slack=False, objective=v)
+    prog = _assemble_ladder(None, d, objective=v)
     sol = sdp.solve(prog.problem)
     sol.bracket()
     return sol.objective, Povm(elements=_reconstruct(prog, sol), tol=1e-6), sol
@@ -364,10 +356,9 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     """
     z = _energy_budget(ebar, delta, d)
     v = [np.asarray(x, dtype=complex) for x in v]
-    outer = _assemble_ladder(None, d, n_out=len(v), outer=True, energy_cap=z, slack=False,
-                             objective=v)
+    outer = _assemble_ladder(None, d, outer=True, energy_cap=z, objective=v)
     upper = sdp.solve(outer.problem).upper
-    inner = _assemble_ladder(None, d, n_out=len(v), energy_cap=z, slack=False, objective=v)
+    inner = _assemble_ladder(None, d, energy_cap=z, objective=v)
     sol_i = sdp.solve(inner.problem)
     lower = sol_i.lower
     if not np.isfinite(upper - lower):
@@ -376,11 +367,10 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     return upper, lower, povm, upper - lower
 
 
-def fixed_distribution_feasible(m: Povm, q):
+def fixed_distribution_feasible(m: Povm, q) -> MembershipVerdict:
     """Slack test of reachability when the battery populations are frozen."""
     q = np.asarray(q, dtype=float)
-    v = _decide(_assemble_ladder(m, q.size, q_fixed=q))
-    return v.is_member, v.slack, v.certificate
+    return _decide(_assemble_ladder(m, q.size, q_fixed=q))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +415,16 @@ def universal_state_check(sigma: BatteryState, d: int, trials: int = 60, seed: i
         verdict = membership_finite(cand, d)
         if not verdict.is_member:
             continue  # solver noise pushed the candidate marginally outside
-        ok, slack, cert = fixed_distribution_feasible(cand, q)
-        if not ok and slack > 10 * sdp.CERT_TOL:
+        fixed = fixed_distribution_feasible(cand, q)
+        if not fixed.is_member and fixed.slack > 10 * sdp.CERT_TOL:
             return {
                 "trial": trial,
                 "povm": cand,
                 "objective": v,
                 "member_certificate": verdict.certificate,
                 "member_slack": verdict.slack,
-                "fixed_margin": slack,
-                "fixed_certificate": cert,
+                "fixed_margin": fixed.slack,
+                "fixed_certificate": fixed.certificate,
                 "q": q,
             }
     return None

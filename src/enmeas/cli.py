@@ -189,7 +189,7 @@ def _cmd_povm_effective(args):
         raise ValueError("battery state file must carry levels")
     chains = _chains(state.levels, args.delta)
     phys = povm_mod.constant_blocks(p, chains)
-    _write_json(povm_mod.effective_povm(phys, state, chains).to_json(), args.out)
+    _write_json(povm_mod.effective_povm(phys, state).to_json(), args.out)
     return 0
 
 

@@ -207,10 +207,10 @@ def quantum_distance(m0: Povm, m1: Povm) -> DistanceResult:
         obj[us[x]] = -0.5 * dt
     sol = sdp.solve(shape.with_rhs([rhs for _, rhs in shape.equalities], obj), tol=_SDP_TOL)
     lower, upper = sol.bracket()
-    xs = [0.5 * (sol.block(v) - sol.block(u)) for u, v in zip(us, vs)]
+    xs = [0.5 * (sol.x[v] - sol.x[u]) for u, v in zip(us, vs)]
     return DistanceResult(
         value=0.5 * sol.objective,
-        witness={"rho": sol.block(rho), "X": xs, "bounds": (0.5 * lower, 0.5 * upper)},
+        witness={"rho": sol.x[rho], "X": xs, "bounds": (0.5 * lower, 0.5 * upper)},
         method="sdp",
     )
 

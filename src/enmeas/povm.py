@@ -249,16 +249,14 @@ def _sector_blocks(m: Povm, chains: ChainDecomposition, rho: np.ndarray | None) 
     return PhysicalPovm(chains=chains, blocks=blocks, labels=list(m.labels))
 
 
-def effective_povm(phys: PhysicalPovm, battery: BatteryState, chains: ChainDecomposition) -> Povm:
+def effective_povm(phys: PhysicalPovm, battery: BatteryState) -> Povm:
     """Effective qubit POVM induced by battery-averaged sector blocks.
 
     (M~_x)_{ab} = sum_{j,k} <j,k-b| sigma_B |j,k-a> (M^{j,k}_x)_{ab}; blocks
     may be sub-normalized, in which case the deficit becomes a null outcome.
     """
-    if battery.dim != chains.dim:
+    if battery.dim != phys.chains.dim:
         raise ValueError("battery state and chain decomposition dimensions differ")
-    if phys.chains is not chains and phys.chains.to_json() != chains.to_json():
-        raise ValueError("physical POVM is indexed by a different chain decomposition")
     phys = phys.completed()
     rho = battery.density()
     elems = []

@@ -313,7 +313,7 @@ def check_effective_povm_oracle():
         n_out = int(rng.integers(2, 4))
         phys = random_physical_povm(rng, chains, n_out)
         batt = random_battery_state(rng, db, levels=levels)
-        eff = effective_povm(phys, batt, chains)
+        eff = effective_povm(phys, batt)
         joint = joint_operators(phys)
         sig = batt.density()
         for rho in basis:

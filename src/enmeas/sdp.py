@@ -531,9 +531,6 @@ class SdpSolution:
             raise SdpError(f"open bracket: status {self.status}, ({self.lower}, {self.upper})")
         return self.lower, self.upper
 
-    def block(self, idx: int) -> np.ndarray:
-        return self.x[idx]
-
     def scalar(self, idx: int) -> float:
         return float(self.x[idx][0, 0].real)
 

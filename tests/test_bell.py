@@ -12,7 +12,6 @@ from enmeas.bell import (
     dephase_local_number,
     entangled_component,
     optimize_chsh_seesaw,
-    outcome_sign_tables,
     reference_observables,
     reference_scenario,
     shared_pure_state,
@@ -117,13 +116,6 @@ def test_mixture_bound_is_derived_from_the_state(monkeypatch):
     w = 0.6 * 0.25
     assert chsh_mixture_bound() == pytest.approx(2 * (1 - w) + 2 * math.sqrt(2) * w, abs=1e-14)
     assert chsh_mixture_bound() < 6 / 8 * 2 + 2 / 8 * 2 * math.sqrt(2) - 0.05
-
-
-def test_outcome_sign_tables_are_dichotomic_maps():
-    tables = outcome_sign_tables()
-    for party in ("A", "B"):
-        assert set(tables[party].values()) == {-1, 1}
-        assert len(tables[party]) == 4
 
 
 class TestSeesaw:

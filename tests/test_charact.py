@@ -230,6 +230,23 @@ class TestMembershipEnergy:
         else:  # numerical edge: accept a decisive verdict too
             assert v.verdict in ("member", "non_member")
 
+    def test_outer_point_replays_in_the_raw_outer_program(self):
+        # tau = 0.88 lies between the inner (0.809) and outer (0.963) optima
+        # of z = 3, d = 4; the outer point's p ends with the tail population p[d]
+        z, d = 3.0, 4
+        m = degrade(sigma_x_povm(), 0.88)
+        v = membership_energy(m, z, 1.0, d)
+        assert v.verdict == "undecided"
+        point = v.certificate["outer_point"]
+        assert point["p"].shape == (d + 1,)
+        assert abs(point["p"].sum() - 1.0) <= 10 * sdp.CERT_TOL
+        raw_outer = lambda m: charact._assemble_ladder(m, d, outer=True, energy_cap=z,
+                                                       slack=False)
+        assert verify_member_certificate(m, point, raw_outer)
+        tail = point["p"].copy()
+        tail[d] += 1e-3
+        assert not verify_member_certificate(m, dict(point, p=tail), raw_outer)
+
     def test_gap_bound_value(self):
         v = membership_energy(degrade(sigma_x_povm(), 0.3), 5.0, 1.0, 11)
         assert v.gap_bound == pytest.approx(0.5)
@@ -372,9 +389,9 @@ class TestUniversalStateCheck:
 
     def test_uniform_distribution_accepts_half_degraded(self):
         m = degrade(sigma_x_povm(), 0.5)
-        ok, slack, cert = fixed_distribution_feasible(m, [0.5, 0.5])
-        assert ok
-        assert slack <= 1e-7
+        v = fixed_distribution_feasible(m, [0.5, 0.5])
+        assert v.is_member
+        assert v.slack <= 1e-7
 
     def test_d1_has_no_counterexample(self):
         st = optimal_finite_state(1)
@@ -485,14 +502,12 @@ def test_ladder_is_the_joint_eigenspace_layout(slack, monkeypatch):
             out += [lambda d=d: charact._assemble_ladder(m, d, slack=slack),
                     lambda d=d: charact._assemble_ladder(m, d, energy_cap=cap, slack=slack),
                     lambda d=d: charact._assemble_ladder(m, d, q_fixed=q[d], slack=slack),
-                    lambda d=d: charact._assemble_ladder(None, d, n_out=len(v), slack=False,
-                                                         objective=v)]
+                    lambda d=d: charact._assemble_ladder(None, d, objective=v)]
             if d >= 2:
                 out += [lambda d=d: charact._assemble_ladder(m, d, outer=True, energy_cap=cap,
                                                              slack=slack),
-                        lambda d=d: charact._assemble_ladder(None, d, n_out=len(v), outer=True,
-                                                             energy_cap=cap, slack=False,
-                                                             objective=v)]
+                        lambda d=d: charact._assemble_ladder(None, d, outer=True,
+                                                             energy_cap=cap, objective=v)]
         return out
 
     rand = [degrade(random_rank_one_povm(rng, 2, 3), tau) for tau in (0.4, 0.8)]
@@ -560,6 +575,14 @@ def test_second_verdict_of_a_shape_assembles_nothing(monkeypatch):
     calls.clear()
     assert not membership_finite(degrade(sigma_x_povm(), 0.99), d).is_member
     assert calls == []
+
+
+def test_a_program_without_a_target_has_one_shape():
+    charact._sector_shape.cache_clear()
+    v = list(sigma_x_povm().elements)
+    for slack in (True, False):
+        charact._assemble_ladder(None, 3, objective=v, slack=slack)
+    assert charact._sector_shape.cache_info().currsize == 1
 
 
 def test_certificate_replays_accept_exactly_what_the_bounds_accept():

@@ -294,6 +294,34 @@ def test_charact_cli(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "member"
 
 
+def test_charact_cli_non_member_carries_the_farkas_certificate(tmp_path, capsys):
+    from enmeas.povm import degrade
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(degrade(projective_qubit("x"), 0.8).to_json()))
+    code, out, _ = run_cli(["charact", "finite", "--povm", str(path), "--d", "3"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "non_member"
+    assert data["slack"] > 0
+    assert set(data["certificate"]) == {"dual", "farkas_objective", "farkas_min_eig", "margin"}
+    assert data["certificate"]["margin"] == data["slack"]
+
+
+def test_charact_energy_cli_undecided_has_a_gap_and_no_certificate(tmp_path, capsys):
+    from enmeas.povm import degrade
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(degrade(projective_qubit("x"), 0.88).to_json()))
+    code, out, _ = run_cli(["charact", "energy", "--povm", str(path), "--ebar", "3",
+                            "--delta", "1", "--d", "4"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "undecided"
+    assert data["gap_bound"] == pytest.approx(1.0)
+    assert "certificate" not in data
+
+
 def test_bell_chsh_cli(capsys):
     code, out, _ = run_cli(["bell", "chsh"], capsys)
     assert code == 0

@@ -96,7 +96,7 @@ def test_fixed_distribution_margin_matches_external_solver():
     rng = np.random.default_rng(3)
     q = optimal_finite_state(3).populations()
     m = degrade(random_rank_one_povm(rng, 2, 4), 0.9)
-    _, slack, _ = charact.fixed_distribution_feasible(m, q)
+    slack = charact.fixed_distribution_feasible(m, q).slack
     assert slack == pytest.approx(slack_reference(m, 3, q_fixed=q), abs=2e-7)
 
 

@@ -65,7 +65,7 @@ class TestEffectivePovm:
             m = random_rank_one_povm(rng, 2, 3)
             phys = constant_blocks(m, chains)
             batt = BatteryState.pure(np.ones(d) / math.sqrt(d))
-            eff = effective_povm(phys, batt, chains)
+            eff = effective_povm(phys, batt)
             for ex, mx in zip(eff.elements, m.elements):
                 expect = mx.copy()
                 expect[0, 1] *= 1 - 1 / d
@@ -78,7 +78,7 @@ class TestEffectivePovm:
         phys = constant_blocks(m, chains)
         v = np.zeros(4)
         v[1] = 1.0
-        eff = effective_povm(phys, BatteryState.pure(v), chains)
+        eff = effective_povm(phys, BatteryState.pure(v))
         for ex in eff.elements:
             assert abs(ex[0, 1]) < 1e-14
 
@@ -89,7 +89,7 @@ class TestEffectivePovm:
         chains = ladder(3)
         phys = random_physical_povm(rng, chains, 3)
         batt = BatteryState.mixed(random_density(rng, 3))
-        eff = effective_povm(phys, batt, chains)
+        eff = effective_povm(phys, batt)
         ops = joint_operators(phys)
         for _ in range(20):
             rho = random_density(rng, 2)
@@ -105,7 +105,7 @@ class TestEffectivePovm:
         chains = decompose_chains([0.0, 0.4, 1.0, 1.4, 2.4], 1.0)
         phys = random_physical_povm(rng, chains, 2)
         batt = BatteryState.mixed(random_density(rng, 5))
-        eff = effective_povm(phys, batt, chains)
+        eff = effective_povm(phys, batt)
         assert validate(eff).ok
 
 
@@ -139,7 +139,7 @@ class TestDegrade:
                 batt = BatteryState.pure(amps)
                 tau = tau_of_state(batt, chains).tau
                 phys = phase_aligned_blocks(m, batt, chains)
-                eff = effective_povm(phys, batt, chains)
+                eff = effective_povm(phys, batt)
                 ref = degrade(m, tau)
                 for a, b in zip(eff.elements, ref.elements):
                     assert np.allclose(a, b, atol=1e-12)
@@ -245,6 +245,6 @@ def test_subnormalized_blocks_get_null_outcome():
         for key in bl:
             bl[key] = 0.8 * bl[key]
     batt = BatteryState.pure(np.ones(3) / math.sqrt(3))
-    eff = effective_povm(phys, batt, chains)
+    eff = effective_povm(phys, batt)
     assert "null" in eff.labels
     assert validate(eff).ok
