@@ -51,6 +51,16 @@ def _target_dim(sector_rows) -> int:
     return 1 + max(map(max, sector_rows))
 
 
+def _population_count(sectors) -> int:
+    return 1 + max(n for _, feeds in sectors for pops in feeds for n in pops)
+
+
+def _check_target(m: Povm, sectors) -> None:
+    dim = _target_dim(rows for rows, _ in sectors)
+    if m.dim != dim:
+        raise ValueError(f"a {m.dim}-dimensional POVM on {dim} target levels")
+
+
 @lru_cache(maxsize=16)  # a d = 64 shape holds about 2.3 MB
 def _sector_shape(sectors, n_out: int, populations: str, target: str | None) -> _SectorProgram:
     """The rows of a sector program, with every right-hand side 0 but the
@@ -58,7 +68,7 @@ def _sector_shape(sectors, n_out: int, populations: str, target: str | None) -> 
     populations: "free", "capped" or "fixed"; target: None, "raw" or "slack"."""
     sector_rows = tuple(rows for rows, _ in sectors)
     dim = _target_dim(sector_rows)
-    n_pop = 1 + max(n for _, feeds in sectors for pops in feeds for n in pops)
+    n_pop = _population_count(sectors)
     p = sdp.BlockSdp()
     blocks = tuple(tuple(p.add_block(len(rows), f"B[{s}][{x}]") for x in range(n_out))
                    for s, (rows, _) in enumerate(sectors))
@@ -114,8 +124,19 @@ def _assemble_sectors(m: Povm | None, sectors, *,
     n_out; a program without a target has no slack form. The rows depend
     only on the shape, which _sector_shape assembles and compiles once; the
     target's elements, the cap and the fixed populations fill the
-    right-hand sides, and the objective fills c.
+    right-hand sides, and the objective fills c. The POVM's dimension and
+    the fixed populations are checked against the sectors first.
     """
+    if m is not None:
+        _check_target(m, sectors)
+    if q_fixed is not None:
+        q_fixed = np.asarray(q_fixed, dtype=float)
+        if q_fixed.size != _population_count(sectors) or np.any(q_fixed < 0):
+            raise ValueError("fixed populations must be nonnegative, one per battery population")
+        if abs(q_fixed.sum() - 1.0) > 1e-9:
+            raise ValueError("fixed populations must sum to 1")
+    if objective is not None:
+        objective = [np.asarray(vx, dtype=complex) for vx in objective]
     n_out = m.n_outcomes if m is not None else len(objective) if objective is not None else n_out
     populations = "fixed" if q_fixed is not None else "free" if energy_cap is None else "capped"
     shape = _sector_shape(sectors, n_out, populations,
@@ -136,7 +157,6 @@ def _assemble_sectors(m: Povm | None, sectors, *,
     if objective is not None:
         obj = {}
         for x, vx in enumerate(objective):
-            vx = np.asarray(vx, dtype=complex)
             for s, (rows, _) in enumerate(sectors):
                 sub = vx[np.ix_(rows, rows)]
                 if np.max(np.abs(sub)) > 0:
@@ -154,40 +174,17 @@ def _joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
                  for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
 
 
-def _assemble_ladder(m: Povm | None, d: int, *, outer: bool = False,
-                     energy_cap: float | None = None, q_fixed: np.ndarray | None = None,
-                     slack: bool = True, objective: list[np.ndarray] | None = None,
-                     n_out: int | None = None) -> _SectorProgram:
-    """The finite / inner / outer / fixed-weight programs of a qubit target
-    on the d-level ladder battery."""
+def _ladder_sectors(d: int, outer: bool = False) -> tuple:
+    """The sectors of a qubit target on the d-level ladder battery: target
+    levels [0, 1] against battery levels 0..d-1. The outer relaxation makes
+    the top sector rank two: the tail population d feeds both rows, and
+    level d-1 feeds row 1 as well."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if m is not None and m.dim != 2:
-        raise ValueError("the ladder programs characterize qubit POVMs")
-    if q_fixed is not None:
-        q_fixed = np.asarray(q_fixed, dtype=float)
-        if q_fixed.size != d or np.any(q_fixed < 0):
-            raise ValueError("fixed energy distribution must be d nonnegative weights")
-        if abs(q_fixed.sum() - 1.0) > 1e-9:
-            raise ValueError("fixed energy distribution must sum to 1")
-
-    # the ladder is target levels [0, 1] against battery levels 0..d-1; the
-    # outer relaxation makes its top sector rank two: the tail population d
-    # feeds both rows, and level d-1 feeds row 1 as well
     sectors = _joint_sectors((0, 1), tuple(range(d)))
     if outer:
         sectors = sectors[:-1] + (((0, 1), ((d,), (d - 1, d))),)
-    return _assemble_sectors(m, sectors, energy_cap=energy_cap, q_fixed=q_fixed, slack=slack,
-                             objective=objective, n_out=n_out)
-
-
-def _assemble_multilevel(m: Povm, target_levels, battery_levels,
-                         slack: bool = True) -> _SectorProgram:
-    """The slack or raw program on the joint eigenspaces of the two spectra."""
-    sectors = _joint_sectors(tuple(target_levels), tuple(battery_levels))
-    if m.dim != len(target_levels):
-        raise ValueError("POVM dimension must match the target spectrum")
-    return _assemble_sectors(m, sectors, slack=slack)
+    return sectors
 
 
 def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]:
@@ -232,14 +229,16 @@ def _member_certificate(prog: _SectorProgram, sol: sdp.SdpSolution) -> dict:
     return cert
 
 
-def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
-    """Replay the decomposition in the raw (slack=False) program builder(m).
+def verify_member_certificate(m: Povm, cert: dict, sectors, *, energy_cap: float | None = None,
+                              q_fixed: np.ndarray | None = None) -> bool:
+    """Replay the decomposition in the raw program of m on these sectors,
+    with the energy cap or fixed populations of the program that gave it.
 
     The certificate's blocks and populations p take their places in it,
     and it must pass the primal rule of SdpSolution.lower
     (BlockSdp.primal_check). A missing or mis-shaped entry fails the check.
     """
-    prog = builder(m)
+    prog = _assemble_sectors(m, sectors, energy_cap=energy_cap, q_fixed=q_fixed, slack=False)
     x = [None] * len(prog.problem.block_dims)
     try:
         for per_x, given in zip(prog.blocks, cert["blocks"].values(), strict=True):
@@ -253,8 +252,10 @@ def verify_member_certificate(m: Povm, cert: dict, builder) -> bool:
         return False
 
 
-def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
-    """Replay the Farkas functional against the slack program builder(m).
+def verify_nonmember_certificate(m: Povm, cert: dict, sectors, *, energy_cap: float | None = None,
+                                 q_fixed: np.ndarray | None = None) -> bool:
+    """Replay the Farkas functional against the slack program of m on these
+    sectors, with the energy cap or fixed populations of the program that gave it.
 
     The dual vector must pass sdp.dual_holds, the rule of
     SdpSolution.upper, on that program's dual (A*(y) - C PSD on every
@@ -262,8 +263,9 @@ def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
     weak duality then bounds every decomposition's residual away from zero.
     A missing or mis-shaped entry fails the check.
     """
+    prog = _assemble_sectors(m, sectors, energy_cap=energy_cap, q_fixed=q_fixed)
     try:
-        min_eig, b_dot_y = builder(m).problem.compile().dual_check(cert["dual"])
+        min_eig, b_dot_y = prog.problem.compile().dual_check(cert["dual"])
         bound = -max(sdp.CERT_TOL, 0.5 * cert["margin"])
     except (KeyError, ValueError, TypeError, sdp.SdpError):
         return False
@@ -276,12 +278,12 @@ def verify_nonmember_certificate(m: Povm, cert: dict, builder) -> bool:
 
 def finite_membership_program(m: Povm, d: int) -> sdp.BlockSdp:
     """The assembled block SDP behind membership_finite (for inspection)."""
-    return _assemble_ladder(m, d).problem
+    return _assemble_sectors(m, _ladder_sectors(d)).problem
 
 
 def membership_finite(m: Povm, d: int) -> MembershipVerdict:
     """Decide whether a qubit POVM is reachable with a d-level battery."""
-    return _decide(_assemble_ladder(m, d))
+    return _decide(_assemble_sectors(m, _ladder_sectors(d)))
 
 
 def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
@@ -289,9 +291,9 @@ def critical_degradation(m: Povm, d: int) -> tuple[float, dict]:
     the member certificate of degrade(m, t): one SDP, the raw ladder program
     with each element's off-diagonal moved to a maximized scalar t <= 1.
     """
-    if m.dim != 2:
-        raise ValueError("the ladder programs characterize qubit POVMs")
-    prog = _assemble_ladder(None, d, n_out=m.n_outcomes)
+    sectors = _ladder_sectors(d)
+    _check_target(m, sectors)
+    prog = _assemble_sectors(None, sectors, n_out=m.n_outcomes)
     p = prog.problem  # a with_rhs copy: its lists are its own
     t = p.add_scalar("t")
     p.add_inequality({t: 1.0}, 1.0)
@@ -311,8 +313,7 @@ def optimize_finite(v: list[np.ndarray], d: int):
 
     Returns (value, optimal Povm, SdpSolution), the value in its bracket().
     """
-    v = [np.asarray(x, dtype=complex) for x in v]
-    prog = _assemble_ladder(None, d, objective=v)
+    prog = _assemble_sectors(None, _ladder_sectors(d), objective=v)
     sol = sdp.solve(prog.problem)
     sol.bracket()
     return sol.objective, Povm(elements=_reconstruct(prog, sol), tol=1e-6), sol
@@ -337,10 +338,10 @@ def membership_energy(m: Povm, ebar: float, delta: float, d: int) -> MembershipV
     """
     z = _energy_budget(ebar, delta, d)
     gap = z / (d - 1)
-    inner = _decide(_assemble_ladder(m, d, energy_cap=z), gap)
+    inner = _decide(_assemble_sectors(m, _ladder_sectors(d), energy_cap=z), gap)
     if inner.is_member:
         return inner
-    outer = _decide(_assemble_ladder(m, d, outer=True, energy_cap=z), gap)
+    outer = _decide(_assemble_sectors(m, _ladder_sectors(d, outer=True), energy_cap=z), gap)
     if not outer.is_member:
         return outer
     return MembershipVerdict("undecided", inner.slack, {"inner_margin": inner.certificate,
@@ -355,10 +356,10 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     gap shrinks as O(ebar / (delta d)). A bound that fails its check raises.
     """
     z = _energy_budget(ebar, delta, d)
-    v = [np.asarray(x, dtype=complex) for x in v]
-    outer = _assemble_ladder(None, d, outer=True, energy_cap=z, objective=v)
+    v = list(v)  # both programs read it
+    outer = _assemble_sectors(None, _ladder_sectors(d, outer=True), energy_cap=z, objective=v)
     upper = sdp.solve(outer.problem).upper
-    inner = _assemble_ladder(None, d, energy_cap=z, objective=v)
+    inner = _assemble_sectors(None, _ladder_sectors(d), energy_cap=z, objective=v)
     sol_i = sdp.solve(inner.problem)
     lower = sol_i.lower
     if not np.isfinite(upper - lower):
@@ -369,8 +370,7 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
 
 def fixed_distribution_feasible(m: Povm, q) -> MembershipVerdict:
     """Slack test of reachability when the battery populations are frozen."""
-    q = np.asarray(q, dtype=float)
-    return _decide(_assemble_ladder(m, q.size, q_fixed=q))
+    return _decide(_assemble_sectors(m, _ladder_sectors(np.size(q)), q_fixed=q))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,8 @@ def membership_multilevel(m: Povm, target_levels, battery_levels) -> MembershipV
     carries one PSD block per outcome with completeness diag of the battery
     occupations it touches.
     """
-    return _decide(_assemble_multilevel(m, target_levels, battery_levels))
+    return _decide(_assemble_sectors(
+        m, _joint_sectors(tuple(target_levels), tuple(battery_levels))))
 
 
 # ---------------------------------------------------------------------------

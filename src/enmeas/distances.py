@@ -83,7 +83,7 @@ def _zonotope_signs(g) -> np.ndarray:
     gap = np.minimum(np.linalg.norm(u[:, None] - u[None], axis=2),
                      np.linalg.norm(u[:, None] + u[None], axis=2))
     heads = np.flatnonzero(~np.tril(gap <= _TOL, -1).any(axis=1))
-    group = np.argmax(np.abs(u @ u[heads].T), axis=1)
+    group = np.argmin(gap[:, heads], axis=1)  # each head its own group
     orient = np.sign(np.einsum("ij,ij->i", u, u[heads[group]]))
     merged = np.zeros((heads.size, g.shape[1]))
     np.add.at(merged, group, orient[:, None] * g[live])

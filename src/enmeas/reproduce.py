@@ -389,12 +389,10 @@ def check_non_universality():
     res = charact.universal_state_check(sigma, 3, trials=60, seed=3)
     if res is None:
         return False, None
-    member_ok = charact.verify_member_certificate(
-        res["povm"], res["member_certificate"],
-        lambda m: charact._assemble_ladder(m, 3, slack=False))
-    farkas_ok = charact.verify_nonmember_certificate(
-        res["povm"], res["fixed_certificate"],
-        lambda m: charact._assemble_ladder(m, 3, q_fixed=res["q"], slack=True))
+    sectors = charact._ladder_sectors(3)
+    member_ok = charact.verify_member_certificate(res["povm"], res["member_certificate"], sectors)
+    farkas_ok = charact.verify_nonmember_certificate(res["povm"], res["fixed_certificate"],
+                                                     sectors, q_fixed=res["q"])
     return member_ok and farkas_ok, {
         "trial": res["trial"], "fixed_margin": res["fixed_margin"],
         "member_verified": member_ok, "farkas_verified": farkas_ok}

@@ -32,8 +32,7 @@ class TestMembershipFinite:
                            np.diag([0.7, 0.2]).astype(complex)])
         v = membership_finite(m, 1)
         assert v.is_member
-        assert verify_member_certificate(
-            m, v.certificate, lambda m: charact._assemble_ladder(m, 1, slack=False))
+        assert verify_member_certificate(m, v.certificate, charact._ladder_sectors(1))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_boundary_quality_is_member(self, d):
@@ -48,30 +47,27 @@ class TestMembershipFinite:
         v = membership_finite(m, d)
         assert v.verdict == "non_member"
         assert v.slack > 1e-7
-        assert verify_nonmember_certificate(
-            m, v.certificate,
-            lambda m: charact._assemble_ladder(m, d, slack=True))
+        assert verify_nonmember_certificate(m, v.certificate, charact._ladder_sectors(d))
 
     def test_certificates_checked_against_the_given_povm(self):
         # each verdict's certificate verifies for its own POVM only
         x = sigma_x_povm()
         half = degrade(x, 0.5)
-        raw = lambda m: charact._assemble_ladder(m, 2, slack=False)
+        sectors = charact._ladder_sectors(2)
         member = membership_finite(half, 2)
-        assert verify_member_certificate(half, member.certificate, raw)
-        assert not verify_member_certificate(x, member.certificate, raw)
+        assert verify_member_certificate(half, member.certificate, sectors)
+        assert not verify_member_certificate(x, member.certificate, sectors)
         above = degrade(x, math.cos(math.pi / 3) + 1e-3)
-        slack = lambda m: charact._assemble_ladder(m, 2, slack=True)
         outside = membership_finite(above, 2)
-        assert verify_nonmember_certificate(above, outside.certificate, slack)
-        assert not verify_nonmember_certificate(degrade(x, 0.3), outside.certificate, slack)
+        assert verify_nonmember_certificate(above, outside.certificate, sectors)
+        assert not verify_nonmember_certificate(degrade(x, 0.3), outside.certificate, sectors)
         # a malformed certificate fails the check instead of raising
         cert = outside.certificate
         for bad in ({k: w for k, w in cert.items() if k != "dual"},
                     {k: w for k, w in cert.items() if k != "margin"},
                     dict(cert, dual="abc"), dict(cert, dual=cert["dual"][:-1]),
                     dict(cert, margin=None)):
-            assert not verify_nonmember_certificate(above, bad, slack)
+            assert not verify_nonmember_certificate(above, bad, sectors)
 
     def test_member_certificate_reconstructs(self):
         rng = np.random.default_rng(0)
@@ -117,8 +113,7 @@ class TestCriticalDegradation:
             t, cert = charact.critical_degradation(m, d)
             assert membership_finite(degrade(m, t - 1e-6), d).is_member
             assert not membership_finite(degrade(m, min(1.0, t + 1e-4)), d).is_member
-            assert verify_member_certificate(
-                degrade(m, t), cert, lambda m, d=d: charact._assemble_ladder(m, d, slack=False))
+            assert verify_member_certificate(degrade(m, t), cert, charact._ladder_sectors(d))
 
     def test_stalled_solve_is_returned_by_its_checks(self, monkeypatch):
         # the answer is accepted by its primal and dual checks, not by its
@@ -140,8 +135,8 @@ class TestCriticalDegradation:
         t, cert = charact.critical_degradation(m, d)
         assert len(solved) == 1
         assert 0.999 < t < 1.0
-        raw = lambda m: charact._assemble_ladder(m, d, slack=False)
-        assert verify_member_certificate(degrade(m, t), cert, raw)
+        sectors = charact._ladder_sectors(d)
+        assert verify_member_certificate(degrade(m, t), cert, sectors)
 
         real = solved[0]
         for status in ("stalled", "max_iter"):
@@ -152,7 +147,7 @@ class TestCriticalDegradation:
             assert got_cert["p"].tobytes() == cert["p"].tobytes()
             for s, blocks in cert["blocks"].items():
                 assert all(np.array_equal(a, b) for a, b in zip(got_cert["blocks"][s], blocks))
-            assert verify_member_certificate(degrade(m, got), got_cert, raw)
+            assert verify_member_certificate(degrade(m, got), got_cert, sectors)
 
     def test_rejects_qutrits_and_empty_ladders(self):
         qutrit = Povm(elements=[np.diag(v).astype(complex) for v in ([1, 0, 0], [0, 1, 1])])
@@ -240,12 +235,11 @@ class TestMembershipEnergy:
         point = v.certificate["outer_point"]
         assert point["p"].shape == (d + 1,)
         assert abs(point["p"].sum() - 1.0) <= 10 * sdp.CERT_TOL
-        raw_outer = lambda m: charact._assemble_ladder(m, d, outer=True, energy_cap=z,
-                                                       slack=False)
-        assert verify_member_certificate(m, point, raw_outer)
+        outer = charact._ladder_sectors(d, outer=True)
+        assert verify_member_certificate(m, point, outer, energy_cap=z)
         tail = point["p"].copy()
         tail[d] += 1e-3
-        assert not verify_member_certificate(m, dict(point, p=tail), raw_outer)
+        assert not verify_member_certificate(m, dict(point, p=tail), outer, energy_cap=z)
 
     def test_gap_bound_value(self):
         v = membership_energy(degrade(sigma_x_povm(), 0.3), 5.0, 1.0, 11)
@@ -328,25 +322,25 @@ class TestMultilevel:
         m = sigma_x_povm()
         forged = {"blocks": {0: [np.zeros((1, 1)), np.zeros((1, 1))]},
                   "reconstruction": list(m.elements)}
-        assert not verify_member_certificate(
-            m, forged, lambda m: charact._assemble_ladder(m, 1, slack=False))
+        assert not verify_member_certificate(m, forged, charact._ladder_sectors(1))
 
     def test_member_certificate_needs_every_entry(self):
         m = degrade(sigma_x_povm(), 0.5)
         v = membership_finite(m, 2)
         assert v.is_member
-        build = lambda m: charact._assemble_ladder(m, 2, slack=False)
-        assert verify_member_certificate(m, v.certificate, build)
+        sectors = charact._ladder_sectors(2)
+        assert verify_member_certificate(m, v.certificate, sectors)
         no_p = {k: w for k, w in v.certificate.items() if k != "p"}
-        assert not verify_member_certificate(m, no_p, build)
+        assert not verify_member_certificate(m, no_p, sectors)
         short = dict(v.certificate, blocks=dict(list(v.certificate["blocks"].items())[:-1]))
-        assert not verify_member_certificate(m, short, build)
+        assert not verify_member_certificate(m, short, sectors)
         flat = dict(v.certificate, blocks={s: [b[:1, :1] for b in per_x]
                                            for s, per_x in v.certificate["blocks"].items()})
-        assert not verify_member_certificate(m, flat, build)
+        assert not verify_member_certificate(m, flat, sectors)
 
     def test_verdicts_carry_verifying_certificates(self):
         target, battery = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
+        sectors = charact._joint_sectors(tuple(target), tuple(battery))
         r = random_rank_one_povm(np.random.default_rng(8), 3, 3)
         for w, verdict in ((0.2, "member"), (1.0, "non_member")):
             # w of the coherent POVM r, the rest its energy-diagonal part
@@ -354,14 +348,10 @@ class TestMultilevel:
             v = membership_multilevel(m, target, battery)
             assert v.verdict == verdict
             if v.is_member:
-                assert verify_member_certificate(
-                    m, v.certificate,
-                    lambda m: charact._assemble_multilevel(m, target, battery, slack=False))
+                assert verify_member_certificate(m, v.certificate, sectors)
                 assert v.certificate["p"].shape == (3,)
             else:
-                assert verify_nonmember_certificate(
-                    m, v.certificate,
-                    lambda m: charact._assemble_multilevel(m, target, battery))
+                assert verify_nonmember_certificate(m, v.certificate, sectors)
 
     def test_nonresonant_battery_accepts_only_diagonal(self):
         rng = np.random.default_rng(4)
@@ -379,13 +369,10 @@ class TestUniversalStateCheck:
     def test_optimal_state_is_not_universal(self):
         res = universal_state_check(optimal_finite_state(3), 3, trials=40, seed=3)
         assert res is not None
-        assert verify_member_certificate(
-            res["povm"], res["member_certificate"],
-            lambda m: charact._assemble_ladder(m, 3, slack=False))
-        assert verify_nonmember_certificate(
-            res["povm"], res["fixed_certificate"],
-            lambda m: charact._assemble_ladder(m, 3, q_fixed=res["q"],
-                                             slack=True))
+        sectors = charact._ladder_sectors(3)
+        assert verify_member_certificate(res["povm"], res["member_certificate"], sectors)
+        assert verify_nonmember_certificate(res["povm"], res["fixed_certificate"], sectors,
+                                            q_fixed=res["q"])
 
     def test_uniform_distribution_accepts_half_degraded(self):
         m = degrade(sigma_x_povm(), 0.5)
@@ -406,13 +393,9 @@ def test_verdicts_always_carry_verifying_certificates():
         d = int(rng.integers(2, 6))
         v = membership_finite(m, d)
         if v.is_member:
-            assert verify_member_certificate(
-                m, v.certificate,
-                lambda m, d=d: charact._assemble_ladder(m, d, slack=False))
+            assert verify_member_certificate(m, v.certificate, charact._ladder_sectors(d))
         else:
-            assert verify_nonmember_certificate(
-                m, v.certificate,
-                lambda m, d=d: charact._assemble_ladder(m, d, slack=True))
+            assert verify_nonmember_certificate(m, v.certificate, charact._ladder_sectors(d))
 
 
 def test_membership_monotone_in_energy():
@@ -446,13 +429,13 @@ def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
     monkeypatch.setattr(sdp._Compiled, "dual_check",
                         lambda self, *a, **k: calls.append("dual_check")
                         or dual_check_fn(self, *a, **k))
-    raw = lambda m: charact._assemble_ladder(m, d, slack=False)
+    sectors = charact._ladder_sectors(d)
     rng = np.random.default_rng(d)
     flip = math.cos(math.pi / (d + 1))
     for delta in (-1e-6, -3e-7, 3e-7, 1e-6):
         m = degrade(sigma_x_povm(), flip + delta)
         for order in range(4):
-            prog = charact._assemble_ladder(m, d, slack=True)
+            prog = charact._assemble_sectors(m, sectors)
             if order:
                 eqs = prog.problem.equalities
                 prog.problem.equalities = [eqs[i] for i in rng.permutation(len(eqs))]
@@ -463,7 +446,7 @@ def test_boundary_verdicts_independent_of_row_order(d, monkeypatch):
             assert calls == ["solve", "compile"] + ["dual_check"] * (not v.is_member)
             assert v.is_member == (delta < 0), (delta, order, slack)
             if v.is_member:
-                assert verify_member_certificate(m, v.certificate, raw)
+                assert verify_member_certificate(m, v.certificate, sectors)
             else:
                 assert abs(slack - delta / 2) <= 2e-8
 
@@ -479,35 +462,42 @@ def assert_same_program(got, want):
 
 @pytest.mark.parametrize("slack", [True, False])
 def test_ladder_is_the_joint_eigenspace_layout(slack, monkeypatch):
-    # the d-level ladder is target levels [0, 1] against battery levels 0..d-1
-    m = degrade(sigma_x_povm(), 0.6)
+    # the d-level ladder is target levels [0, 1] against battery levels 0..d-1:
+    # rows 0 and 1 of sector k are fed by levels k and k-1; the outer
+    # relaxation differs in its top sector only
     for d in range(1, 11):
-        assert_same_program(charact._assemble_ladder(m, d, slack=slack).problem,
-                            charact._assemble_multilevel(m, [0, 1], range(d), slack=slack).problem)
+        ladder = charact._ladder_sectors(d)
+        assert ladder == charact._joint_sectors((0, 1), tuple(range(d)))
+        assert ladder == (((0,), ((0,),)),
+                          *(((0, 1), ((k,), (k - 1,))) for k in range(1, d)),
+                          ((1,), ((d - 1,),)))
+        outer = charact._ladder_sectors(d, outer=True)
+        assert outer[:-1] == ladder[:-1] and outer[-1] == ((0, 1), ((d,), (d - 1, d)))
 
     # every form read from the shape cache, right after the same shape was
     # filled with other data, is byte for byte the assembly that bypasses it
+    m = degrade(sigma_x_povm(), 0.6)
     rng = np.random.default_rng(9)
     qutrit = [[Povm(elements=[w * e + (1 - w) * np.diag(np.diag(e)) for e in r.elements])
                for w in (0.2, 1.0)]
               for r in (random_rank_one_povm(rng, 3, 3), random_rank_one_povm(rng, 3, 4))]
 
+    def build(m, sectors, **kw):
+        return lambda: charact._assemble_sectors(m, sectors, slack=slack, **kw)
+
     def forms(m, m3, cap):
         """Builders of every program form for one set of data."""
         q = {d: rng.dirichlet(np.ones(d)) for d in range(1, 11)}
         v = list(random_rank_one_povm(rng, 2, m.n_outcomes).elements)
-        out = [lambda b=battery: charact._assemble_multilevel(m3, [0.0, 1.0, 2.0], b, slack=slack)
-               for battery in ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 2 ** 0.5, 5 ** 0.5])]
+        out = [build(m3, charact._joint_sectors((0.0, 1.0, 2.0), battery))
+               for battery in ((0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0), (0.0, 2 ** 0.5, 5 ** 0.5))]
         for d in range(1, 11):
-            out += [lambda d=d: charact._assemble_ladder(m, d, slack=slack),
-                    lambda d=d: charact._assemble_ladder(m, d, energy_cap=cap, slack=slack),
-                    lambda d=d: charact._assemble_ladder(m, d, q_fixed=q[d], slack=slack),
-                    lambda d=d: charact._assemble_ladder(None, d, objective=v)]
+            ladder, outer = charact._ladder_sectors(d), charact._ladder_sectors(d, outer=True)
+            out += [build(m, ladder), build(m, ladder, energy_cap=cap),
+                    build(m, ladder, q_fixed=q[d]), build(None, ladder, objective=v)]
             if d >= 2:
-                out += [lambda d=d: charact._assemble_ladder(m, d, outer=True, energy_cap=cap,
-                                                             slack=slack),
-                        lambda d=d: charact._assemble_ladder(None, d, outer=True,
-                                                             energy_cap=cap, objective=v)]
+                out += [build(m, outer, energy_cap=cap),
+                        build(None, outer, energy_cap=cap, objective=v)]
         return out
 
     rand = [degrade(random_rank_one_povm(rng, 2, 3), tau) for tau in (0.4, 0.8)]
@@ -581,8 +571,30 @@ def test_a_program_without_a_target_has_one_shape():
     charact._sector_shape.cache_clear()
     v = list(sigma_x_povm().elements)
     for slack in (True, False):
-        charact._assemble_ladder(None, 3, objective=v, slack=slack)
+        charact._assemble_sectors(None, charact._ladder_sectors(3), objective=v, slack=slack)
     assert charact._sector_shape.cache_info().currsize == 1
+
+
+def test_program_data_is_checked_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a program was solved")
+
+    monkeypatch.setattr(sdp, "solve", no_solve)
+    m = degrade(sigma_x_povm(), 0.5)
+    qutrit = Povm(elements=[np.diag(v).astype(complex) for v in ([1, 0, 0], [0, 1, 1])])
+    ladder = charact._ladder_sectors(3)
+    with pytest.raises(ValueError, match="nonnegative, one per battery population"):
+        charact._assemble_sectors(m, ladder, q_fixed=[0.5, 0.5])
+    with pytest.raises(ValueError, match="nonnegative, one per battery population"):
+        verify_nonmember_certificate(m, {}, ladder, q_fixed=[0.5, 0.5])
+    with pytest.raises(ValueError, match="nonnegative, one per battery population"):
+        fixed_distribution_feasible(m, [1.2, -0.1, -0.1])
+    with pytest.raises(ValueError, match="fixed populations must sum to 1"):
+        fixed_distribution_feasible(m, [0.5, 0.3, 0.1])
+    with pytest.raises(ValueError, match="a 3-dimensional POVM on 2 target levels"):
+        membership_finite(qutrit, 3)
+    with pytest.raises(ValueError, match="a 2-dimensional POVM on 3 target levels"):
+        membership_multilevel(m, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
 
 
 def test_certificate_replays_accept_exactly_what_the_bounds_accept():
@@ -590,8 +602,7 @@ def test_certificate_replays_accept_exactly_what_the_bounds_accept():
     # for a member's blocks, shifted by -k CERT_TOL I across the 10 CERT_TOL
     # edge, and upper for a non-member's perturbed y
     d, tol = 3, sdp.CERT_TOL
-    raw = lambda m: charact._assemble_ladder(m, d, slack=False)
-    slack = lambda m: charact._assemble_ladder(m, d)
+    sectors = charact._ladder_sectors(d)
 
     def bounds(comp, x_flat, y):
         return sdp.SdpSolution("optimal", x_flat, y, np.empty(0), 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -599,7 +610,7 @@ def test_certificate_replays_accept_exactly_what_the_bounds_accept():
 
     m = degrade(sigma_x_povm(), 0.5)
     cert = membership_finite(m, d).certificate
-    prog = raw(m)
+    prog = charact._assemble_sectors(m, sectors, slack=False)
     comp = prog.problem.compile()
     seen = set()
     for k in (0.0, 1.0, 2.0, 3.0, 4.0, 5.5, 8.0, 9.5, 10.5, 12.0, 20.0):
@@ -612,18 +623,18 @@ def test_certificate_replays_accept_exactly_what_the_bounds_accept():
         for v, w in zip(prog.p_vars, cert["p"]):
             x[v] = np.array([[w]])
         accepted = bounds(comp, comp.vector(x), np.zeros(comp.b.size)).lower > -np.inf
-        assert verify_member_certificate(m, {**cert, "blocks": blocks}, raw) == accepted, k
+        assert verify_member_certificate(m, {**cert, "blocks": blocks}, sectors) == accepted, k
         seen.add(accepted)
     assert seen == {True, False}
 
     m = degrade(sigma_x_povm(), 0.99)
     cert = membership_finite(m, d).certificate
-    comp = slack(m).problem.compile()
+    comp = charact._assemble_sectors(m, sectors).problem.compile()
     rng = np.random.default_rng(21)
     seen = set()
     for scale in (0.0, 1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-5):
         y = cert["dual"] + scale * rng.standard_normal(cert["dual"].shape)
         accepted = bounds(comp, np.empty(0), y).upper < np.inf
-        assert verify_nonmember_certificate(m, {**cert, "dual": y}, slack) == accepted, scale
+        assert verify_nonmember_certificate(m, {**cert, "dual": y}, sectors) == accepted, scale
         seen.add(accepted)
     assert seen == {True, False}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,37 @@ class TestQubitZonotope:
             s = distances._zonotope_signs(g)
             best = max(abs(np.dot(sg, t)) + np.linalg.norm(np.dot(sg, v))
                        for sg in itertools.product((1.0, -1.0), repeat=len(t)))
+            assert abs(s @ t) + np.linalg.norm(s @ v) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-10, 2e-10, 4e-10])
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_nearly_antiparallel_generators_keep_their_heads(self, eps, action):
+        # x against (I +- sigma_x / 2) / 2 + eps I: the two generators are
+        # antiparallel to within about eps, yet each heads its own group
+        x = projective_qubit("x")
+        sx = np.array([[0, 1], [1, 0]], complex)
+        m1 = Povm(elements=[(np.eye(2) + s * 0.5 * sx) / 2 + eps * np.eye(2) for s in (1, -1)],
+                  labels=["+", "-"])
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            got = classical_distance(x, m1).value
+        assert got == pytest.approx(enumerated(x, m1), abs=1e-12)
+
+    def test_one_generator_antiparallel_to_another(self):
+        # one generator is -c times another to within 1e-12..1e-7
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            g = rng.standard_normal((n, 4))
+            i, j = rng.choice(n, 2, replace=False)
+            g[j] = -rng.uniform(0.2, 3.0) * g[i] + 10.0 ** rng.uniform(-12, -7) * (
+                rng.standard_normal(4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = distances._zonotope_signs(g)
+            t, v = g[:, 0], g[:, 1:]
+            best = max(abs(np.dot(sg, t)) + np.linalg.norm(np.dot(sg, v))
+                       for sg in itertools.product((1.0, -1.0), repeat=n))
             assert abs(s @ t) + np.linalg.norm(s @ v) == pytest.approx(best, abs=1e-12)
 
 

@@ -179,10 +179,11 @@ class TestDualityAndCertificates:
         # boundary quality cos(pi/(d+1)), with a checkable Farkas functional
         mx = projective_qubit("x")
         tau3 = math.cos(math.pi / 4)
-        prog = charact._assemble_ladder(degrade(mx, tau3), 3, slack=False)
+        sectors = charact._ladder_sectors(3)
+        prog = charact._assemble_sectors(degrade(mx, tau3), sectors, slack=False)
         sol = solve(prog.problem)
         assert sol.status == "optimal"
-        prog = charact._assemble_ladder(degrade(mx, tau3 + 0.01), 3, slack=False)
+        prog = charact._assemble_sectors(degrade(mx, tau3 + 0.01), sectors, slack=False)
         sol = solve(prog.problem, max_iter=120)
         assert sol.status == "infeasible"
         assert verify_infeasibility_certificate(prog.problem, sol.y)
@@ -564,7 +565,7 @@ def test_scalar_tails_stay_zero_through_a_solve(case, monkeypatch):
     monkeypatch.setattr(sdp, "_Spin", Recording)
     rng = np.random.default_rng(13)
     if case == "ladder":
-        p = charact._assemble_ladder(degrade(projective_qubit("x"), 0.8), 5).problem
+        p = charact.finite_membership_program(degrade(projective_qubit("x"), 0.8), 5)
     elif case == "scalars":
         p = BlockSdp()
         ids = [p.add_scalar() for _ in range(6)]
@@ -573,8 +574,8 @@ def test_scalar_tails_stay_zero_through_a_solve(case, monkeypatch):
             p.add_equality(dict(zip(ids, row)), rhs)
         p.set_objective({b: -1.0 for b in ids})
     else:
-        m3 = random_rank_one_povm(rng, 3, 3)
-        p = charact._assemble_multilevel(m3, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).problem
+        m3, levels = random_rank_one_povm(rng, 3, 3), (0.0, 1.0, 2.0)
+        p = charact._assemble_sectors(m3, charact._joint_sectors(levels, levels)).problem
     sol = solve(p)
     assert sol.status == "optimal" and len(seen) == sol.iterations - 1
     assert all(one.any() for _, _, one in seen)
@@ -615,10 +616,10 @@ def test_spin_group_least_eigenvalue_is_the_blocks_least_eigenvalue():
 def test_schur_complement_is_exactly_symmetric(case):
     rng = np.random.default_rng(15)
     if case == "ladder":
-        p = charact._assemble_ladder(degrade(projective_qubit("x"), 0.8), 10).problem
+        p = charact.finite_membership_program(degrade(projective_qubit("x"), 0.8), 10)
     elif case == "qutrit":
-        m3 = random_rank_one_povm(rng, 3, 3)
-        p = charact._assemble_multilevel(m3, [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]).problem
+        m3, levels = random_rank_one_povm(rng, 3, 3), (0.0, 1.0, 2.0)
+        p = charact._assemble_sectors(m3, charact._joint_sectors(levels, levels)).problem
     else:
         p = sphere_program()
     comp = p.compile()
