@@ -12,7 +12,9 @@ this energy condition, which Brent's root finder on a bracket pins.
 Large orders take the series j_{nu,1} = nu + C1 nu^(1/3) + ..., so phi is
 defined for every z > 0, and its search keeps 1 - phi to full relative
 precision; smaller orders find the zero by a safeguarded Halley iteration
-started from that series or from a unit-step bracket.
+started from that series or from a unit-step bracket.  Orders within 1e-3
+of -1, where small z puts the minimizer, take the zero from the power
+series of J_{mu-1} in mu itself, so phi keeps its digits down to z = 1e-300.
 The optimizing battery states ("power states") are the ground vector of the
 associated tridiagonal operator H_lambda = diag(k) - lambda * (hop + hop'),
 found on a window past its turning point by inverse iteration at its bottom
@@ -44,6 +46,8 @@ _SERIES_C = (
 )
 # from this order on the first omitted term (~5e-4 nu^-3) is below 1e-12
 _SERIES_MIN_ORDER = 1000.0
+# below this mu the order mu - 1 loses mu's digits: _curve_point's power series
+_SMALL_MU = 1e-3
 # power states end where a population falls below this share of those before it
 TAIL_TOL = 1e-14
 
@@ -213,6 +217,48 @@ def energy_of_lambda(lam: float) -> float:
     return _energy(mu, *_zero(mu - 1.0))
 
 
+def _curve_point(mu: float) -> tuple[float, float, float]:
+    """(E, j, r) at mu on the curve j = j_{mu-1,1} = 2 lambda: the ground
+    state's mean energy E = lambda dmu/dlambda - mu = j/(dj/dmu) - mu, j,
+    and r = j - (mu - 1).
+
+    Below mu = 1e-3 the order mu - 1 would round away mu's digits, so j is
+    2 sqrt(y), y the first zero of F(y, mu) = mu 0F1(; mu; -y) = sum_k t_k,
+    t_0 = mu, t_k = -t_{k-1} y / (k (mu + k - 1)), a zero of J_{mu-1}(2 sqrt(y))
+    near y = mu, where Newton's method starts and the series has converged
+    to rounding by its eighth term. Then dj/dmu = -F_mu / (sqrt(y) F_y).
+    """
+    if mu >= _SMALL_MU:
+        j, r = _zero(mu - 1.0)
+        return _energy(mu, j, r), j, r
+    y = mu
+    for _ in range(8):
+        # f = F, s = y F_y = sum_k k t_k and f_mu = F_mu, where t_1 = -y and
+        # dt_k/dmu = -h t_k, h = sum_{0<i<k} 1/(mu + i)
+        f, s, f_mu, t, h = mu - y, -y, 1.0, -y, 0.0
+        for k in range(2, 9):
+            h += 1.0 / (mu + (k - 1))
+            t *= -y / (k * (mu + (k - 1)))
+            f, s, f_mu = f + t, s + k * t, f_mu - h * t
+        step = f / (s / y)
+        y -= step
+        if abs(step) <= 1e-15 * y:
+            break
+    j = 2.0 * math.sqrt(y)
+    return -2.0 * s / f_mu - mu, j, j - (mu - 1.0)
+
+
+def _quality(z: float, mu: float, j: float, r: float) -> tuple[float, float]:
+    """(phi, 1 - phi) of the minimand (z + mu)/j at mu, given _curve_point's
+    j and r. From mu = 1e-3 on the deficit (r - z - 1)/j comes first and
+    keeps its digits where phi rounds to 1; below it phi itself does."""
+    if mu < _SMALL_MU:
+        value = (z + mu) / j
+        return value, 1.0 - value
+    deficit = (r - z - 1.0) / j
+    return 1.0 - deficit, deficit
+
+
 @dataclass(frozen=True)
 class PhiResult:
     z: float
@@ -230,7 +276,8 @@ def phi(z: float) -> PhiResult:
     deficit is 1 - (z + mu)/j = (r - z - 1)/j, where r = j - (mu - 1) comes
     straight from the large-order series when the order is large.  The
     deficit then keeps full relative precision even where it falls to
-    1e-12, so the optimum is as sharp at z = 1e6 as at z = 1.  The minimand
+    1e-12, so the optimum is as sharp at z = 1e6 as at z = 1.  Below
+    mu = 1e-3 phi = (z + mu)/j itself keeps its digits (_quality).  The minimand
     is stationary exactly where the ground state's mean energy
     E(mu) = lambda dmu/dlambda - mu equals z, and E strictly increases in
     mu, so the minimizer is the one root of E(mu) = z.  Brent's root finder
@@ -251,9 +298,7 @@ def _phi(z: float) -> tuple[PhiResult, float]:
 
     def point(t: float) -> tuple[float, float, float]:  # log mu -> (E, j, r)
         if t not in cache:
-            mu = math.exp(t)
-            j, r = _zero(mu - 1.0)
-            cache[t] = _energy(mu, j, r), j, r
+            cache[t] = _curve_point(math.exp(t))
         return cache[t]
 
     # E(mu) ~ mu for small mu and ~ (2/3) C1 mu^(1/3) - 1 for large mu, so
@@ -267,12 +312,13 @@ def _phi(z: float) -> tuple[PhiResult, float]:
         lo, hi, step = hi, hi + step, 8.0 * step
     t_star = brentq(lambda t: point(t)[0] - z, lo, hi, xtol=1e-8)
     energy, j, r = point(t_star)
-    deficit = (r - z - 1.0) / j
+    mu = math.exp(t_star)
+    value, deficit = _quality(z, mu, j, r)
     return PhiResult(
         z=float(z),
-        phi=float(1.0 - deficit),
+        phi=float(value),
         lambda_star=float(0.5 * j),
-        mu_star=float(math.exp(t_star)),
+        mu_star=float(mu),
         energy_check=float(energy),
         deficit=float(deficit),
     ), r
@@ -284,18 +330,6 @@ def truncated_hamiltonian(d: int, lam: float) -> np.ndarray:
     off = -lam * np.ones(d - 1)
     h += np.diag(off, 1) + np.diag(off, -1)
     return h
-
-
-def characteristic_residual(mu: float, lam: float, d: int) -> float:
-    """Continued-fraction residual whose largest root is the bottom eigenvalue.
-
-    Evaluates mu/lam - 1/((1+mu)/lam - 1/(... - 1/((d-1+mu)/lam))) bottom-up;
-    it vanishes exactly when -mu is an eigenvalue of the d-level truncation.
-    """
-    t = (d - 1 + mu) / lam
-    for k in range(d - 2, 0, -1):
-        t = (k + mu) / lam - 1.0 / t
-    return mu / lam - 1.0 / t
 
 
 def power_state(ebar: float, delta: float) -> BatteryState:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import sdp
 from .povm import Povm
-from .spectra import joint_eigenspaces
+from .spectra import joint_sectors
 from .tau import BatteryState
 
 
@@ -115,7 +115,7 @@ def _assemble_sectors(m: Povm | None, sectors, *,
                       n_out: int | None = None) -> _SectorProgram:
     """One PSD block per sector and outcome, tied to the target.
 
-    A sector is (rows, feeds), as tuples: the target level of each of its
+    A sector is spectra's (rows, feeds): the target level of each of its
     rows and the battery populations feeding that row, so that sum_x B^s_x
     is the diagonal of the fed populations. The target's elements are the
     sums of the blocks placed on their rows. Population n has energy n
@@ -164,24 +164,15 @@ def _assemble_sectors(m: Povm | None, sectors, *,
     return replace(shape, problem=shape.problem.with_rhs(np.concatenate(rhs), obj))
 
 
-@lru_cache(maxsize=64)
-def _joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
-    """The sectors of spectra.joint_eigenspaces as (rows, feeds): a sector
-    holds every pair of target level m and battery level n whose energies
-    sum to its energy, so its row m is fed by population n alone. Cached
-    on the two level tuples."""
-    return tuple((tuple(mi for mi, _ in sec.pairs), tuple((n,) for _, n in sec.pairs))
-                 for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
-
-
 def _ladder_sectors(d: int, outer: bool = False) -> tuple:
     """The sectors of a qubit target on the d-level ladder battery: target
-    levels [0, 1] against battery levels 0..d-1. The outer relaxation makes
-    the top sector rank two: the tail population d feeds both rows, and
-    level d-1 feeds row 1 as well."""
+    levels [0, 1] against battery levels 0..d-1, which are also the
+    chain_sectors of the ladder, the layout of its PhysicalPovm. The outer
+    relaxation makes the top sector rank two: the tail population d feeds
+    both rows, and level d-1 feeds row 1 as well."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    sectors = _joint_sectors((0, 1), tuple(range(d)))
+    sectors = joint_sectors((0, 1), tuple(range(d)))
     if outer:
         sectors = sectors[:-1] + (((0, 1), ((d,), (d - 1, d))),)
     return sectors
@@ -385,7 +376,7 @@ def membership_multilevel(m: Povm, target_levels, battery_levels) -> MembershipV
     occupations it touches.
     """
     return _decide(_assemble_sectors(
-        m, _joint_sectors(tuple(target_levels), tuple(battery_levels))))
+        m, joint_sectors(tuple(target_levels), tuple(battery_levels))))
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns, H = V diag(w) V†
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(h, herm_tol: float = DEFAULT_HERM_TOL) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""

@@ -14,7 +14,7 @@ from .linalg import (
     operator_norm,
     psd_sqrt,
 )
-from .spectra import ChainDecomposition
+from .spectra import ChainDecomposition, chain_sectors
 from .tau import BatteryState
 
 
@@ -124,91 +124,52 @@ def random_rank_one_povm(rng: np.random.Generator, dim: int, n_outcomes: int) ->
 # Physical (per-sector) POVMs on a qubit target coupled to a chained battery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorIndex:
-    """Basis bookkeeping for the joint eigenspace (j, k) of a qubit + chains.
-
-    rows lists (a, level_id): target level a paired with battery level k - a
-    of chain j. Interior sectors have rank 2, the chain ends rank 1.
-    """
-
-    chain: int
-    k: int
-    rows: tuple[tuple[int, int], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def sector_layout(chains: ChainDecomposition) -> list[SectorIndex]:
-    out = []
-    for j, chain in enumerate(chains.chains):
-        L = chain.length
-        for k in range(L + 1):
-            rows = []
-            if k <= L - 1:
-                rows.append((0, chain.level_ids[k]))
-            if 1 <= k:
-                rows.append((1, chain.level_ids[k - 1]))
-            out.append(SectorIndex(chain=j, k=k, rows=tuple(rows)))
-    return out
-
-
 @dataclass
 class PhysicalPovm:
-    """Per-sector POVM blocks M^{j,k}_x of a measurement on target x battery."""
+    """Per-sector POVM blocks of a measurement on target x battery:
+    blocks[x][s] is the block of outcome x on sector s of layout, the
+    (rows, feeds) sectors of spectra.chain_sectors(chains)."""
 
     chains: ChainDecomposition
-    blocks: list[dict]  # one dict per outcome: (chain, k) -> rank x rank Hermitian
+    blocks: list[list[np.ndarray]]  # blocks[x][s], rank x rank Hermitian
     labels: list | None = None
 
     def __post_init__(self):
-        self.layout = sector_layout(self.chains)
+        self.layout = chain_sectors(self.chains)
         if self.labels is None:
             self.labels = list(range(len(self.blocks)))
-        for sec in self.layout:
-            key = (sec.chain, sec.k)
-            for bl in self.blocks:
-                m = bl.get(key)
-                if m is None:
-                    bl[key] = np.zeros((sec.rank, sec.rank), dtype=complex)
-                else:
-                    m = as_hermitian(m, herm_tol=1e-9)
-                    if m.shape != (sec.rank, sec.rank):
-                        raise ValueError(
-                            f"sector {key} expects rank {sec.rank}, got {m.shape}"
-                        )
-                    bl[key] = m
+        ranks = [len(rows) for rows, _ in self.layout]
+        if any(len(bl) != len(ranks) for bl in self.blocks):
+            raise ValueError(f"every outcome needs one block per sector, {len(ranks)} in all")
+        self.blocks = [[as_hermitian(m, herm_tol=1e-9) for m in bl] for bl in self.blocks]
+        for bl in self.blocks:
+            for s, (m, r) in enumerate(zip(bl, ranks)):
+                if m.shape != (r, r):
+                    raise ValueError(f"sector {s} expects rank {r}, got {m.shape}")
 
     @property
     def n_outcomes(self) -> int:
         return len(self.blocks)
 
-    def completeness_deficits(self) -> dict:
+    def completeness_deficits(self) -> list[np.ndarray]:
         """Per sector: I - sum_x block (PSD when sub-normalized)."""
-        out = {}
-        for sec in self.layout:
-            key = (sec.chain, sec.k)
-            total = sum(bl[key] for bl in self.blocks)
-            out[key] = np.eye(sec.rank) - total
-        return out
+        return [np.eye(len(rows)) - sum(bl[s] for bl in self.blocks)
+                for s, (rows, _) in enumerate(self.layout)]
 
     def completed(self) -> "PhysicalPovm":
         """Route any sub-normalization deficit to an extra null outcome."""
         deficits = self.completeness_deficits()
-        worst = max(operator_norm(d) for d in deficits.values())
+        worst = max(operator_norm(d) for d in deficits)
         if worst <= 1e-9:
             return self
-        lows = min(float(np.linalg.eigvalsh(d)[0]) for d in deficits.values())
+        lows = min(float(np.linalg.eigvalsh(d)[0]) for d in deficits)
         if lows < -1e-9:
             raise ValueError(
                 f"sector blocks exceed completeness: min deficit eigenvalue {lows:.3e}"
             )
-        blocks = [dict(bl) for bl in self.blocks] + [deficits]
         return PhysicalPovm(
             chains=self.chains,
-            blocks=blocks,
+            blocks=self.blocks + [deficits],
             labels=list(self.labels) + ["null"],
         )
 
@@ -221,11 +182,12 @@ def constant_blocks(m: Povm, chains: ChainDecomposition) -> PhysicalPovm:
 
 
 def phase_aligned_blocks(m: Povm, battery: BatteryState, chains: ChainDecomposition) -> PhysicalPovm:
-    """Sector blocks diag(1, e^{-i theta_jk}) M_x diag(1, e^{i theta_jk}).
+    """Sector blocks diag(1, e^{-i theta_s}) M_x diag(1, e^{i theta_s}).
 
-    theta_jk rotates the battery coherence <j,k| sigma |j,k-1> onto the
-    positive reals (zero phase when the coherence vanishes), which makes the
-    induced effective POVM exactly the tau-degraded copy of ``m``.
+    theta_s rotates the battery coherence <f_0| sigma |f_1> between the
+    levels feeding the two rows of sector s onto the positive reals (zero
+    phase when the coherence vanishes), which makes the induced effective
+    POVM exactly the tau-degraded copy of ``m``.
     """
     if m.dim != 2:
         raise ValueError("phase_aligned_blocks requires a qubit POVM")
@@ -235,25 +197,25 @@ def phase_aligned_blocks(m: Povm, battery: BatteryState, chains: ChainDecomposit
 def _sector_blocks(m: Povm, chains: ChainDecomposition, rho: np.ndarray | None) -> PhysicalPovm:
     """Each element of ``m`` restricted to every sector's rows; given a
     battery density rho, each rank-two block is phase-aligned to rho."""
-    blocks = [dict() for _ in m.elements]
-    for sec in sector_layout(chains):
-        targets = [a for a, _ in sec.rows]
-        subs = [mx[np.ix_(targets, targets)] for mx in m.elements]
-        if rho is not None and sec.rank == 2:
-            ov = rho[sec.rows[0][1], sec.rows[1][1]]  # <j,k| sigma |j,k-1>
+    blocks = [[] for _ in m.elements]
+    for rows, feeds in chain_sectors(chains):
+        subs = [mx[np.ix_(rows, rows)] for mx in m.elements]
+        if rho is not None and len(rows) == 2:
+            ov = rho[feeds[0][0], feeds[1][0]]  # <f_0| sigma |f_1>
             theta = 0.0 if abs(ov) == 0 else float(np.angle(ov))
             u = np.diag([1.0, np.exp(1j * theta)])
             subs = [u.conj().T @ sub @ u for sub in subs]
         for bl, sub in zip(blocks, subs):
-            bl[(sec.chain, sec.k)] = sub
+            bl.append(sub)
     return PhysicalPovm(chains=chains, blocks=blocks, labels=list(m.labels))
 
 
 def effective_povm(phys: PhysicalPovm, battery: BatteryState) -> Povm:
     """Effective qubit POVM induced by battery-averaged sector blocks.
 
-    (M~_x)_{ab} = sum_{j,k} <j,k-b| sigma_B |j,k-a> (M^{j,k}_x)_{ab}; blocks
-    may be sub-normalized, in which case the deficit becomes a null outcome.
+    (M~_x)_{ab} = sum_s <f_b| sigma_B |f_a> (M^s_x)_{ab}, f_a the battery
+    level feeding row a of sector s; blocks may be sub-normalized, in which
+    case the deficit becomes a null outcome.
     """
     if battery.dim != phys.chains.dim:
         raise ValueError("battery state and chain decomposition dimensions differ")
@@ -262,10 +224,9 @@ def effective_povm(phys: PhysicalPovm, battery: BatteryState) -> Povm:
     elems = []
     for bl in phys.blocks:
         out = np.zeros((2, 2), dtype=complex)
-        for sec in phys.layout:
-            sub = bl[(sec.chain, sec.k)]
-            for i, (a, lvl_a) in enumerate(sec.rows):
-                for jj, (b, lvl_b) in enumerate(sec.rows):
+        for (rows, feeds), sub in zip(phys.layout, bl):
+            for i, (a, (lvl_a,)) in enumerate(zip(rows, feeds)):
+                for jj, (b, (lvl_b,)) in enumerate(zip(rows, feeds)):
                     out[a, b] += rho[lvl_b, lvl_a] * sub[i, jj]
         elems.append(out)
     return Povm(elements=elems, labels=list(phys.labels))
@@ -282,10 +243,9 @@ def joint_operators(phys: PhysicalPovm) -> list[np.ndarray]:
     ops = []
     for bl in phys.blocks:
         full = np.zeros((dim, dim), dtype=complex)
-        for sec in phys.layout:
-            sub = bl[(sec.chain, sec.k)]
-            for i, (a, lvl_a) in enumerate(sec.rows):
-                for jj, (b, lvl_b) in enumerate(sec.rows):
+        for (rows, feeds), sub in zip(phys.layout, bl):
+            for i, (a, (lvl_a,)) in enumerate(zip(rows, feeds)):
+                for jj, (b, (lvl_b,)) in enumerate(zip(rows, feeds)):
                     full[a * db + lvl_a, b * db + lvl_b] += sub[i, jj]
         ops.append(full)
     return ops
@@ -401,18 +361,3 @@ def measurement_channel(m: Povm) -> KrausSet:
         ops.append(np.kron(psd_sqrt(mx, tol=m.tol), np.linalg.matrix_power(v, x)))
     return KrausSet(operators=ops)
 
-
-def pointer_distribution(m: Povm, rho) -> np.ndarray:
-    """Readout statistics of measurement_channel on rho (pointer at |0>)."""
-    n = m.n_outcomes
-    d = m.dim
-    ch = measurement_channel(m)
-    p0 = np.zeros((n, n), dtype=complex)
-    p0[0, 0] = 1.0
-    out = ch.apply(np.kron(np.asarray(rho, dtype=complex), p0))
-    probs = np.empty(n)
-    for x in range(n):
-        sel = np.zeros((n, n), dtype=complex)
-        sel[x, x] = 1.0
-        probs[x] = float(np.trace(out @ np.kron(np.eye(d), sel)).real)
-    return probs

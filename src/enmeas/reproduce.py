@@ -31,7 +31,6 @@ from .povm import (
     joint_operators,
     projective_qubit,
     random_rank_one_povm,
-    sector_layout,
 )
 from .tau import BatteryState, EnergyDensity
 
@@ -101,9 +100,9 @@ def random_two_outcome(rng) -> Povm:
 
 def random_physical_povm(rng, chains, n_out: int) -> PhysicalPovm:
     """Sector-complete random blocks via the normalized Gram construction."""
-    blocks = [dict() for _ in range(n_out)]
-    for sec in sector_layout(chains):
-        r = sec.rank
+    blocks = [[] for _ in range(n_out)]
+    for rows, _ in spectra.chain_sectors(chains):
+        r = len(rows)
         gs = []
         for _ in range(n_out):
             g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
@@ -111,8 +110,8 @@ def random_physical_povm(rng, chains, n_out: int) -> PhysicalPovm:
         total = sum(gs)
         w, u = np.linalg.eigh(total)
         tmh = (u / np.sqrt(w)) @ u.conj().T
-        for x in range(n_out):
-            blocks[x][(sec.chain, sec.k)] = tmh @ gs[x] @ tmh
+        for bl, g in zip(blocks, gs):
+            bl.append(tmh @ g @ tmh)
     return PhysicalPovm(chains=chains, blocks=blocks)
 
 

@@ -3,11 +3,17 @@
 A chain is a maximal run of battery levels spaced exactly by the target gap
 ``delta``; a level joins a chain only through consecutive delta steps that are
 actually present in the spectrum, not merely commensurate gaps.
+
+A joint energy sector is written once, as (rows, feeds) tuples: the target
+level of each of its rows and the battery populations feeding that row.
+The characterization programs and the physical sector blocks both read
+this form (joint_sectors, chain_sectors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,3 +245,27 @@ def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
     if out.total_rank != et.size * eb.size:
         raise AssertionError("sector ranks do not sum to the product of dimensions")
     return out
+
+
+@lru_cache(maxsize=64)
+def joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
+    """The sectors of joint_eigenspaces as (rows, feeds): a sector holds
+    every pair of target level m and battery level n whose energies sum to
+    its energy, so its row m is fed by population n alone. Cached on the two
+    level tuples."""
+    return tuple((tuple(m for m, _ in sec.pairs), tuple((n,) for _, n in sec.pairs))
+                 for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
+
+
+def chain_sectors(chains: ChainDecomposition) -> tuple:
+    """The (rows, feeds) sectors of a qubit target on a chained battery,
+    chain by chain: sector k of a chain holds target row 0 fed by the
+    chain's level k and target row 1 fed by its level k - 1, so the chain's
+    two end sectors have one row."""
+    sectors = []
+    for chain in chains.chains:
+        ids = chain.level_ids
+        for k in range(len(ids) + 1):
+            rows = tuple(a for a in (0, 1) if 0 <= k - a < len(ids))
+            sectors.append((rows, tuple((ids[k - a],) for a in rows)))
+    return tuple(sectors)

@@ -224,27 +224,6 @@ class EnergyDensity:
 
         return cls(f=f, support=(lo, hi))
 
-    @classmethod
-    def from_grid(cls, energies, weights) -> "EnergyDensity":
-        """Linear interpolant of tabulated (energy, density) samples."""
-        e = np.asarray(energies, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if e.ndim != 1 or e.size != w.size or e.size < 2:
-            raise ValueError("need matching 1-d grids with at least two points")
-        if np.any(w < 0):
-            raise ValueError("density samples must be nonnegative")
-        order = np.argsort(e)
-        e, w = e[order], w[order]
-        total = (np.diff(e) * (w[1:] + w[:-1]) / 2.0).sum()  # np.trapezoid needs NumPy 2
-        if total <= 0:
-            raise ValueError("density integrates to zero")
-        w = w / total
-
-        def f(x):
-            return np.interp(np.asarray(x, dtype=float), e, w, left=0.0, right=0.0)
-
-        return cls(f=f, support=(float(e[0]), float(e[-1])))
-
 
 def _quad_with_edges(func, lo: float, hi: float, edges) -> float:
     """Adaptive quadrature over 24 fixed panels plus declared breakpoints.

@@ -9,7 +9,6 @@ from enmeas import bessel
 from enmeas.bessel import (
     BesselRangeError,
     bessel_j,
-    characteristic_residual,
     energy_of_lambda,
     first_zero,
     mu_of_lambda,
@@ -171,13 +170,6 @@ class TestMuOfLambda:
 
 
 class TestCharacteristicEquation:
-    def test_truncated_eigenvalue_solves_continued_fraction(self):
-        for d in range(3, 13):
-            for lam in (0.3, 1.0, 3.0):
-                h = truncated_hamiltonian(d, lam)
-                mu_d = -eig_hermitian(h).eigenvalues[0]
-                assert abs(characteristic_residual(mu_d, lam, d)) < 1e-8
-
     def test_truncations_increase_to_limit(self):
         for lam in (0.3, 1.0, 3.0):
             mus = [-eig_hermitian(truncated_hamiltonian(d, lam)).eigenvalues[0]
@@ -204,6 +196,8 @@ class TestPhi:
         vals = [phi(z).phi for z in (0.01, 0.1, 1.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[0] < 0.15
+        vals = [phi(float(z)).phi for z in np.geomspace(1e-300, 1e3, 400)]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_large_z_regression(self):
         # phi used to raise BesselRangeError from z ~ 500 on
@@ -238,11 +232,12 @@ class TestPhi:
             assert len(calls) <= 50
 
     def test_deficit_is_maximal_at_the_minimizer(self):
-        # the deficit (r - z - 1)/j at mu* beats mu* e^(+-1e-4) and e^(+-1e-2),
-        # evaluated from its own zeros, independently of the energy condition
+        # the deficit 1 - (z + mu)/j at mu* beats mu* e^(+-1e-4) and e^(+-1e-2),
+        # evaluated by phi's own routine at each mu, independently of the
+        # energy condition
         def deficit(z, mu):
-            j, r = bessel._zero(mu - 1.0)
-            return (r - z - 1.0) / j
+            _, j, r = bessel._curve_point(mu)
+            return bessel._quality(z, mu, j, r)[1]
 
         for z in np.geomspace(1e-6, 1e10, 60):
             z = float(z)
@@ -250,6 +245,15 @@ class TestPhi:
             assert r.deficit == deficit(z, r.mu_star)
             for step in (1e-4, -1e-4, 1e-2, -1e-2):
                 assert r.deficit >= deficit(z, r.mu_star * math.exp(step))
+
+    def test_small_z_matches_the_series(self):
+        # phi(z) = sqrt(z) (1 - z/4 + z^2/96 + O(z^3)) (mpmath, 50 digits); the
+        # order mu - 1 of the minimizer's zero lies within 1e-6 of -1 here
+        for z in np.geomspace(1e-300, 1e-6, 301):
+            z = float(z)
+            r = phi(z)
+            assert abs(r.phi / (math.sqrt(z) * (1.0 - z / 4.0 + z * z / 96.0)) - 1.0) <= 1e-12
+            assert abs(r.energy_check / z - 1.0) <= 1e-8
 
     def test_jv_calls_per_zero_below_the_series_order(self, monkeypatch):
         # a safeguarded Halley step per jv call, started from the series or
@@ -406,3 +410,23 @@ def test_large_order_series_matches_arbitrary_precision():
     for nu in (1000.0, 2500.0):
         ref = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(first_zero(nu)))
         assert first_zero(nu) == pytest.approx(float(ref), abs=1e-12)
+
+
+def test_small_order_curve_point_matches_arbitrary_precision():
+    # below mu = 1e-3, against the zero of besselj with the order mu - 1
+    # formed in 30 digits, which keeps 18 of mu's digits at mu = 1e-12;
+    # E = j/(dj/dmu) - mu with dj/dmu by mpmath's differentiation
+    mp = pytest.importorskip("mpmath")
+
+    mp.mp.dps = 30
+
+    def zero(mu):
+        return mp.findroot(lambda x: mp.besselj(mu - 1, x), 2 * mp.sqrt(mu))
+
+    for mu in (1e-12, 1e-6, 9.99e-4):
+        energy, j, r = bessel._curve_point(mu)
+        ref = zero(mp.mpf(mu))
+        assert abs(j / ref - 1) <= 1e-15
+        ref_energy = ref / mp.diff(zero, mp.mpf(mu)) - mu
+        assert abs(energy / ref_energy - 1) <= 1e-13
+        assert r == j - (mu - 1.0)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enmeas import charact, sdp
+from enmeas import charact, sdp, spectra
 from enmeas.charact import (
     fixed_distribution_feasible,
     membership_energy,
@@ -18,8 +18,14 @@ from enmeas.charact import (
 )
 from enmeas.bessel import phi
 from enmeas.linalg import operator_norm
-from enmeas.povm import Povm, degrade, projective_qubit, random_rank_one_povm
-from enmeas.tau import optimal_finite_state
+from enmeas.povm import (
+    Povm,
+    degrade,
+    phase_aligned_blocks,
+    projective_qubit,
+    random_rank_one_povm,
+)
+from enmeas.tau import optimal_finite_state, tau_finite
 
 
 def sigma_x_povm():
@@ -96,6 +102,24 @@ class TestCriticalDegradation:
         for d in range(2, 65):
             t, _ = charact.critical_degradation(target, d)
             assert abs(t - math.cos(math.pi / (d + 1))) <= 1e-7, d
+
+    def test_the_optimal_apparatus_is_an_exact_member_certificate(self):
+        # phase-aligned blocks driven by the optimal battery state sit on the
+        # ladder program's sectors, so the program's blocks are
+        # B^s_x = rho[f_s, f_s]^T * M^s_x (entrywise) and p is the battery's
+        # populations: degrade(x, cos(pi/(d+1))) replays exactly, and no more
+        x = sigma_x_povm()
+        for d in range(1, 65):
+            state = optimal_finite_state(d)
+            phys = phase_aligned_blocks(x, state, spectra.decompose_chains(range(d), 1.0))
+            sectors = charact._ladder_sectors(d)
+            assert phys.layout == sectors
+            rho = state.density()
+            cert = {"blocks": {s: [rho[np.ix_(f, f)].T * bl[s] for bl in phys.blocks]
+                               for s, f in enumerate([n for (n,) in feeds] for _, feeds in sectors)},
+                    "p": state.populations()}
+            assert verify_member_certificate(degrade(x, tau_finite(d)), cert, sectors), d
+            assert not verify_member_certificate(degrade(x, tau_finite(d) + 1e-5), cert, sectors)
 
     def test_energy_diagonal_and_single_level(self):
         diag = Povm(elements=[np.diag([0.3, 0.8]).astype(complex),
@@ -340,7 +364,7 @@ class TestMultilevel:
 
     def test_verdicts_carry_verifying_certificates(self):
         target, battery = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
-        sectors = charact._joint_sectors(tuple(target), tuple(battery))
+        sectors = spectra.joint_sectors(tuple(target), tuple(battery))
         r = random_rank_one_povm(np.random.default_rng(8), 3, 3)
         for w, verdict in ((0.2, "member"), (1.0, "non_member")):
             # w of the coherent POVM r, the rest its energy-diagonal part
@@ -467,7 +491,7 @@ def test_ladder_is_the_joint_eigenspace_layout(slack, monkeypatch):
     # relaxation differs in its top sector only
     for d in range(1, 11):
         ladder = charact._ladder_sectors(d)
-        assert ladder == charact._joint_sectors((0, 1), tuple(range(d)))
+        assert ladder == spectra.joint_sectors((0, 1), tuple(range(d)))
         assert ladder == (((0,), ((0,),)),
                           *(((0, 1), ((k,), (k - 1,))) for k in range(1, d)),
                           ((1,), ((d - 1,),)))
@@ -489,7 +513,7 @@ def test_ladder_is_the_joint_eigenspace_layout(slack, monkeypatch):
         """Builders of every program form for one set of data."""
         q = {d: rng.dirichlet(np.ones(d)) for d in range(1, 11)}
         v = list(random_rank_one_povm(rng, 2, m.n_outcomes).elements)
-        out = [build(m3, charact._joint_sectors((0.0, 1.0, 2.0), battery))
+        out = [build(m3, spectra.joint_sectors((0.0, 1.0, 2.0), battery))
                for battery in ((0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0), (0.0, 2 ** 0.5, 5 ** 0.5))]
         for d in range(1, 11):
             ladder, outer = charact._ladder_sectors(d), charact._ladder_sectors(d, outer=True)
@@ -554,11 +578,11 @@ def test_second_verdict_of_a_shape_assembles_nothing(monkeypatch):
                         lambda self, *a: calls.append("add") or add_fn(self, *a))
     monkeypatch.setattr(sdp._Compiled, "__init__",
                         lambda self, *a: calls.append("init") or init_fn(self, *a))
-    sectors_fn = charact.joint_eigenspaces
-    monkeypatch.setattr(charact, "joint_eigenspaces",
+    sectors_fn = spectra.joint_eigenspaces
+    monkeypatch.setattr(spectra, "joint_eigenspaces",
                         lambda *a: calls.append("sectors") or sectors_fn(*a))
     charact._sector_shape.cache_clear()
-    charact._joint_sectors.cache_clear()
+    spectra.joint_sectors.cache_clear()
     d = 7
     assert membership_finite(degrade(sigma_x_povm(), 0.5), d).is_member
     assert calls.count("sectors") == 1 and "add" in calls and "init" in calls

@@ -5,6 +5,7 @@ import pytest
 
 from enmeas.povm import (
     KrausSet,
+    PhysicalPovm,
     Povm,
     batteryless_decomposition,
     check_energy_conserving,
@@ -14,12 +15,11 @@ from enmeas.povm import (
     joint_operators,
     measurement_channel,
     phase_aligned_blocks,
-    pointer_distribution,
     projective_qubit,
     random_rank_one_povm,
     validate,
 )
-from enmeas.spectra import decompose_chains
+from enmeas.spectra import chain_sectors, decompose_chains
 from enmeas.tau import BatteryState, tau_of_state
 
 
@@ -155,9 +155,9 @@ class TestDegrade:
         for m in (random_rank_one_povm(rng, 2, 3), projective_qubit("y")):
             const = constant_blocks(m, chains)
             aligned = phase_aligned_blocks(m, batt, chains)
-            assert [sorted(bl) for bl in aligned.blocks] == [sorted(bl) for bl in const.blocks]
+            assert aligned.layout == const.layout
             for bc, ba in zip(const.blocks, aligned.blocks):
-                assert all(np.array_equal(bc[k], ba[k]) for k in bc)
+                assert len(bc) == len(ba) and all(map(np.array_equal, bc, ba))
 
 
 class TestBatterylessDecomposition:
@@ -220,12 +220,18 @@ class TestMeasurementChannel:
         assert ch.completeness_residual() < 1e-12
 
     def test_statistics_match(self):
+        # with the pointer started in |0>, its populations after the channel
+        # are the outcome probabilities
         rng = np.random.default_rng(5)
         m = random_rank_one_povm(rng, 2, 3)
+        ch = measurement_channel(m)
+        start = np.zeros((3, 3))
+        start[0, 0] = 1.0
         for _ in range(10):
             rho = random_density(rng, 2)
-            assert np.allclose(pointer_distribution(m, rho), m.probabilities(rho),
-                               atol=1e-12)
+            out = ch.apply(np.kron(rho, start)).reshape(2, 3, 2, 3)
+            pointer = np.einsum("aiaj->ij", out)  # the system traced out
+            assert np.allclose(np.diag(pointer).real, m.probabilities(rho), atol=1e-12)
 
 
 def test_povm_json_roundtrip():
@@ -242,9 +248,24 @@ def test_subnormalized_blocks_get_null_outcome():
     phys = constant_blocks(m, chains)
     # shrink all blocks: deficit must come back as a dedicated outcome
     for bl in phys.blocks:
-        for key in bl:
-            bl[key] = 0.8 * bl[key]
+        bl[:] = [0.8 * b for b in bl]
     batt = BatteryState.pure(np.ones(3) / math.sqrt(3))
     eff = effective_povm(phys, batt)
     assert "null" in eff.labels
     assert validate(eff).ok
+
+
+def test_physical_povm_checks_its_blocks():
+    # one block per sector of the layout, each of its sector's rank
+    chains = ladder(3)
+    blocks = constant_blocks(projective_qubit("z"), chains).blocks
+    assert [len(rows) for rows, _ in chain_sectors(chains)] == [1, 2, 2, 1]
+    for bad in ([bl[:-1] for bl in blocks], [bl + [np.eye(1)] for bl in blocks],
+                blocks[:1] + [[]]):
+        with pytest.raises(ValueError, match="one block per sector"):
+            PhysicalPovm(chains=chains, blocks=bad)
+    for s, shape in ((0, (2, 2)), (1, (1, 1)), (3, (2, 2))):
+        bad = [list(bl) for bl in blocks]
+        bad[1][s] = np.eye(shape[0])
+        with pytest.raises(ValueError, match=f"sector {s} expects rank"):
+            PhysicalPovm(chains=chains, blocks=bad)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from enmeas import charact, distances, sdp
+from enmeas import charact, distances, sdp, spectra
 from enmeas.povm import degrade, projective_qubit, random_rank_one_povm
 from enmeas.reproduce import random_two_outcome, sphere_povm_pair
 from enmeas.sdp import (
@@ -575,7 +575,7 @@ def test_scalar_tails_stay_zero_through_a_solve(case, monkeypatch):
         p.set_objective({b: -1.0 for b in ids})
     else:
         m3, levels = random_rank_one_povm(rng, 3, 3), (0.0, 1.0, 2.0)
-        p = charact._assemble_sectors(m3, charact._joint_sectors(levels, levels)).problem
+        p = charact._assemble_sectors(m3, spectra.joint_sectors(levels, levels)).problem
     sol = solve(p)
     assert sol.status == "optimal" and len(seen) == sol.iterations - 1
     assert all(one.any() for _, _, one in seen)
@@ -619,7 +619,7 @@ def test_schur_complement_is_exactly_symmetric(case):
         p = charact.finite_membership_program(degrade(projective_qubit("x"), 0.8), 10)
     elif case == "qutrit":
         m3, levels = random_rank_one_povm(rng, 3, 3), (0.0, 1.0, 2.0)
-        p = charact._assemble_sectors(m3, charact._joint_sectors(levels, levels)).problem
+        p = charact._assemble_sectors(m3, spectra.joint_sectors(levels, levels)).problem
     else:
         p = sphere_program()
     comp = p.compile()

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from enmeas.bessel import power_state
-from enmeas.spectra import Chain, decompose_chains, default_grouping_tol, joint_eigenspaces
+from enmeas.spectra import (
+    Chain,
+    chain_sectors,
+    decompose_chains,
+    default_grouping_tol,
+    joint_eigenspaces,
+    joint_sectors,
+)
 
 
 def brute_force_chains(levels, delta, tol=1e-9):
@@ -215,3 +222,25 @@ def test_joint_matches_chain_picture_for_qubit():
     for c in dec.chains:
         expect += [1, 1] + [2] * (c.length - 1)
     assert got == sorted(expect)
+
+
+def test_chain_sectors_are_the_joint_sectors_of_a_qubit():
+    # one (rows, feeds) form: on a ladder the chain picture and the joint
+    # eigenspaces give the same sectors in the same order
+    for d in range(1, 65):
+        levels = tuple(range(d))
+        assert chain_sectors(decompose_chains(levels, 1)) == joint_sectors((0, 1), levels)
+
+    # random chained spectra, as effective-povm-oracle draws them: the same
+    # sectors, once each sector's rows are sorted, since joint_eigenspaces
+    # orders a sector's pairs by their floating-point energies
+    def as_set(sectors):
+        return sorted(tuple(sorted(zip(rows, feeds))) for rows, feeds in sectors)
+
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        db = int(rng.integers(2, 5))
+        levels = np.sort(rng.choice(np.arange(0, 3 * db) * 0.5, size=db, replace=False)
+                         + rng.random() * 0.1)
+        got = chain_sectors(decompose_chains(levels, 1.0))
+        assert as_set(got) == as_set(joint_sectors((0.0, 1.0), tuple(levels.tolist())))
