@@ -17,7 +17,6 @@ from .bell import (
 )
 from .bessel import (
     PhiResult,
-    bessel_j,
     energy_of_lambda,
     first_zero,
     mu_of_lambda,

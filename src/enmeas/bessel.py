@@ -8,7 +8,8 @@ where mu(lambda) solves the transcendental equation  j_{mu-1,1} = 2 lambda
 (j_{nu,1} = first positive zero of J_nu).  The minimand is stationary
 where the ground state's mean energy lambda dmu/dlambda - mu equals z, and
 that energy strictly increases in mu, so the minimizer is the one root of
-this energy condition, which Brent's root finder on a bracket pins.
+this energy condition, which Brent's root finder on a bracket pins; the
+same search on j_{mu-1,1} = 2 lambda gives mu(lambda) and E(lambda).
 Large orders take the series j_{nu,1} = nu + C1 nu^(1/3) + ..., so phi is
 defined for every z > 0, and its search keeps 1 - phi to full relative
 precision; smaller orders find the zero by a safeguarded Halley iteration
@@ -54,22 +55,6 @@ TAIL_TOL = 1e-14
 
 class BesselRangeError(ValueError):
     """Argument outside the supported evaluation range."""
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x) for real order nu >= 0.
-
-    Delegates to a library kernel accurate to ~1e-13 relative error in the
-    region of interest (x <= 2000); arguments far outside raise
-    :class:`BesselRangeError` instead of silently degrading.
-    """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x > 1e9 or nu > 1e9:
-        raise BesselRangeError(f"J_nu out of supported range: nu={nu}, x={x}")
-    return _jv_checked(nu, x)
 
 
 def _jv_checked(nu, x):
@@ -162,65 +147,17 @@ def first_zero(nu: float) -> float:
     return _zero(nu)[0]
 
 
-def _energy(mu: float, j: float, r: float) -> float:
-    """lambda * dmu/dlambda - mu on the curve j_{mu-1,1} = 2 lambda, given
-    j = j_{mu-1,1} and r = j - (mu - 1) (_zero).
-
-    With nu = mu - 1 this is (r - 1 - mu r') / (1 + r') for r' = dr/dnu,
-    which keeps its digits when j and mu are both huge. Large orders
-    differentiate the series; smaller ones differentiate J_nu(j) = 0
-    implicitly, dj/dnu = dJ_nu/dnu / J_{nu+1} at the zero (since
-    dJ_nu/dx = -J_{nu+1} there), with dJ_nu/dnu the five-point difference
-    in the order (relative error ~1e-10).
-    """
-    nu, h = mu - 1.0, 1e-3
-    if nu >= _SERIES_MIN_ORDER:
-        dr = _series_excess(nu)[1]
-    else:
-        jp, jm, jp2, jm2, j1 = _jv_checked(nu + np.array([h, -h, 2.0 * h, -2.0 * h, 1.0]), j)
-        dr = (8.0 * (jp - jm) - (jp2 - jm2)) / (12.0 * h * j1) - 1.0
-    return (r - 1.0 - mu * dr) / (1.0 + dr)
-
-
-def mu_of_lambda(lam: float) -> float:
-    """Solve j_{mu-1,1} = 2*lambda for mu > 0.
-
-    j_{nu,1} grows strictly with the order and sweeps (0, inf) as nu runs
-    over (-1, inf), so the solution exists and is unique; it is bracketed by
-    (0, 2*lambda + 2) since j_{nu,1} > nu + 1.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    target = 2.0 * lam
-
-    def g(mu: float) -> float:
-        return _zero(mu - 1.0)[0] - target
-
-    lo = 1e-9
-    while g(lo) > 0:  # extremely small lambda: shrink the lower end
-        lo *= 1e-3
-        if lo < 1e-300:
-            raise BesselRangeError(f"cannot bracket mu for lambda={lam}")
-    hi = target + 2.0
-    return float(brentq(g, lo, hi, xtol=1e-12, rtol=1e-15, maxiter=200))
-
-
-def energy_of_lambda(lam: float) -> float:
-    """Mean energy of the bottom eigenvector of H_lambda.
-
-    E(lambda) = lambda * dmu/dlambda - mu(lambda), with the derivative taken
-    analytically from the slope of j_{nu,1} in its order.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    mu = mu_of_lambda(lam)
-    return _energy(mu, *_zero(mu - 1.0))
-
-
 def _curve_point(mu: float) -> tuple[float, float, float]:
     """(E, j, r) at mu on the curve j = j_{mu-1,1} = 2 lambda: the ground
     state's mean energy E = lambda dmu/dlambda - mu = j/(dj/dmu) - mu, j,
     and r = j - (mu - 1).
+
+    From mu = 1e-3 on, with nu = mu - 1 and r' = dr/dnu, E is
+    (r - 1 - mu r') / (1 + r'), which keeps its digits when j and mu are
+    both huge. Large orders differentiate the series; smaller ones
+    differentiate J_nu(j) = 0 implicitly, dj/dnu = dJ_nu/dnu / J_{nu+1} at
+    the zero (since dJ_nu/dx = -J_{nu+1} there), with dJ_nu/dnu the
+    five-point difference in the order (relative error ~1e-10).
 
     Below mu = 1e-3 the order mu - 1 would round away mu's digits, so j is
     2 sqrt(y), y the first zero of F(y, mu) = mu 0F1(; mu; -y) = sum_k t_k,
@@ -229,8 +166,14 @@ def _curve_point(mu: float) -> tuple[float, float, float]:
     to rounding by its eighth term. Then dj/dmu = -F_mu / (sqrt(y) F_y).
     """
     if mu >= _SMALL_MU:
-        j, r = _zero(mu - 1.0)
-        return _energy(mu, j, r), j, r
+        nu, h = mu - 1.0, 1e-3
+        j, r = _zero(nu)
+        if nu >= _SERIES_MIN_ORDER:
+            dr = _series_excess(nu)[1]
+        else:
+            jp, jm, jp2, jm2, j1 = _jv_checked(nu + np.array([h, -h, 2.0 * h, -2.0 * h, 1.0]), j)
+            dr = (8.0 * (jp - jm) - (jp2 - jm2)) / (12.0 * h * j1) - 1.0
+        return (r - 1.0 - mu * dr) / (1.0 + dr), j, r
     y = mu
     for _ in range(8):
         # f = F, s = y F_y = sum_k k t_k and f_mu = F_mu, where t_1 = -y and
@@ -246,6 +189,54 @@ def _curve_point(mu: float) -> tuple[float, float, float]:
             break
     j = 2.0 * math.sqrt(y)
     return -2.0 * s / f_mu - mu, j, j - (mu - 1.0)
+
+
+def _on_curve(k: int, value: float, lo: float, hi: float,
+              xtol: float) -> tuple[float, tuple[float, float, float]]:
+    """(mu, (E, j, r)) at the point of the curve where entry k of
+    _curve_point, E (k = 0) or j (k = 1), equals value; both strictly
+    increase in mu, so the point is unique. Brent's root finder runs in
+    t = log mu on [lo, hi], an end first moved outward, by steps growing
+    eightfold, while the root lies past it. Each point is computed once a
+    call."""
+    cache: dict[float, tuple[float, float, float]] = {}
+
+    def point(t: float) -> tuple[float, float, float]:  # log mu -> (E, j, r)
+        if t not in cache:
+            cache[t] = _curve_point(math.exp(t))
+        return cache[t]
+
+    step = 1e-2
+    while point(lo)[k] > value:
+        lo, hi, step = lo - step, lo, 8.0 * step
+    while point(hi)[k] < value:
+        lo, hi, step = hi, hi + step, 8.0 * step
+    t_star = brentq(lambda t: point(t)[k] - value, lo, hi, xtol=xtol)
+    return math.exp(t_star), point(t_star)
+
+
+def _lambda_point(lam: float) -> tuple[float, tuple[float, float, float]]:
+    """_on_curve's point at j = 2 lambda, log mu to 1e-15. Since j ~ 2 sqrt(mu)
+    for small mu and mu < j for every mu, the bracket starts at lambda^2 and
+    2 lambda."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return _on_curve(1, 2.0 * lam, *sorted((2.0 * math.log(lam), math.log(2.0 * lam))), 1e-15)
+
+
+def mu_of_lambda(lam: float) -> float:
+    """Solve j_{mu-1,1} = 2*lambda for mu > 0, for every lambda > 0.
+
+    j_{nu,1} grows strictly with the order and sweeps (0, inf) as nu runs
+    over (-1, inf), so the solution exists and is unique.
+    """
+    return _lambda_point(lam)[0]
+
+
+def energy_of_lambda(lam: float) -> float:
+    """Mean energy E(lambda) = lambda * dmu/dlambda - mu(lambda) of the
+    bottom eigenvector of H_lambda, _curve_point's E at mu(lambda)."""
+    return _lambda_point(lam)[1][0]
 
 
 def _quality(z: float, mu: float, j: float, r: float) -> tuple[float, float]:
@@ -281,9 +272,9 @@ def phi(z: float) -> PhiResult:
     is stationary exactly where the ground state's mean energy
     E(mu) = lambda dmu/dlambda - mu equals z, and E strictly increases in
     mu, so the minimizer is the one root of E(mu) = z.  Brent's root finder
-    in log mu (tolerance 1e-8) finds it in [z, mu_asym], the small-z and
-    large-z scales, an end moved outward when rounding in E puts the root
-    just past it.  energy_check is E at that root.
+    in log mu (tolerance 1e-8, _on_curve) finds it in [z, mu_asym], the
+    small-z and large-z scales, an end moved outward when rounding in E
+    puts the root just past it.  energy_check is E at that root.
     """
     return _phi(z)[0]
 
@@ -293,26 +284,10 @@ def _phi(z: float) -> tuple[PhiResult, float]:
     so the minimizer's zero is solved once."""
     if z <= 0:
         raise ValueError("z must be positive")
-
-    cache: dict[float, tuple[float, float, float]] = {}
-
-    def point(t: float) -> tuple[float, float, float]:  # log mu -> (E, j, r)
-        if t not in cache:
-            cache[t] = _curve_point(math.exp(t))
-        return cache[t]
-
     # E(mu) ~ mu for small mu and ~ (2/3) C1 mu^(1/3) - 1 for large mu, so
     # the root lies in [z, mu_asym] up to rounding in E
-    lo = math.log(z)
-    hi = math.log(27.0 * (z + 1.0) ** 3 / (8.0 * AIRY_C1 ** 3))
-    step = 1e-2
-    while point(lo)[0] > z:
-        lo, hi, step = lo - step, lo, 8.0 * step
-    while point(hi)[0] < z:
-        lo, hi, step = hi, hi + step, 8.0 * step
-    t_star = brentq(lambda t: point(t)[0] - z, lo, hi, xtol=1e-8)
-    energy, j, r = point(t_star)
-    mu = math.exp(t_star)
+    mu_asym = 27.0 * (z + 1.0) ** 3 / (8.0 * AIRY_C1 ** 3)
+    mu, (energy, j, r) = _on_curve(0, z, math.log(z), math.log(mu_asym), 1e-8)
     value, deficit = _quality(z, mu, j, r)
     return PhiResult(
         z=float(z),

@@ -14,7 +14,7 @@ from .linalg import (
     operator_norm,
     psd_sqrt,
 )
-from .spectra import ChainDecomposition, chain_sectors
+from .spectra import ChainDecomposition, chain_sectors, energy_tol
 from .tau import BatteryState
 
 
@@ -272,25 +272,22 @@ def degrade(m: Povm, tau: float, phase: float = 0.0) -> Povm:
     return Povm(elements=elems, labels=list(m.labels), tol=m.tol)
 
 
-def _commutation_bound(levels: np.ndarray) -> float:
-    """1e-9 max(1, max|E|): the largest ||[A, diag(levels)]|| of an A that conserves energy."""
-    return 1e-9 * max(1.0, float(np.max(np.abs(levels))))
-
-
 def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
     """Outcome distributions p_x^(m) of a measurement needing no battery.
 
     Requires every element to commute with the (non-degenerate) energy
-    operator; the returned table has rows indexed by outcome and columns by
-    energy level, each column summing to one.
+    operator: ||[M_x, H]|| within energy_tol of the levels, which must be
+    finite, counts as zero. The returned table has rows indexed by outcome
+    and columns by energy level, each column summing to one.
     """
     levels = np.asarray(target_levels, dtype=float)
     if levels.size != m.dim:
         raise ValueError("target_levels length must match the POVM dimension")
+    tol = energy_tol(levels)
     h = np.diag(levels)
     for label, mx in zip(m.labels, m.elements):
         cn = commutator_norm(mx, h)
-        if cn > _commutation_bound(levels):
+        if cn > tol:
             raise ValueError(
                 f"element {label} does not commute with the energy operator: "
                 f"||[M_x, H]|| = {cn:.3e}; only energy-diagonal POVMs are "
@@ -335,15 +332,17 @@ def check_energy_conserving(kraus: KrausSet, h_levels):
     """Check [A_i, H] = 0 for all i and Kraus completeness, H = diag(levels).
 
     Returns (ok, diagnostics) where diagnostics records each commutator norm
-    and the completeness residual.
+    and the completeness residual; a commutator within energy_tol of the
+    levels, which must be finite, counts as zero.
     """
     levels = np.asarray(h_levels, dtype=float)
     if levels.size != kraus.dim:
         raise ValueError("h_levels length must match Kraus dimension")
+    tol = energy_tol(levels)
     h = np.diag(levels)
     comms = [commutator_norm(a, h) for a in kraus.operators]
     resid = kraus.completeness_residual()
-    ok = max(comms, default=0.0) <= _commutation_bound(levels) and resid <= 1e-9
+    ok = max(comms, default=0.0) <= tol and resid <= 1e-9
     return ok, {"commutator_norms": comms, "completeness_residual": resid}
 
 

@@ -18,10 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 
-def default_grouping_tol(levels, delta: float) -> float:
-    levels = np.asarray(levels, dtype=float)
-    spread = float(levels.max() - levels.min()) if levels.size else 0.0
-    return 1e-9 * max(delta, spread)
+def energy_tol(*spectra) -> float:
+    """1e-9 times the largest spread of the given spectra: two energies this
+    close are equal, whatever the unit or the origin of energy. A level that
+    is not finite makes its spread nan or inf: ValueError."""
+    spreads = [float(s.max()) - float(s.min()) for s in map(np.asarray, spectra)]
+    if not np.isfinite(spreads).all():
+        raise ValueError("spectra must be finite")
+    return 1e-9 * max(spreads)
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         Target level gap, > 0.
     grouping_tol : float, optional
         Two gaps are identified when they differ by at most this amount.
-        Defaults to 1e-9 * max(delta, spread of levels).
+        Defaults to energy_tol(levels, (0, delta)), 1e-9 * max(spread, delta).
 
     Returns
     -------
@@ -103,7 +107,7 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         raise ValueError("battery_levels must be finite")
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    tol = default_grouping_tol(levels, delta) if grouping_tol is None else float(grouping_tol)
+    tol = energy_tol(levels, (0.0, delta)) if grouping_tol is None else float(grouping_tol)
 
     order, s, gaps = _sorted_distinct(levels, tol, "battery")
     n = levels.size
@@ -210,17 +214,14 @@ def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
 
     Within a sector the m indices are pairwise distinct and so are the n
     indices (a consequence of both spectra being non-degenerate), which is
-    what makes the per-sector POVM blocks well defined. Sums within 1e-9
-    times the larger spectral spread (at least 1) share a sector.
+    what makes the per-sector POVM blocks well defined. Sums within
+    energy_tol of the two spectra share a sector.
     """
     et = np.asarray(target_levels, dtype=float)
     eb = np.asarray(battery_levels, dtype=float)
     if et.ndim != 1 or eb.ndim != 1 or et.size == 0 or eb.size == 0:
         raise ValueError("spectra must be non-empty 1-d arrays")
-    if not (np.all(np.isfinite(et)) and np.all(np.isfinite(eb))):
-        raise ValueError("spectra must be finite")
-    spread = max(et.max() - et.min(), eb.max() - eb.min(), 1.0)
-    tol = 1e-9 * spread
+    tol = energy_tol(et, eb)
     _sorted_distinct(et, tol, "target")
     _sorted_distinct(eb, tol, "battery")
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import ai_zeros, jn_zeros
+from scipy.special import ai_zeros, jn_zeros, jv
 
 from enmeas import bessel
 from enmeas.bessel import (
     BesselRangeError,
-    bessel_j,
     energy_of_lambda,
     first_zero,
     mu_of_lambda,
@@ -43,32 +42,6 @@ def bisect_series_zero(nu, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-class TestBesselJ:
-    def test_j0_at_origin(self):
-        assert bessel_j(0.0, 0.0) == 1.0
-
-    def test_half_order_closed_form(self):
-        for x in (1.0, 5.0, 20.0):
-            expect = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-            assert bessel_j(0.5, x) == pytest.approx(expect, rel=1e-12)
-
-    def test_zero_location_against_series(self):
-        assert abs(bessel_j(0.0, 2.404826)) < 1e-6
-
-    def test_matches_series_oracle(self):
-        for nu in (0.0, 0.3, 1.7, 4.5):
-            for x in (0.5, 2.0, 8.0):
-                assert bessel_j(nu, x) == pytest.approx(series_j(nu, x), abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_j(-0.5, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0.5, -1.0)
-        with pytest.raises(BesselRangeError):
-            bessel_j(0.5, 1e12)
-
-
 class TestFirstZero:
     def test_j01_against_series_bisection(self):
         oracle = bisect_series_zero(0.0, 2.0, 3.0)
@@ -94,7 +67,7 @@ class TestFirstZero:
         # across a 1e-12 relative neighbourhood of the returned zero
         for nu in (1e4, 1e6, 1e8):
             j = first_zero(nu)
-            assert bessel_j(nu, j * (1 - 1e-12)) > 0 > bessel_j(nu, j * (1 + 1e-12))
+            assert jv(nu, j * (1 - 1e-12)) > 0 > jv(nu, j * (1 + 1e-12))
 
     def test_series_continues_the_root_finder(self):
         # the two branches meet at order 1000 to within the root finder's accuracy
@@ -130,14 +103,14 @@ class TestFirstZero:
     @pytest.mark.parametrize("size", [2, 5])
     def test_non_finite_values_raise(self, monkeypatch, size):
         # every jv call is checked: a Halley step (two orders) and the
-        # five-order difference of _energy's slope, whose nan used to reach
-        # energy_check
+        # five-order difference of _curve_point's slope, whose nan used to
+        # reach energy_check
         jv = bessel.jv
         monkeypatch.setattr(bessel, "jv", lambda nu, x: jv(nu, x) * (
             np.nan if np.size(nu) == size else 1.0))
         for nu in (0.5, 50.0):
             with pytest.raises(BesselRangeError):
-                bessel._energy(nu + 1.0, *bessel._zero(nu))
+                bessel._curve_point(nu + 1.0)
 
 
 class TestMuOfLambda:
@@ -165,8 +138,11 @@ class TestMuOfLambda:
             assert bessel._zero(mu - 1.0)[0] == pytest.approx(2 * lam, abs=1e-9)
 
     def test_increasing(self):
-        vals = [mu_of_lambda(l) for l in np.geomspace(0.05, 200, 25)]
+        # mu(lambda) = lambda^2 (1 - lambda^2/2 + ...) for small lambda
+        lams = np.geomspace(1e-150, 200, 400)
+        vals = [mu_of_lambda(float(l)) for l in lams]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert all(abs(mu / l ** 2 - 1.0) <= 1e-12 for mu, l in zip(vals, lams) if l <= 1e-9)
 
 
 class TestCharacteristicEquation:
@@ -360,8 +336,12 @@ class TestEnergyOfLambda:
         assert energy_of_lambda(0.05) == pytest.approx(0.0, abs=5e-3)
 
     def test_increasing(self):
-        vals = [energy_of_lambda(l) for l in np.geomspace(0.1, 100.0, 12)]
+        # E = mu (1 + O(mu)) for small lambda
+        lams = np.geomspace(1e-150, 1e3, 400)
+        vals = [energy_of_lambda(float(l)) for l in lams]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert all(abs(e / mu_of_lambda(float(l)) - 1.0) <= 1e-12
+                   for e, l in zip(vals, lams) if l <= 1e-9)
 
     def test_matches_z_at_minimizer(self):
         r = phi(6.0)
@@ -430,3 +410,30 @@ def test_small_order_curve_point_matches_arbitrary_precision():
         ref_energy = ref / mp.diff(zero, mp.mpf(mu)) - mu
         assert abs(energy / ref_energy - 1) <= 1e-13
         assert r == j - (mu - 1.0)
+
+
+def test_mu_and_energy_of_lambda_match_arbitrary_precision():
+    # mu(lambda) in 40 digits: for lambda < 1 the root in mu of
+    # mu 0F1(; mu; -lambda^2) (a zero of J_{mu-1}(2 lambda) that keeps mu's
+    # digits near order -1), above it the root in mu of J_{mu-1}(2 lambda);
+    # E = j/(dj/dmu) - mu with dj/dmu by mpmath's differentiation. The
+    # five-point slope of E from mu = 1e-3 on keeps ~1e-10 up to lambda ~ 60,
+    # and loses a digit more where jv's rounding grows with the order
+    mp = pytest.importorskip("mpmath")
+
+    mp.mp.dps = 40
+    for lam, e_tol in ((1e-9, 1e-13), (1e-7, 1e-13), (1e-5, 1e-13), (1e-3, 1e-13),
+                       (1e-2, 1e-13), (0.1, 1e-10), (1.0, 1e-10), (30.0, 1e-10),
+                       (300.0, 1e-9)):
+        two_lam, mu = 2 * mp.mpf(lam), mu_of_lambda(lam)
+        if lam < 1.0:
+            ref = mp.findroot(lambda m: m * mp.hyp0f1(m, -(two_lam / 2) ** 2), mp.mpf(lam) ** 2)
+        else:
+            ref = mp.findroot(lambda m: mp.besselj(m - 1, two_lam), mu)
+        assert abs(mu / ref - 1) <= 1e-13
+
+        def zero(m):
+            return mp.findroot(lambda x: mp.besselj(m - 1, x), two_lam)
+
+        ref_energy = two_lam / mp.diff(zero, ref) - ref
+        assert abs(energy_of_lambda(lam) / ref_energy - 1) <= e_tol

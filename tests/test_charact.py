@@ -331,8 +331,10 @@ class TestMultilevel:
             tau = float(rng.uniform(0.3, 0.95))
             m = degrade(random_rank_one_povm(rng, 2, 3), tau)
             a = membership_finite(m, d).is_member
-            b = membership_multilevel(m, [0.0, 1.0], [0.0, 1.0, 2.0]).is_member
-            assert a == b
+            # the sectors, so the verdict, do not depend on the unit of energy
+            for s in (1.0, 1e-10, 1e10):
+                b = membership_multilevel(m, [0.0, s], [0.0, s, 2.0 * s]).is_member
+                assert a == b
 
     def test_projective_energy_measurement_member(self):
         m = Povm(elements=[np.diag([1.0, 0, 0]).astype(complex),

@@ -160,48 +160,79 @@ class TestDegrade:
                 assert len(bc) == len(ba) and all(map(np.array_equal, bc, ba))
 
 
+# the origin of energy is arbitrary: [M, H] is the same for every shift c of
+# the levels, and so is each verdict
+SHIFTS = (0.0, 1e6, -1e9)
+
+
 class TestBatterylessDecomposition:
     def test_energy_projectors(self):
         m = projective_qubit("z")
-        table = batteryless_decomposition(m, [0.0, 1.0])
-        assert np.allclose(table, np.eye(2), atol=1e-12)
+        for c in SHIFTS:
+            table = batteryless_decomposition(m, [c, c + 1.0])
+            assert np.allclose(table, np.eye(2), atol=1e-12)
 
     def test_coin_flip(self):
         m = Povm(elements=[np.eye(2) / 2, np.eye(2) / 2])
-        table = batteryless_decomposition(m, [0.0, 1.0])
-        assert np.allclose(table, 0.5 * np.ones((2, 2)), atol=1e-12)
+        for c in SHIFTS:
+            table = batteryless_decomposition(m, [c, c + 1.0])
+            assert np.allclose(table, 0.5 * np.ones((2, 2)), atol=1e-12)
 
     def test_noncommuting_rejected_with_norm(self):
         # [|+><+|, diag(0,1)] has spectral norm 1/2 (the observable sigma_x
         # itself has norm 1); the error must quote the offending magnitude
-        with pytest.raises(ValueError, match="commute") as exc:
-            batteryless_decomposition(projective_qubit("x"), [0.0, 1.0])
-        assert "5.000e-01" in str(exc.value)
+        for c in SHIFTS:
+            with pytest.raises(ValueError, match="commute") as exc:
+                batteryless_decomposition(projective_qubit("x"), [c, c + 1.0])
+            assert "5.000e-01" in str(exc.value)
+
+    @pytest.mark.parametrize("c", SHIFTS)
+    def test_small_coherence_rejected(self, c):
+        # ||[M, H]|| = 1e-4: a bound growing with max|E| let it pass at c = 1e6
+        for sign in (1.0, -1.0):
+            e = np.array([[0.5, sign * 1e-4], [sign * 1e-4, 0.5]])
+            with pytest.raises(ValueError, match="commute"):
+                batteryless_decomposition(Povm(elements=[e, np.eye(2) - e]), [c, c + 1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_levels_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            batteryless_decomposition(projective_qubit("z"), [0.0, bad])
 
 
 class TestEnergyConservation:
     def test_diagonal_unitary_conserves(self):
         levels = [0.0, 1.0, 2.5]
         u = np.diag(np.exp(-1j * np.array(levels)))
-        ok, diag = check_energy_conserving(KrausSet(operators=[u]), levels)
-        assert ok
-        assert diag["completeness_residual"] < 1e-12
+        for c in SHIFTS:
+            ok, diag = check_energy_conserving(KrausSet(operators=[u]), np.add(levels, c))
+            assert ok
+            assert diag["completeness_residual"] < 1e-12
 
     def test_dilated_measurement_conserves(self):
         m = projective_qubit("z")
         ch = measurement_channel(m)
         h = np.kron(np.diag([0.0, 1.0]), np.eye(m.n_outcomes))
-        ok, _ = check_energy_conserving(ch, np.diag(h).real)
-        assert ok
+        for c in SHIFTS:
+            ok, _ = check_energy_conserving(ch, np.diag(h).real + c)
+            assert ok
 
     def test_random_unitary_on_resonant_pair_fails(self):
         rng = np.random.default_rng(4)
         levels = [0.0, 1.0, 1.0 + 1e-9, 2.0]  # qubit x qubit joint spectrum
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         q, _ = np.linalg.qr(g)
-        ok, diag = check_energy_conserving(KrausSet(operators=[q]), levels)
-        assert not ok
-        assert max(diag["commutator_norms"]) > 1e-3
+        for c in SHIFTS:
+            ok, diag = check_energy_conserving(KrausSet(operators=[q]), np.add(levels, c))
+            assert not ok
+            assert max(diag["commutator_norms"]) > 1e-3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_levels_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_energy_conserving(KrausSet(operators=[np.eye(2)]), [0.0, bad])
 
 
 class TestMeasurementChannel:

@@ -8,7 +8,6 @@ from enmeas.spectra import (
     Chain,
     chain_sectors,
     decompose_chains,
-    default_grouping_tol,
     joint_eigenspaces,
     joint_sectors,
 )
@@ -101,7 +100,7 @@ def test_greedy_walk_matches_the_per_level_loop():
     walked = set()  # whether a case has two levels within 2 tol, the walk's case
     for levels, delta, tol in cases:
         dec = decompose_chains(levels, delta, tol)
-        ref_tol = default_grouping_tol(levels, delta) if tol is None else tol
+        ref_tol = 1e-9 * max(delta, float(np.ptp(levels))) if tol is None else tol
         walked.add(bool(np.diff(np.sort(levels)).min(initial=np.inf) <= 2.0 * ref_tol))
         chains, near = greedy_loop_chains(np.asarray(levels, dtype=float), delta, ref_tol)
         assert dec.grouping_tol == ref_tol
@@ -184,8 +183,10 @@ def test_near_miss_reporting():
 
 
 def test_joint_qubit_ladder_ranks():
-    joint = joint_eigenspaces([0.0, 1.0], [0.0, 1.0, 2.0])
-    assert [s.rank for s in joint.sectors] == [1, 2, 2, 1]
+    # in any unit of energy: a floor on the tolerance made 1e-10 degenerate
+    for s in (1.0, 1e-10, 1e10):
+        joint = joint_eigenspaces([0.0, s], [0.0, s, 2.0 * s])
+        assert [sec.rank for sec in joint.sectors] == [1, 2, 2, 1]
 
 
 def test_joint_nonresonant_all_rank_one():
@@ -210,6 +211,11 @@ def test_rank_sum_is_product():
         battery = np.sort(rng.choice(np.arange(0, 30), size=db, replace=False) / 3.0)
         joint = joint_eigenspaces(target, battery)
         assert joint.total_rank == dt * db
+        # the same sectors in any unit of energy
+        pairs = [sorted(sec.pairs) for sec in joint.sectors]
+        for s in (1e-12, 1e-6, 1e6, 1e12):
+            scaled = joint_eigenspaces(s * target, s * battery)
+            assert [sorted(sec.pairs) for sec in scaled.sectors] == pairs
 
 
 def test_joint_matches_chain_picture_for_qubit():
