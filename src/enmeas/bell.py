@@ -96,7 +96,7 @@ class BellScenario:
     bob: list[np.ndarray]
 
     def __post_init__(self):
-        self.state = as_hermitian(self.state, herm_tol=1e-9)
+        self.state = as_hermitian(self.state)
         if len(self.alice) != 2 or len(self.bob) != 2:
             raise ValueError("need exactly two settings per party")
         da = self.alice[0].shape[0]
@@ -107,7 +107,7 @@ class BellScenario:
         if w[0] < -1e-9 or abs(np.trace(self.state).real - 1.0) > 1e-9:
             raise ValueError("state must be PSD with unit trace")
         for o in self.alice + self.bob:
-            w = np.linalg.eigvalsh(as_hermitian(o, herm_tol=1e-9))
+            w = np.linalg.eigvalsh(as_hermitian(o))
             if np.max(np.abs(np.abs(w) - 1.0)) > 1e-10:
                 raise ValueError("observables must be dichotomic (eigenvalues +-1)")
 
@@ -151,7 +151,7 @@ def optimize_chsh_seesaw(rho: np.ndarray, dims: tuple[int, int], restarts: int =
     both sides is monotonically nondecreasing. Returns (value, (A, B)).
     """
     da, db = dims
-    rho = as_hermitian(rho, herm_tol=1e-9)
+    rho = as_hermitian(rho)
     if rho.shape[0] != da * db:
         raise ValueError("state dimension does not match the factorization")
     rng = np.random.default_rng(seed)

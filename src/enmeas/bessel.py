@@ -142,8 +142,8 @@ def _zero(nu: float) -> tuple[float, float]:
 
 def first_zero(nu: float) -> float:
     """First positive zero j_{nu,1} of J_nu, nu >= 0, to ~1e-12."""
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     return _zero(nu)[0]
 
 
@@ -219,8 +219,8 @@ def _lambda_point(lam: float) -> tuple[float, tuple[float, float, float]]:
     """_on_curve's point at j = 2 lambda, log mu to 1e-15. Since j ~ 2 sqrt(mu)
     for small mu and mu < j for every mu, the bracket starts at lambda^2 and
     2 lambda."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     return _on_curve(1, 2.0 * lam, *sorted((2.0 * math.log(lam), math.log(2.0 * lam))), 1e-15)
 
 
@@ -282,8 +282,8 @@ def phi(z: float) -> PhiResult:
 def _phi(z: float) -> tuple[PhiResult, float]:
     """phi(z) and r = j - (mu* - 1); the search keeps each zero it solves,
     so the minimizer's zero is solved once."""
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not 0 < z < math.inf:
+        raise ValueError(f"z must be positive and finite, got {z}")
     # E(mu) ~ mu for small mu and ~ (2/3) C1 mu^(1/3) - 1 for large mu, so
     # the root lies in [z, mu_asym] up to rounding in E
     mu_asym = 27.0 * (z + 1.0) ** 3 / (8.0 * AIRY_C1 ** 3)
@@ -325,8 +325,8 @@ def power_state(ebar: float, delta: float) -> BatteryState:
     other component by their ratio, about 4e-11 at z = 1000. A failed solve
     raises BesselRangeError.
     """
-    if ebar <= 0 or delta <= 0:
-        raise ValueError("ebar and delta must be positive")
+    if not (0 < ebar < math.inf and 0 < delta < math.inf):
+        raise ValueError(f"ebar and delta must be positive and finite: {ebar}, {delta}")
     res, r = _phi(ebar / delta)
     lam = res.lambda_star
     turn = max(r - 1.0, 0.0)

@@ -312,8 +312,8 @@ def optimize_finite(v: list[np.ndarray], d: int):
 
 def _energy_budget(ebar: float, delta: float, d: int) -> float:
     """z = ebar / delta, for positive ebar and delta and a ladder of d >= 2 levels."""
-    if ebar <= 0 or delta <= 0:
-        raise ValueError("ebar and delta must be positive")
+    if not (0 < ebar < np.inf and 0 < delta < np.inf):
+        raise ValueError(f"ebar and delta must be positive and finite: {ebar}, {delta}")
     if d < 2:
         raise ValueError("d must be >= 2")
     return ebar / delta

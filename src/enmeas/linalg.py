@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_HERM_TOL = 1e-12
-
 
 class HermiticityError(ValueError):
     """A matrix exceeded the Hermiticity tolerance at a specific entry."""
@@ -22,22 +20,24 @@ class HermiticityError(ValueError):
         )
 
 
-def as_hermitian(m, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``herm_tol`` and return (M + M†)/2.
+def as_hermitian(m) -> np.ndarray:
+    """Validate Hermiticity and return (M + M†)/2, by the package's one rule:
+    every |M_ij - conj(M_ji)| is at most 1e-9 max(1, max |M_ij|).
 
-    Symmetrizing on ingestion absorbs the rounding that JSON round trips
-    introduce; anything beyond the tolerance is a data error and raises
-    :class:`HermiticityError` with the offending entry index.
+    Symmetrizing absorbs rounding, such as a JSON round trip's; a larger
+    deviation is a data error: HermiticityError with the entry's index.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    top = np.max(np.abs(a))
+    if not top < np.inf:  # a nan or inf entry
         raise ValueError("matrix contains NaN or Inf entries")
+    tol = 1e-9 * max(1.0, top)
     dev = np.abs(a - a.conj().T)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[i, j] > herm_tol:
-        raise HermiticityError((int(i), int(j)), float(dev[i, j]), herm_tol)
+    if dev[i, j] > tol:
+        raise HermiticityError((int(i), int(j)), float(dev[i, j]), tol)
     return 0.5 * (a + a.conj().T)
 
 
@@ -49,45 +49,38 @@ class Spectrum:
     eigenvectors: np.ndarray  # orthonormal columns, H = V diag(w) V†
 
 
-def eig_hermitian(h, herm_tol: float = DEFAULT_HERM_TOL) -> Spectrum:
+def eig_hermitian(h) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    a = as_hermitian(h, herm_tol)
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(as_hermitian(h))
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def eigvals_hermitian(h, herm_tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
-    a = as_hermitian(h, herm_tol)
-    return np.linalg.eigvalsh(a)
-
-
 def operator_sign(m) -> np.ndarray:
-    """sgn(M) of a matrix Hermitian to 1e-8, with +1 on its zero eigenvalues."""
-    w, u = np.linalg.eigh(as_hermitian(m, herm_tol=1e-8))
+    """sgn(M) of a Hermitian matrix, with +1 on its zero eigenvalues."""
+    w, u = np.linalg.eigh(as_hermitian(m))
     return (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
 
 
 def is_psd(m, tol: float = 1e-9) -> bool:
     """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol."""
-    a = as_hermitian(m)
-    return float(np.linalg.eigvalsh(a)[0]) >= -tol
+    return float(np.linalg.eigvalsh(as_hermitian(m))[0]) >= -tol
 
 
 def operator_norm(m) -> float:
     """Largest |eigenvalue| of a Hermitian matrix."""
-    w = eigvals_hermitian(m, herm_tol=np.inf)
+    w = np.linalg.eigvalsh(as_hermitian(m))
     return float(np.max(np.abs(w)))
 
 
 def trace_norm(m) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix."""
-    w = eigvals_hermitian(m, herm_tol=np.inf)
+    w = np.linalg.eigvalsh(as_hermitian(m))
     return float(np.sum(np.abs(w)))
 
 
 def psd_sqrt(m, tol: float = 1e-9) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix (negatives clipped at -tol)."""
-    s = eig_hermitian(m, herm_tol=1e-9)
+    s = eig_hermitian(m)
     w = s.eigenvalues
     if w[0] < -tol:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
@@ -120,5 +113,5 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def hermitian_from_json(data) -> np.ndarray:
-    """Deserialize and symmetrize a Hermitian matrix (Hermitian to 1e-9)."""
-    return as_hermitian(matrix_from_json(data), 1e-9)
+    """Deserialize and symmetrize a Hermitian matrix (as_hermitian's rule)."""
+    return as_hermitian(matrix_from_json(data))

@@ -20,7 +20,9 @@ from .tau import BatteryState
 
 @dataclass
 class Povm:
-    """A finite POVM: PSD elements summing to the identity."""
+    """A finite POVM: PSD elements summing to the identity. tol sets the
+    tolerance of validate and of measurement_channel's psd_sqrt, not of the
+    Hermiticity test, which is linalg.as_hermitian's one rule."""
 
     elements: list[np.ndarray]
     labels: list | None = None
@@ -29,7 +31,7 @@ class Povm:
     def __post_init__(self):
         if not self.elements:
             raise ValueError("POVM needs at least one element")
-        self.elements = [as_hermitian(m, herm_tol=max(self.tol, 1e-12)) for m in self.elements]
+        self.elements = [as_hermitian(m) for m in self.elements]
         dims = {m.shape[0] for m in self.elements}
         if len(dims) != 1:
             raise ValueError("POVM elements have mixed dimensions")
@@ -141,7 +143,7 @@ class PhysicalPovm:
         ranks = [len(rows) for rows, _ in self.layout]
         if any(len(bl) != len(ranks) for bl in self.blocks):
             raise ValueError(f"every outcome needs one block per sector, {len(ranks)} in all")
-        self.blocks = [[as_hermitian(m, herm_tol=1e-9) for m in bl] for bl in self.blocks]
+        self.blocks = [[as_hermitian(m) for m in bl] for bl in self.blocks]
         for bl in self.blocks:
             for s, (m, r) in enumerate(zip(bl, ranks)):
                 if m.shape != (r, r):

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import matrix_to_json
+from .linalg import HermiticityError, as_hermitian, matrix_to_json
 
 DEFAULT_TOL = 1e-8  # relative primal and dual residuals and duality gap
 DEFAULT_MAX_ITER = 200
@@ -55,27 +55,22 @@ class SdpError(RuntimeError):
     """Ill-posed problem data or solver breakdown."""
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
+@lru_cache(maxsize=None)
+def hermitian_basis(dim: int) -> np.ndarray:
     """Coefficient matrices extracting the real coordinates of a Hermitian X.
 
-    For E in the returned list, <E, X> = Re tr(E X) runs over X_ii, then
-    Re X_ij and Im X_ij for i < j; dim^2 matrices in total, so pairing a
-    matrix equality against all of them encodes it exactly.
+    For E in the returned (dim^2, dim, dim) table, <E, X> = Re tr(E X) runs
+    over X_ii, then Re X_ij and Im X_ij for i < j; pairing a matrix
+    equality against all dim^2 of them encodes it exactly. The table is
+    cached and read-only, shared between all callers.
     """
     entries = [(i, i, 1.0, 1.0) for i in range(dim)] + [
         (i, j, *pair) for i in range(dim) for j in range(i + 1, dim)
         for pair in ((0.5, 0.5), (0.5j, -0.5j))]
-    out = [np.zeros((dim, dim), dtype=complex) for _ in entries]
+    out = np.zeros((len(entries), dim, dim), dtype=complex)
     for e, (i, j, upper, lower) in zip(out, entries):
         e[i, j], e[j, i] = upper, lower
-    return out
-
-
-@lru_cache(maxsize=None)
-def _basis_stack(dim: int) -> np.ndarray:
-    stack = np.stack(hermitian_basis(dim))
-    stack.setflags(write=False)  # shared between all callers
-    return stack
+    return _frozen(out)
 
 
 def _hermitian(a, dim: int, what: str) -> np.ndarray:
@@ -84,12 +79,12 @@ def _hermitian(a, dim: int, what: str) -> np.ndarray:
         m = m * np.eye(1)
     if m.shape != (dim, dim):
         raise SdpError(f"{what} must be {dim}x{dim}, got {m.shape}")
-    top = np.max(np.abs(m))
-    if not top < np.inf:  # a nan or inf entry
-        raise SdpError(f"{what} has an entry that is not finite")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, top):
-        raise SdpError(f"{what} is not Hermitian")
-    return 0.5 * (m + m.conj().T)
+    try:
+        return as_hermitian(m)
+    except HermiticityError as exc:
+        raise SdpError(f"{what} is not Hermitian at entry {exc.index}") from exc
+    except ValueError as exc:  # a nan or inf entry
+        raise SdpError(f"{what} has an entry that is not finite") from exc
 
 
 def _finite(value, what: str) -> float:
@@ -170,7 +165,7 @@ class BlockSdp:
         """
         values = matrix_rhs(rhs)
         size = np.atleast_2d(rhs).shape[0]
-        basis = _basis_stack(size)
+        basis = hermitian_basis(size)
         cols = []
         for term in terms:
             b = int(term[0])
@@ -277,7 +272,7 @@ def _coords(x: np.ndarray) -> np.ndarray:
     """<E_k, X> over hermitian_basis(d) for a stack of Hermitian d x d
     matrices, (n, d^2): X_ii, then Re X_ij and Im X_ij for i < j."""
     n, d = x.shape[:2]
-    return (x.reshape(n, d * d) @ _basis_stack(d).reshape(d * d, d * d).conj().T).real
+    return (x.reshape(n, d * d) @ hermitian_basis(d).reshape(d * d, d * d).conj().T).real
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +283,7 @@ def _onb(d: int) -> np.ndarray:
     diagonal pair is (I, sigma_z)/sqrt 2. A 2x2 block then has coordinates
     ((x11 + x22)/sqrt 2, (x11 - x22)/sqrt 2, sqrt 2 Re x12, sqrt 2 Im x12),
     a Lorentz cone vector."""
-    basis = _basis_stack(d) * np.where(np.arange(d * d) < d, 1.0, np.sqrt(2.0))[:, None, None]
+    basis = hermitian_basis(d) * np.where(np.arange(d * d) < d, 1.0, np.sqrt(2.0))[:, None, None]
     if d == 2:
         basis = np.concatenate([basis[:1] + basis[1:2], basis[:1] - basis[1:2]]
                                + [np.sqrt(2.0) * basis[2:]]) / np.sqrt(2.0)

@@ -41,7 +41,7 @@ class BatteryState:
                 raise ValueError(f"pure state norm^2 = {nrm:.12f} differs from 1 beyond tol")
             self.amplitudes = a
         else:
-            r = as_hermitian(self.rho, herm_tol=1e-9)
+            r = as_hermitian(self.rho)
             w = np.linalg.eigvalsh(r)
             if w[0] < -NORM_TOL:
                 raise ValueError(f"density matrix not PSD: min eigenvalue {w[0]:.3e}")
@@ -142,8 +142,8 @@ def optimal_finite_state(d: int) -> BatteryState:
     Amplitudes sqrt(2/(d+1)) * sin((k+1) pi / (d+1)); mean level index
     (d-1)/2, so its energy on a gap-Delta ladder is (d-1) Delta / 2.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not (1 <= d < math.inf and d % 1 == 0):
+        raise ValueError(f"d must be a positive integer, got {d}")
     k = np.arange(d)
     amps = np.sqrt(2.0 / (d + 1)) * np.sin((k + 1) * np.pi / (d + 1))
     amps = amps / np.linalg.norm(amps)
@@ -152,8 +152,8 @@ def optimal_finite_state(d: int) -> BatteryState:
 
 def tau_finite(d: int) -> float:
     """Best tau reachable with a battery of d levels: cos(pi/(d+1))."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not (1 <= d < math.inf and d % 1 == 0):
+        raise ValueError(f"d must be a positive integer, got {d}")
     return math.cos(math.pi / (d + 1))
 
 
@@ -173,10 +173,8 @@ def tau_coherent(alpha_sq: float) -> float:
     O(sqrt(a)) terms, so a is capped at 1e10.  Below a = 1/4, where tau < 1/2,
     tau itself is summed, as sum_k p_k sqrt(a / (k+1)).
     """
-    if alpha_sq < 0:
-        raise ValueError("alpha_sq must be >= 0")
-    if alpha_sq > 1e10:
-        raise ValueError("alpha_sq above 1e10 is not supported")
+    if not 0 <= alpha_sq <= 1e10:
+        raise ValueError(f"alpha_sq must lie in [0, 1e10], got {alpha_sq}")
     if alpha_sq == 0:
         return 0.0
     a2 = float(alpha_sq)
@@ -213,8 +211,8 @@ class EnergyDensity:
     @classmethod
     def gaussian(cls, mean: float, variance: float) -> "EnergyDensity":
         """The normal density, cut off 12 standard deviations from its mean."""
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (abs(mean) < math.inf and 0 < variance < math.inf):
+            raise ValueError(f"need finite mean {mean} and positive finite variance {variance}")
         s = math.sqrt(variance)
         lo, hi = mean - 12.0 * s, mean + 12.0 * s
         norm = 1.0 / math.sqrt(2 * math.pi * variance)
@@ -258,8 +256,8 @@ def tau_continuous(f: EnergyDensity, delta: float) -> float:
     Computes the overlap integral of sqrt(f(E) f(E + delta)) over the
     declared support; delta = 0 returns the normalization itself.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     f.check_normalized()
     lo, hi = f.support
     return _overlap(lambda e: float(f(e)), lambda e: float(f(e + delta)), lo, hi - delta,
@@ -282,8 +280,8 @@ def tau_near_resonant(
     p0, p1 = abs(c0) ** 2, abs(c1) ** 2
     if abs(p0 + p1 - 1.0) > 1e-10:
         raise ValueError("|c0|^2 + |c1|^2 must equal 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (0 < delta < math.inf and abs(eps_detuning) < math.inf):
+        raise ValueError(f"need positive finite delta {delta} and finite eps {eps_detuning}")
     eps = float(eps_detuning)
     sig = clock_density
     sig.check_normalized()

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from enmeas import sdp
 from enmeas.linalg import (
     HermiticityError,
     as_hermitian,
@@ -13,6 +16,7 @@ from enmeas.linalg import (
     psd_sqrt,
     trace_norm,
 )
+from enmeas.povm import Povm
 
 
 def coupling(d):
@@ -91,6 +95,15 @@ def test_norms_sigma_z():
     assert trace_norm(sz) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("norm", [operator_norm, trace_norm])
+def test_norms_reject_a_non_hermitian_matrix(norm):
+    # the Hermitian part of [[0, 1], [0, 0]] has norms 0.5 and 1, the matrix
+    # itself operator norm 1: no answer is right, so none is given
+    with pytest.raises(HermiticityError) as exc:
+        norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert exc.value.index == (0, 1)
+
+
 def test_norm_projector_difference():
     z0 = np.diag([1.0, 0.0]).astype(complex)
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -108,7 +121,7 @@ def test_trace_norm_positive_part_identity():
 
 def test_symmetrize_on_ingestion():
     m = np.array([[1.0, 0.1 + 1e-13j], [0.1 - 0.5e-13j, 2.0]])
-    out = as_hermitian(m, herm_tol=1e-12)
+    out = as_hermitian(m)
     assert np.allclose(out, out.conj().T)
 
 
@@ -126,3 +139,42 @@ def test_json_roundtrip():
     data = matrix_to_json(h)
     assert np.allclose(matrix_from_json(data), h)
     assert np.allclose(hermitian_from_json(data), h)
+
+
+# A fixed Hermitian matrix of largest entry 1 per size, and the entry given
+# an asymmetry: the one rule allows 1e-9 max(1, max |entry|).
+SCALE_CASES = [
+    (np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -0.75]]), (0, 1)),
+    (np.array([[0.5, 0.25j, -0.5], [-0.25j, -1.0, 0.75 + 0.5j], [-0.5, 0.75 - 0.5j, 0.25]]),
+     (1, 2)),
+]
+
+
+def _asymmetric(a, entry, s, asym):
+    m = s * a.astype(complex)
+    m[entry] += asym * max(1.0, s)
+    return m
+
+
+def _one_block_equality(m):
+    p = sdp.BlockSdp()
+    p.add_equality({p.add_block(m.shape[0]): m}, 1.0)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("a, entry", SCALE_CASES, ids=["2x2", "3x3"])
+def test_one_hermitian_rule_at_every_scale(a, entry, s):
+    ok = _asymmetric(a, entry, s, 0.5e-9)
+    assert np.array_equal(as_hermitian(ok), 0.5 * (ok + ok.conj().T))
+    Povm(elements=[ok])
+    _one_block_equality(ok)
+    sdp.matrix_rhs(ok)
+
+    bad = _asymmetric(a, entry, s, 2e-9)
+    for reject in (as_hermitian, lambda m: Povm(elements=[m])):
+        with pytest.raises(HermiticityError) as exc:
+            reject(bad)
+        assert exc.value.index == entry
+    for reject in (_one_block_equality, sdp.matrix_rhs):
+        with pytest.raises(sdp.SdpError, match=re.escape(f"not Hermitian at entry {entry}")):
+            reject(bad)

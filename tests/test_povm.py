@@ -98,6 +98,23 @@ class TestEffectivePovm:
             rhs = [float(np.trace(big @ op).real) for op in ops]
             assert np.allclose(lhs[: len(rhs)], rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_joint_operators_of_constant_blocks_in_closed_form(self, d):
+        # sector k holds |0>|k> and |1>|k-1>, so a constant block M_x embeds as
+        # its diagonal on every level and its coherences on the raising shift S
+        s = np.eye(d, k=-1)  # S|k> = |k+1>
+        h = np.kron(np.diag([0.0, 1.0]), np.eye(d)) + np.kron(np.eye(2), np.diag(np.arange(d)))
+        rng = np.random.default_rng(d)
+        for m in (projective_qubit("x"), random_rank_one_povm(rng, 2, 3)):
+            ops = joint_operators(constant_blocks(m, ladder(d)))
+            assert len(ops) == m.n_outcomes
+            for op, mx in zip(ops, m.elements):
+                expect = (np.kron(np.diag(np.diag(mx)), np.eye(d))
+                          + mx[0, 1] * np.kron([[0, 1], [0, 0]], s)
+                          + mx[1, 0] * np.kron([[0, 0], [1, 0]], s.T))
+                assert np.max(np.abs(op - expect)) <= 1e-15
+                assert np.max(np.abs(op @ h - h @ op)) <= 1e-15
+
     def test_validates_output(self):
         rng = np.random.default_rng(2)
         from enmeas.reproduce import random_physical_povm

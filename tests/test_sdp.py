@@ -934,18 +934,21 @@ def _small_program():
     return p
 
 
-@pytest.mark.parametrize("bad", [
-    lambda: _small_program().add_equality({1: [[NAN, 0], [0, 1]]}, 1.0),
-    lambda: _small_program().set_objective({0: NAN}),
-    lambda: sdp.matrix_rhs([[INF, 0], [0, 1]]),
-    lambda: _small_program().add_equality({0: 1.0}, NAN),
-    lambda: _small_program().add_inequality({0: 1.0}, -INF),
-    lambda: _small_program().with_rhs([NAN]),
-    lambda: _small_program().add_matrix_equality([(0, [0], NAN)], np.eye(1)),
-    lambda: charact.membership_energy(degrade(projective_qubit("x"), 0.5), NAN, 1.0, 4),
+@pytest.mark.parametrize("bad, error", [
+    (lambda: _small_program().add_equality({1: [[NAN, 0], [0, 1]]}, 1.0), SdpError),
+    (lambda: _small_program().set_objective({0: NAN}), SdpError),
+    (lambda: sdp.matrix_rhs([[INF, 0], [0, 1]]), SdpError),
+    (lambda: _small_program().add_equality({0: 1.0}, NAN), SdpError),
+    (lambda: _small_program().add_inequality({0: 1.0}, -INF), SdpError),
+    (lambda: _small_program().with_rhs([NAN]), SdpError),
+    (lambda: _small_program().add_matrix_equality([(0, [0], NAN)], np.eye(1)), SdpError),
+    # an argument of the caller is named by the caller, before any program is built
+    (lambda: charact.membership_energy(degrade(projective_qubit("x"), 0.5), NAN, 1.0, 4),
+     ValueError),
 ], ids=["coefficient", "objective", "matrix_rhs", "equality_rhs", "inequality_rhs",
         "with_rhs", "placement_scale", "membership_energy"])
-def test_non_finite_data_is_rejected_before_a_solve(bad, monkeypatch):
+def test_non_finite_data_is_rejected_before_a_solve(bad, error, monkeypatch):
     monkeypatch.setattr(sdp, "solve", lambda *a, **k: pytest.fail("solved non-finite data"))
-    with pytest.raises(SdpError, match="not finite"):
+    message = "not finite" if error is SdpError else "must be positive and finite: nan"
+    with pytest.raises(error, match=message):
         bad()

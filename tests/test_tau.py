@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from enmeas import bessel
+from enmeas.charact import membership_energy
 from enmeas.linalg import eig_hermitian
+from enmeas.povm import degrade, projective_qubit
 from enmeas.spectra import decompose_chains
 from enmeas.tau import (
     BatteryState,
@@ -334,3 +337,45 @@ def test_battery_state_json_roundtrip():
     st2 = BatteryState.mixed(rho, levels=[0.0, 1.0])
     back2 = BatteryState.from_json(st2.to_json())
     assert np.allclose(back2.rho, rho)
+
+
+NAN, INF = math.nan, math.inf
+
+
+def _gauss():
+    return EnergyDensity.gaussian(0.0, 1.0)
+
+
+def _membership_energy(ebar, delta):
+    return membership_energy(degrade(projective_qubit("x"), 0.5), ebar, delta, 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, message", [
+    (lambda: bessel.phi(NAN), "z must be positive and finite, got nan"),
+    (lambda: bessel.mu_of_lambda(NAN), "lambda must be positive and finite, got nan"),
+    (lambda: bessel.energy_of_lambda(NAN), "lambda must be positive and finite, got nan"),
+    (lambda: bessel.power_state(NAN, 1.0), "ebar and delta must be positive and finite: nan, 1.0"),
+    (lambda: bessel.first_zero(INF), "nu must be finite and >= 0, got inf"),
+    (lambda: tau_coherent(NAN), r"alpha_sq must lie in \[0, 1e10\], got nan"),
+    (lambda: tau_finite(NAN), "d must be a positive integer, got nan"),
+    (lambda: tau_finite(INF), "d must be a positive integer, got inf"),
+    (lambda: tau_finite(2.5), "d must be a positive integer, got 2.5"),
+    (lambda: optimal_finite_state(2.5), "d must be a positive integer, got 2.5"),
+    (lambda: EnergyDensity.gaussian(0.0, NAN), "positive finite variance nan"),
+    (lambda: tau_continuous(_gauss(), NAN), "delta must be finite and >= 0, got nan"),
+    (lambda: tau_near_resonant(0.6, 0.8, 0.0, _gauss(), NAN), "positive finite delta nan"),
+    (lambda: tau_near_resonant(0.6, 0.8, NAN, _gauss(), 1.0), "finite eps nan"),
+    (lambda: _membership_energy(NAN, 1.0), "ebar and delta must be positive and finite: nan, 1.0"),
+    (lambda: _membership_energy(INF, 1.0), "ebar and delta must be positive and finite: inf, 1.0"),
+    (lambda: _membership_energy(1.0, NAN), "ebar and delta must be positive and finite: 1.0, nan"),
+], ids=["phi", "mu_of_lambda", "energy_of_lambda", "power_state", "first_zero",
+        "tau_coherent", "tau_finite_nan", "tau_finite_inf", "tau_finite_fraction",
+        "optimal_finite_state", "gaussian", "tau_continuous", "near_resonant_delta",
+        "near_resonant_eps", "membership_energy_nan",
+        "membership_energy_inf", "membership_energy_delta"])
+def test_a_scalar_off_its_domain_is_named(call, message):
+    # each check is a comparison that nan fails, so nan and inf stop at the
+    # argument check with its name, not deep inside a search or a program
+    with pytest.raises(ValueError, match=message):
+        call()
