@@ -56,7 +56,7 @@ from .povm import (
     validate,
 )
 from .sdp import BlockSdp, SdpSolution, solve
-from .spectra import ChainDecomposition, JointEigenstructure, decompose_chains, joint_eigenspaces
+from .spectra import ChainDecomposition, decompose_chains, joint_sectors
 from .tau import (
     BatteryState,
     EnergyDensity,

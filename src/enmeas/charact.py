@@ -18,9 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import sdp
+from .linalg import place
 from .povm import Povm
 from .spectra import joint_sectors
-from .tau import BatteryState
+from .tau import BatteryState, battery_size
 
 
 @dataclass
@@ -170,8 +171,7 @@ def _ladder_sectors(d: int, outer: bool = False) -> tuple:
     chain_sectors of the ladder, the layout of its PhysicalPovm. The outer
     relaxation makes the top sector rank two: the tail population d feeds
     both rows, and level d-1 feeds row 1 as well."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = battery_size(d)
     sectors = joint_sectors((0, 1), tuple(range(d)))
     if outer:
         sectors = sectors[:-1] + (((0, 1), ((d,), (d - 1, d))),)
@@ -179,14 +179,9 @@ def _ladder_sectors(d: int, outer: bool = False) -> tuple:
 
 
 def _reconstruct(prog: _SectorProgram, sol: sdp.SdpSolution) -> list[np.ndarray]:
-    dim = _target_dim(prog.sector_rows)
-    out = []
-    for x in range(len(prog.blocks[0])):
-        mx = np.zeros((dim, dim), dtype=complex)
-        for rows, blk in zip(prog.sector_rows, prog.blocks):
-            mx[np.ix_(rows, rows)] += sol.x[blk[x]]
-        out.append(mx)
-    return out
+    dim, xs = _target_dim(prog.sector_rows), sol.x
+    return [place(dim, [(rows, xs[blk[x]]) for rows, blk in zip(prog.sector_rows, prog.blocks)])
+            for x in range(len(prog.blocks[0]))]
 
 
 def _decide(prog: _SectorProgram, gap_bound: float | None = None) -> MembershipVerdict:

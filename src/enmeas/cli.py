@@ -274,8 +274,15 @@ def _cmd_spectrum_chains(args):
 
 def _cmd_spectrum_joint(args):
     data = _load_json(args.file)
-    joint = spectra.joint_eigenspaces(data["target_levels"], data["battery_levels"])
-    _write_json(joint.to_json(), args.out)
+    et, eb = (np.asarray(data[k], dtype=float) for k in ("target_levels", "battery_levels"))
+    if et.ndim != 1 or eb.ndim != 1:  # joint_sectors' own check, before its cache hashes them
+        raise ValueError("spectra must be non-empty 1-d arrays")
+    et, eb = tuple(et.tolist()), tuple(eb.tolist())
+    pairs = [[(m, n) for m, (n,) in zip(rows, feeds)]
+             for rows, feeds in spectra.joint_sectors(et, eb)]
+    _write_json({"target_levels": list(et), "battery_levels": list(eb), "sectors": [
+        {"energy": min(et[m] + eb[n] for m, n in ps), "rank": len(ps), "pairs": ps}
+        for ps in pairs]}, args.out)
     return 0
 
 

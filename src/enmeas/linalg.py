@@ -88,6 +88,15 @@ def psd_sqrt(m, tol: float = 1e-9) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
+def place(dim: int, pieces) -> np.ndarray:
+    """The dim x dim sum of the (index, block) pieces, each block placed on
+    the rows and columns index."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for index, block in pieces:
+        out[np.ix_(index, index)] += block
+    return out
+
+
 def commutator_norm(a, b) -> float:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -12,6 +12,7 @@ from .linalg import (
     hermitian_from_json,
     matrix_to_json,
     operator_norm,
+    place,
     psd_sqrt,
 )
 from .spectra import ChainDecomposition, chain_sectors, energy_tol
@@ -223,34 +224,24 @@ def effective_povm(phys: PhysicalPovm, battery: BatteryState) -> Povm:
         raise ValueError("battery state and chain decomposition dimensions differ")
     phys = phys.completed()
     rho = battery.density()
-    elems = []
-    for bl in phys.blocks:
-        out = np.zeros((2, 2), dtype=complex)
-        for (rows, feeds), sub in zip(phys.layout, bl):
-            for i, (a, (lvl_a,)) in enumerate(zip(rows, feeds)):
-                for jj, (b, (lvl_b,)) in enumerate(zip(rows, feeds)):
-                    out[a, b] += rho[lvl_b, lvl_a] * sub[i, jj]
-        elems.append(out)
+    sectors = [(rows, [n for (n,) in feeds]) for rows, feeds in phys.layout]
+    # rho[f, f]^T * M^s_x entrywise; einsum rounds each product as numpy's
+    # scalar complex product does, where `*` on arrays fuses multiply-adds
+    elems = [place(2, [(rows, np.einsum("ba,ab->ab", rho[np.ix_(f, f)], sub))
+                       for (rows, f), sub in zip(sectors, bl)])
+             for bl in phys.blocks]
     return Povm(elements=elems, labels=list(phys.labels))
 
 
 def joint_operators(phys: PhysicalPovm) -> list[np.ndarray]:
     """Embed the sector blocks as full operators on target (x) battery.
 
-    Basis ordering: |a> (x) |level>, index 2 * level + a ... laid out as
-    kron(target, battery) with target index major.
+    Basis ordering: |a> (x) |level> at index a * d_B + level, as in
+    kron(target, battery).
     """
     db = phys.chains.dim
-    dim = 2 * db
-    ops = []
-    for bl in phys.blocks:
-        full = np.zeros((dim, dim), dtype=complex)
-        for (rows, feeds), sub in zip(phys.layout, bl):
-            for i, (a, (lvl_a,)) in enumerate(zip(rows, feeds)):
-                for jj, (b, (lvl_b,)) in enumerate(zip(rows, feeds)):
-                    full[a * db + lvl_a, b * db + lvl_b] += sub[i, jj]
-        ops.append(full)
-    return ops
+    index = [[a * db + n for a, (n,) in zip(rows, feeds)] for rows, feeds in phys.layout]
+    return [place(2 * db, zip(index, bl)) for bl in phys.blocks]
 
 
 def degrade(m: Povm, tau: float, phase: float = 0.0) -> Povm:

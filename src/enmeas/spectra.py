@@ -1,4 +1,4 @@
-"""Battery spectrum analysis: maximal chains and joint eigenspace structure.
+"""Battery spectrum analysis: maximal chains and joint energy sectors.
 
 A chain is a maximal run of battery levels spaced exactly by the target gap
 ``delta``; a level joins a chain only through consecutive delta steps that are
@@ -6,8 +6,10 @@ actually present in the spectrum, not merely commensurate gaps.
 
 A joint energy sector is written once, as (rows, feeds) tuples: the target
 level of each of its rows and the battery populations feeding that row.
-The characterization programs and the physical sector blocks both read
-this form (joint_sectors, chain_sectors).
+joint_sectors is the one builder of the joint eigenspaces of two spectra;
+chain_sectors lists a qubit's sectors chain by chain, keeping the chains'
+links. The characterization programs, the physical sector blocks and the
+CLI read this form.
 """
 
 from __future__ import annotations
@@ -175,48 +177,14 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
     )
 
 
-@dataclass(frozen=True)
-class Sector:
-    """A joint eigenspace of H_S x 1 + 1 x H_B: equal-sum pairs (m, n)."""
-
-    energy: float
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class JointEigenstructure:
-    target_levels: np.ndarray
-    battery_levels: np.ndarray
-    sectors: tuple[Sector, ...]  # sorted by energy
-    grouping_tol: float
-
-    @property
-    def total_rank(self) -> int:
-        return sum(s.rank for s in self.sectors)
-
-    def to_json(self) -> dict:
-        return {
-            "target_levels": [float(x) for x in self.target_levels],
-            "battery_levels": [float(x) for x in self.battery_levels],
-            "sectors": [
-                {"energy": s.energy, "rank": s.rank, "pairs": [list(p) for p in s.pairs]}
-                for s in self.sectors
-            ],
-        }
-
-
-def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
-    """Group all sums E_m + mu_n into equal-energy sectors.
-
-    Within a sector the m indices are pairwise distinct and so are the n
-    indices (a consequence of both spectra being non-degenerate), which is
-    what makes the per-sector POVM blocks well defined. Sums within
-    energy_tol of the two spectra share a sector.
-    """
+@lru_cache(maxsize=64)
+def joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
+    """The joint eigenspaces of H_S x 1 + 1 x H_B as (rows, feeds), by
+    energy. A sector holds every pair of target level m and battery level n
+    whose sum E_m + mu_n lies within energy_tol(target, battery) of the
+    sector's lowest sum, so its row m is fed by population n alone; rows
+    ascend by target level. The spectra must be non-empty, finite and
+    non-degenerate. Cached on the two level tuples."""
     et = np.asarray(target_levels, dtype=float)
     eb = np.asarray(battery_levels, dtype=float)
     if et.ndim != 1 or eb.ndim != 1 or et.size == 0 or eb.size == 0:
@@ -225,37 +193,15 @@ def joint_eigenspaces(target_levels, battery_levels) -> JointEigenstructure:
     _sorted_distinct(et, tol, "target")
     _sorted_distinct(eb, tol, "battery")
 
-    sums = [(et[m] + eb[n], m, n) for m in range(et.size) for n in range(eb.size)]
-    sums.sort(key=lambda t: t[0])
-    sectors: list[Sector] = []
-    cur: list[tuple[int, int]] = []
-    cur_e = None
+    sums = sorted((et[m] + eb[n], m, n) for m in range(et.size) for n in range(eb.size))
+    groups, low = [], None
     for e, m, n in sums:
-        if cur_e is None or abs(e - cur_e) <= tol:
-            cur.append((int(m), int(n)))
-            cur_e = e if cur_e is None else cur_e
-        else:
-            sectors.append(Sector(energy=float(cur_e), pairs=tuple(cur)))
-            cur = [(int(m), int(n))]
-            cur_e = e
-    sectors.append(Sector(energy=float(cur_e), pairs=tuple(cur)))
-
-    out = JointEigenstructure(
-        target_levels=et, battery_levels=eb, sectors=tuple(sectors), grouping_tol=tol
-    )
-    if out.total_rank != et.size * eb.size:
-        raise AssertionError("sector ranks do not sum to the product of dimensions")
-    return out
-
-
-@lru_cache(maxsize=64)
-def joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
-    """The sectors of joint_eigenspaces as (rows, feeds): a sector holds
-    every pair of target level m and battery level n whose energies sum to
-    its energy, so its row m is fed by population n alone. Cached on the two
-    level tuples."""
-    return tuple((tuple(m for m, _ in sec.pairs), tuple((n,) for _, n in sec.pairs))
-                 for sec in joint_eigenspaces(target_levels, battery_levels).sectors)
+        if low is None or abs(e - low) > tol:
+            groups.append([])
+            low = e
+        groups[-1].append((m, n))
+    return tuple((tuple(m for m, _ in g), tuple((n,) for _, n in g))
+                 for g in map(sorted, groups))
 
 
 def chain_sectors(chains: ChainDecomposition) -> tuple:

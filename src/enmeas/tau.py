@@ -136,14 +136,21 @@ def tau_of_state(state: BatteryState, chains: ChainDecomposition) -> TauResult:
     return TauResult(tau=tau, epsilon=epsilon_from_tau(tau))
 
 
+def battery_size(d) -> int:
+    """d as an int, if it is a positive integer: the number of levels of a
+    ladder battery. Else ValueError naming d; nan fails the comparison."""
+    if not (1 <= d < math.inf and d % 1 == 0):
+        raise ValueError(f"d must be a positive integer, got {d}")
+    return int(d)
+
+
 def optimal_finite_state(d: int) -> BatteryState:
     """The d-level ladder state maximizing tau, with energy (d-1)/2.
 
     Amplitudes sqrt(2/(d+1)) * sin((k+1) pi / (d+1)); mean level index
     (d-1)/2, so its energy on a gap-Delta ladder is (d-1) Delta / 2.
     """
-    if not (1 <= d < math.inf and d % 1 == 0):
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = battery_size(d)
     k = np.arange(d)
     amps = np.sqrt(2.0 / (d + 1)) * np.sin((k + 1) * np.pi / (d + 1))
     amps = amps / np.linalg.norm(amps)
@@ -152,9 +159,7 @@ def optimal_finite_state(d: int) -> BatteryState:
 
 def tau_finite(d: int) -> float:
     """Best tau reachable with a battery of d levels: cos(pi/(d+1))."""
-    if not (1 <= d < math.inf and d % 1 == 0):
-        raise ValueError(f"d must be a positive integer, got {d}")
-    return math.cos(math.pi / (d + 1))
+    return math.cos(math.pi / (battery_size(d) + 1))
 
 
 def tau_coherent(alpha_sq: float) -> float:

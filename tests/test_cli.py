@@ -169,12 +169,28 @@ def test_spectrum_chains(tmp_path, capsys):
 
 
 def test_spectrum_joint(tmp_path, capsys):
+    # the whole JSON text: each sector's energy is its lowest sum, its pairs
+    # (target, battery) levels by ascending target level
     path = tmp_path / "joint.json"
-    path.write_text(json.dumps({"target_levels": [0.0, 1.0],
-                                "battery_levels": [0.0, 1.0, 2.0]}))
-    code, out, _ = run_cli(["spectrum", "joint", "--file", str(path)], capsys)
-    assert code == 0
-    assert [s["rank"] for s in json.loads(out)["sectors"]] == [1, 2, 2, 1]
+    r2 = math.sqrt(2.0)
+    for battery, sectors in (
+            ([0.0, 1.0, 2.0], [(0.0, [[0, 0]]), (1.0, [[0, 1], [1, 0]]),
+                               (2.0, [[0, 2], [1, 1]]), (3.0, [[1, 2]])]),
+            ([0.0, r2], [(0.0, [[0, 0]]), (1.0, [[1, 0]]), (r2, [[0, 1]]),
+                         (1.0 + r2, [[1, 1]])])):
+        path.write_text(json.dumps({"target_levels": [0, 1], "battery_levels": battery}))
+        code, out, _ = run_cli(["spectrum", "joint", "--file", str(path)], capsys)
+        assert code == 0
+        assert out == json.dumps({
+            "target_levels": [0.0, 1.0],
+            "battery_levels": battery,
+            "sectors": [{"energy": e, "rank": len(pairs), "pairs": pairs}
+                        for e, pairs in sectors],
+        }, indent=2) + "\n"
+    # a nested list of levels is a usage error, not a traceback
+    path.write_text(json.dumps({"target_levels": [[0, 1]], "battery_levels": [0, 1]}))
+    code, _, err = run_cli(["spectrum", "joint", "--file", str(path)], capsys)
+    assert code == 1 and "non-empty 1-d" in err
 
 
 def test_tau_state_command(tmp_path, capsys):

@@ -98,6 +98,29 @@ class TestEffectivePovm:
             rhs = [float(np.trace(big @ op).real) for op in ops]
             assert np.allclose(lhs[: len(rhs)], rhs, atol=1e-12)
 
+    def test_the_placements_are_the_entrywise_sums_bit_for_bit(self):
+        # the reference: every block entry added on its own, as scalars
+        from enmeas.reproduce import random_battery_state, random_physical_povm
+
+        rng = np.random.default_rng(3)
+        for levels in ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0, 1.5, 3.0], [0.2, 1.2, 1.7]):
+            db = len(levels)
+            phys = random_physical_povm(rng, decompose_chains(levels, 1.0), 3)
+            batt = random_battery_state(rng, db, levels=np.array(levels))
+            rho = batt.density()
+            eff = effective_povm(phys, batt).elements
+            ops = joint_operators(phys)
+            for x, bl in enumerate(phys.blocks):
+                out = np.zeros((2, 2), dtype=complex)
+                full = np.zeros((2 * db, 2 * db), dtype=complex)
+                for (rows, feeds), sub in zip(phys.layout, bl):
+                    for i, (a, (fa,)) in enumerate(zip(rows, feeds)):
+                        for j, (b, (fb,)) in enumerate(zip(rows, feeds)):
+                            out[a, b] += rho[fb, fa] * sub[i, j]
+                            full[a * db + fa, b * db + fb] += sub[i, j]
+                assert np.array_equal(eff[x], Povm(elements=[out]).elements[0])
+                assert np.array_equal(ops[x], full)
+
     @pytest.mark.parametrize("d", [1, 2, 5, 9])
     def test_joint_operators_of_constant_blocks_in_closed_form(self, d):
         # sector k holds |0>|k> and |1>|k-1>, so a constant block M_x embeds as

@@ -8,7 +8,6 @@ from enmeas.spectra import (
     Chain,
     chain_sectors,
     decompose_chains,
-    joint_eigenspaces,
     joint_sectors,
 )
 
@@ -172,7 +171,22 @@ def test_degenerate_levels_rejected():
 
 def test_joint_degenerate_target_names_both_levels():
     with pytest.raises(ValueError, match="degenerate target spectrum: levels 0 and 1 "):
-        joint_eigenspaces([0.0, 1e-12], [0.0, 1.0])
+        joint_sectors((0.0, 1e-12), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("target, battery, message", [
+    ((0.0, 1.0), (2.0, 0.0, 2.0 + 1e-12), "degenerate battery spectrum: levels 0 and 2 "),
+    ((), (0.0, 1.0), "non-empty 1-d"),
+    (((0.0, 1.0),), (0.0, 1.0), "non-empty 1-d"),
+    ((0.0, math.nan), (0.0, 1.0), "spectra must be finite"),
+])
+def test_joint_sectors_name_a_bad_spectrum(target, battery, message):
+    with pytest.raises(ValueError, match=message):
+        joint_sectors(target, battery)
+
+
+def ranks(sectors):
+    return [len(rows) for rows, _ in sectors]
 
 
 def test_near_miss_reporting():
@@ -185,21 +199,19 @@ def test_near_miss_reporting():
 def test_joint_qubit_ladder_ranks():
     # in any unit of energy: a floor on the tolerance made 1e-10 degenerate
     for s in (1.0, 1e-10, 1e10):
-        joint = joint_eigenspaces([0.0, s], [0.0, s, 2.0 * s])
-        assert [sec.rank for sec in joint.sectors] == [1, 2, 2, 1]
+        assert ranks(joint_sectors((0.0, s), (0.0, s, 2.0 * s))) == [1, 2, 2, 1]
 
 
 def test_joint_nonresonant_all_rank_one():
-    joint = joint_eigenspaces([0.0, 1.0], [0.0, math.sqrt(2.0)])
-    assert [s.rank for s in joint.sectors] == [1, 1, 1, 1]
+    assert ranks(joint_sectors((0.0, 1.0), (0.0, math.sqrt(2.0)))) == [1, 1, 1, 1]
 
 
 def test_joint_qutrit_ladder_middle_rank():
-    joint = joint_eigenspaces([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    ranks = [s.rank for s in joint.sectors]
-    assert ranks == [1, 2, 3, 2, 1]
-    mid = [s for s in joint.sectors if abs(s.energy - 2.0) < 1e-12]
-    assert mid[0].rank == 3
+    levels = (0.0, 1.0, 2.0)
+    sectors = joint_sectors(levels, levels)
+    assert ranks(sectors) == [1, 2, 3, 2, 1]
+    rows, feeds = sectors[2]
+    assert [levels[m] + levels[n] for m, (n,) in zip(rows, feeds)] == [2.0, 2.0, 2.0]
 
 
 def test_rank_sum_is_product():
@@ -209,21 +221,25 @@ def test_rank_sum_is_product():
         db = int(rng.integers(2, 6))
         target = np.sort(rng.choice(np.arange(0, 30), size=dt, replace=False) / 3.0)
         battery = np.sort(rng.choice(np.arange(0, 30), size=db, replace=False) / 3.0)
-        joint = joint_eigenspaces(target, battery)
-        assert joint.total_rank == dt * db
+        sectors = joint_sectors(tuple(target.tolist()), tuple(battery.tolist()))
+        assert sum(ranks(sectors)) == dt * db
+        # every pair once, each sector at one energy, rows ascending
+        pairs = [(m, n) for rows, feeds in sectors for m, (n,) in zip(rows, feeds)]
+        assert sorted(pairs) == [(m, n) for m in range(dt) for n in range(db)]
+        for rows, feeds in sectors:
+            sums = [target[m] + battery[n] for m, (n,) in zip(rows, feeds)]
+            assert max(sums) - min(sums) < 1e-12 and list(rows) == sorted(rows)
         # the same sectors in any unit of energy
-        pairs = [sorted(sec.pairs) for sec in joint.sectors]
         for s in (1e-12, 1e-6, 1e6, 1e12):
-            scaled = joint_eigenspaces(s * target, s * battery)
-            assert [sorted(sec.pairs) for sec in scaled.sectors] == pairs
+            scaled = joint_sectors(tuple((s * target).tolist()), tuple((s * battery).tolist()))
+            assert scaled == sectors
 
 
 def test_joint_matches_chain_picture_for_qubit():
     levels = [0.0, 0.5, 1.0, 1.5, 3.0]
     delta = 1.0
     dec = decompose_chains(levels, delta)
-    joint = joint_eigenspaces([0.0, delta], levels)
-    got = sorted(s.rank for s in joint.sectors)
+    got = sorted(ranks(joint_sectors((0.0, delta), tuple(levels))))
     expect = []
     for c in dec.chains:
         expect += [1, 1] + [2] * (c.length - 1)
@@ -238,15 +254,11 @@ def test_chain_sectors_are_the_joint_sectors_of_a_qubit():
         assert chain_sectors(decompose_chains(levels, 1)) == joint_sectors((0, 1), levels)
 
     # random chained spectra, as effective-povm-oracle draws them: the same
-    # sectors, once each sector's rows are sorted, since joint_eigenspaces
-    # orders a sector's pairs by their floating-point energies
-    def as_set(sectors):
-        return sorted(tuple(sorted(zip(rows, feeds))) for rows, feeds in sectors)
-
+    # sectors, rows in the same order; only the order of the sectors differs
     rng = np.random.default_rng(2024)
     for _ in range(2000):
         db = int(rng.integers(2, 5))
         levels = np.sort(rng.choice(np.arange(0, 3 * db) * 0.5, size=db, replace=False)
                          + rng.random() * 0.1)
         got = chain_sectors(decompose_chains(levels, 1.0))
-        assert as_set(got) == as_set(joint_sectors((0.0, 1.0), tuple(levels.tolist())))
+        assert sorted(got) == sorted(joint_sectors((0.0, 1.0), tuple(levels.tolist())))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from enmeas import bessel
-from enmeas.charact import membership_energy
+from enmeas.charact import critical_degradation, membership_energy, membership_finite, optimize_finite
 from enmeas.linalg import eig_hermitian
 from enmeas.povm import degrade, projective_qubit
 from enmeas.spectra import decompose_chains
@@ -346,8 +346,12 @@ def _gauss():
     return EnergyDensity.gaussian(0.0, 1.0)
 
 
-def _membership_energy(ebar, delta):
-    return membership_energy(degrade(projective_qubit("x"), 0.5), ebar, delta, 4)
+def _membership_energy(ebar, delta, d=4):
+    return membership_energy(degrade(projective_qubit("x"), 0.5), ebar, delta, d)
+
+
+def _membership_finite(d):
+    return membership_finite(degrade(projective_qubit("x"), 0.5), d)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -369,11 +373,19 @@ def _membership_energy(ebar, delta):
     (lambda: _membership_energy(NAN, 1.0), "ebar and delta must be positive and finite: nan, 1.0"),
     (lambda: _membership_energy(INF, 1.0), "ebar and delta must be positive and finite: inf, 1.0"),
     (lambda: _membership_energy(1.0, NAN), "ebar and delta must be positive and finite: 1.0, nan"),
+    (lambda: _membership_finite(2.5), "d must be a positive integer, got 2.5"),
+    (lambda: _membership_finite(NAN), "d must be a positive integer, got nan"),
+    (lambda: critical_degradation(projective_qubit("x"), 2.5), "d must be a positive integer, got 2.5"),
+    (lambda: _membership_energy(1.0, 1.0, 2.5), "d must be a positive integer, got 2.5"),
+    (lambda: optimize_finite(list(projective_qubit("x").elements), 2.5),
+     "d must be a positive integer, got 2.5"),
 ], ids=["phi", "mu_of_lambda", "energy_of_lambda", "power_state", "first_zero",
         "tau_coherent", "tau_finite_nan", "tau_finite_inf", "tau_finite_fraction",
         "optimal_finite_state", "gaussian", "tau_continuous", "near_resonant_delta",
         "near_resonant_eps", "membership_energy_nan",
-        "membership_energy_inf", "membership_energy_delta"])
+        "membership_energy_inf", "membership_energy_delta", "membership_finite_fraction",
+        "membership_finite_nan", "critical_degradation", "membership_energy_d",
+        "optimize_finite"])
 def test_a_scalar_off_its_domain_is_named(call, message):
     # each check is a comparison that nan fails, so nan and inf stop at the
     # argument check with its name, not deep inside a search or a program
