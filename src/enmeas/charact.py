@@ -168,7 +168,7 @@ def _assemble_sectors(m: Povm | None, sectors, *,
 def _ladder_sectors(d: int, outer: bool = False) -> tuple:
     """The sectors of a qubit target on the d-level ladder battery: target
     levels [0, 1] against battery levels 0..d-1, which are also the
-    chain_sectors of the ladder, the layout of its PhysicalPovm. The outer
+    sectors of the ladder's chains, the layout of its PhysicalPovm. The outer
     relaxation makes the top sector rank two: the tail population d feeds
     both rows, and level d-1 feeds row 1 as well."""
     d = battery_size(d)
@@ -370,8 +370,7 @@ def membership_multilevel(m: Povm, target_levels, battery_levels) -> MembershipV
     carries one PSD block per outcome with completeness diag of the battery
     occupations it touches.
     """
-    return _decide(_assemble_sectors(
-        m, joint_sectors(tuple(target_levels), tuple(battery_levels))))
+    return _decide(_assemble_sectors(m, joint_sectors(target_levels, battery_levels)))
 
 
 # ---------------------------------------------------------------------------

@@ -274,13 +274,11 @@ def _cmd_spectrum_chains(args):
 
 def _cmd_spectrum_joint(args):
     data = _load_json(args.file)
-    et, eb = (np.asarray(data[k], dtype=float) for k in ("target_levels", "battery_levels"))
-    if et.ndim != 1 or eb.ndim != 1:  # joint_sectors' own check, before its cache hashes them
-        raise ValueError("spectra must be non-empty 1-d arrays")
-    et, eb = tuple(et.tolist()), tuple(eb.tolist())
-    pairs = [[(m, n) for m, (n,) in zip(rows, feeds)]
-             for rows, feeds in spectra.joint_sectors(et, eb)]
-    _write_json({"target_levels": list(et), "battery_levels": list(eb), "sectors": [
+    levels = [data[k] for k in ("target_levels", "battery_levels")]
+    sectors = spectra.joint_sectors(*levels)
+    et, eb = (np.asarray(x, dtype=float).tolist() for x in levels)
+    pairs = [[(m, n) for m, (n,) in zip(rows, feeds)] for rows, feeds in sectors]
+    _write_json({"target_levels": et, "battery_levels": eb, "sectors": [
         {"energy": min(et[m] + eb[n] for m, n in ps), "rank": len(ps), "pairs": ps}
         for ps in pairs]}, args.out)
     return 0

@@ -15,7 +15,7 @@ from .linalg import (
     place,
     psd_sqrt,
 )
-from .spectra import ChainDecomposition, chain_sectors, energy_tol
+from .spectra import ChainDecomposition, energy_tol
 from .tau import BatteryState
 
 
@@ -130,15 +130,15 @@ def random_rank_one_povm(rng: np.random.Generator, dim: int, n_outcomes: int) ->
 @dataclass
 class PhysicalPovm:
     """Per-sector POVM blocks of a measurement on target x battery:
-    blocks[x][s] is the block of outcome x on sector s of layout, the
-    (rows, feeds) sectors of spectra.chain_sectors(chains)."""
+    blocks[x][s] is the block of outcome x on sector s of layout,
+    chains.sectors: the joint sectors of the qubit and the battery."""
 
     chains: ChainDecomposition
     blocks: list[list[np.ndarray]]  # blocks[x][s], rank x rank Hermitian
     labels: list | None = None
 
     def __post_init__(self):
-        self.layout = chain_sectors(self.chains)
+        self.layout = self.chains.sectors
         if self.labels is None:
             self.labels = list(range(len(self.blocks)))
         ranks = [len(rows) for rows, _ in self.layout]
@@ -201,7 +201,7 @@ def _sector_blocks(m: Povm, chains: ChainDecomposition, rho: np.ndarray | None) 
     """Each element of ``m`` restricted to every sector's rows; given a
     battery density rho, each rank-two block is phase-aligned to rho."""
     blocks = [[] for _ in m.elements]
-    for rows, feeds in chain_sectors(chains):
+    for rows, feeds in chains.sectors:
         subs = [mx[np.ix_(rows, rows)] for mx in m.elements]
         if rho is not None and len(rows) == 2:
             ov = rho[feeds[0][0], feeds[1][0]]  # <f_0| sigma |f_1>

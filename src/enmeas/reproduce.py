@@ -101,7 +101,7 @@ def random_two_outcome(rng) -> Povm:
 def random_physical_povm(rng, chains, n_out: int) -> PhysicalPovm:
     """Sector-complete random blocks via the normalized Gram construction."""
     blocks = [[] for _ in range(n_out)]
-    for rows, _ in spectra.chain_sectors(chains):
+    for rows, _ in chains.sectors:
         r = len(rows)
         gs = []
         for _ in range(n_out):

@@ -6,16 +6,17 @@ actually present in the spectrum, not merely commensurate gaps.
 
 A joint energy sector is written once, as (rows, feeds) tuples: the target
 level of each of its rows and the battery populations feeding that row.
-joint_sectors is the one builder of the joint eigenspaces of two spectra;
-chain_sectors lists a qubit's sectors chain by chain, keeping the chains'
-links. The characterization programs, the physical sector blocks and the
-CLI read this form.
+joint_sectors is the one builder of the joint eigenspaces of two spectra,
+and the chains follow it: level i links to level j when the qubit sector of
+(0, delta) and the battery holds target row 1 fed by i and row 0 fed by j.
+The characterization programs, the physical sector blocks and the CLI read
+this form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,13 +48,31 @@ class ChainDecomposition:
     delta: float
     levels: np.ndarray
     chains: tuple[Chain, ...]  # sorted by nu
-    grouping_tol: float
-    # almost-chaining level pairs (id_lo, id_hi, |gap - delta|) within 10x tol
-    near_misses: tuple[tuple[int, int, float], ...] = field(default=())
+    grouping_tol: float  # energy_tol(levels, (0, delta))
 
     @property
     def dim(self) -> int:
         return len(self.levels)
+
+    @property
+    def sectors(self) -> tuple:
+        """joint_sectors((0, delta), levels): the qubit's sectors, whose
+        two-row sectors are the chains' links."""
+        return joint_sectors((0.0, self.delta), self.levels)
+
+    @cached_property
+    def near_misses(self) -> tuple[tuple[int, int, float], ...]:
+        """Almost-chaining level pairs (id_lo, id_hi, |gap - delta|) whose
+        gap misses delta by more than grouping_tol and at most 10x it: the
+        levels j - 1, j, j + 1 around each level's target, in that order."""
+        order = np.argsort(self.levels)
+        s, n, tol = self.levels[order], self.levels.size, self.grouping_tol
+        cand = np.searchsorted(s, s + self.delta)[:, None] + np.arange(-1, 2)
+        mismatch = np.abs(s[np.clip(cand, 0, n - 1)] - s[:, None] - self.delta)
+        lo, col = np.nonzero((cand >= 0) & (cand < n) & (cand != np.arange(n)[:, None])
+                             & (tol < mismatch) & (mismatch <= 10.0 * tol))
+        return tuple(zip(order[lo].tolist(), order[cand[lo, col]].tolist(),
+                         mismatch[lo, col].tolist()))
 
     def to_json(self) -> dict:
         return {
@@ -72,8 +91,8 @@ class ChainDecomposition:
 
 
 def _sorted_distinct(levels: np.ndarray, tol: float, name: str):
-    """(order, sorted levels, gaps) of levels whose sorted gaps all exceed
-    tol; else ValueError naming the indices of the closest pair."""
+    """(order, sorted levels) of levels whose sorted gaps all exceed tol;
+    else ValueError naming the indices of the closest pair."""
     order = np.argsort(levels)
     s = levels[order]
     gaps = np.diff(s)
@@ -81,11 +100,43 @@ def _sorted_distinct(levels: np.ndarray, tol: float, name: str):
         k = int(np.argmin(gaps))
         raise ValueError(f"degenerate {name} spectrum: levels {order[k]} and {order[k+1]} "
                          f"differ by {gaps[k]:.3e} <= grouping_tol {tol:.3e}")
-    return order, s, gaps
+    return order, s
 
 
-def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = None) -> ChainDecomposition:
-    """Partition a battery spectrum into maximal chains (nu_j + k*delta).
+def _sector_pairs(et: np.ndarray, eb: np.ndarray, tol: float):
+    """The joint sectors of two spectra as arrays (m, n, bounds): target
+    level m and battery level n of every pair, sector after sector by
+    energy, rows ascending by target level; sector k is pairs bounds[k] to
+    bounds[k + 1]. A sector holds every pair whose sum E_m + mu_n lies
+    within tol of the sector's lowest sum; equal sums go by (m, n)."""
+    size = et.size * eb.size
+    sums = (et[:, None] + eb).ravel()
+    pair = np.argsort(sums, kind="stable")  # pair = m * eb.size + n
+    sums = sums[pair]
+    cuts = np.flatnonzero(np.diff(sums) > tol) + 1
+    bounds = np.concatenate(([0], cuts, [size]))
+    # a run with no step above tol can still span more than tol: split it
+    # anew wherever a sum lies more than tol above the last split's
+    wide = np.flatnonzero(sums[bounds[1:] - 1] - sums[bounds[:-1]] > tol)
+    if wide.size:
+        sums, extra = sums.tolist(), []
+        for a, b in zip(bounds[wide].tolist(), bounds[wide + 1].tolist()):
+            low = sums[a]
+            for k in range(a + 1, b):
+                if sums[k] - low > tol:
+                    extra.append(k)
+                    low = sums[k]
+        cuts = np.sort(np.concatenate((cuts, np.array(extra, dtype=cuts.dtype))))
+    sector = np.zeros(size, dtype=np.int64)
+    sector[cuts] = 1
+    m, n = np.divmod(pair[np.argsort(np.cumsum(sector) * size + pair)], eb.size)
+    return m, n, np.concatenate(([0], cuts, [size]))
+
+
+def decompose_chains(battery_levels, delta: float) -> ChainDecomposition:
+    """Partition a battery spectrum into maximal chains (nu_j + k*delta):
+    level i links to level j when a sector of joint_sectors((0, delta),
+    battery_levels) holds just row 1 fed by i and row 0 fed by j.
 
     Parameters
     ----------
@@ -93,9 +144,6 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         Non-degenerate eigenvalues of the battery Hamiltonian, any order.
     delta : float
         Target level gap, > 0.
-    grouping_tol : float, optional
-        Two gaps are identified when they differ by at most this amount.
-        Defaults to energy_tol(levels, (0, delta)), 1e-9 * max(spread, delta).
 
     Returns
     -------
@@ -109,110 +157,53 @@ def decompose_chains(battery_levels, delta: float, grouping_tol: float | None = 
         raise ValueError("battery_levels must be finite")
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    tol = energy_tol(levels, (0.0, delta)) if grouping_tol is None else float(grouping_tol)
-
-    order, s, gaps = _sorted_distinct(levels, tol, "battery")
+    tol = energy_tol(levels, (0.0, delta))
+    order, s = _sorted_distinct(levels, tol, "battery")
     n = levels.size
-    # the successor candidates of every level: j - 1, then j, each within tol
-    # of its target s + delta, where j = searchsorted(s, s + delta)
-    target = s + delta
-    j = np.searchsorted(s, target)
-    lower = np.where((j > 0) & (np.abs(s[np.maximum(j - 1, 0)] - target) <= tol), j - 1, -1)
-    upper = np.where((j < n) & (np.abs(s[np.minimum(j, n - 1)] - target) <= tol), j, -1)
-    if gaps.min(initial=np.inf) > 2.0 * tol:
-        # no two levels within 2 tol: every level has at most one successor
-        # candidate, above it (or itself when delta <= tol), and no two
-        # levels share one, so the walk below would make no choice. Each
-        # chain is then a run of ascending indices under its lowest level,
-        # its head, found by pointer jumping on the predecessors: after k
-        # jumps every level points 2^k links down or at its head.
-        succ, idx = np.maximum(lower, upper), np.arange(n)
-        linked = (succ >= 0) & (succ != idx)
-        head = idx.copy()
-        head[succ[linked]] = idx[linked]
-        for _ in range(n.bit_length()):
-            head = head[head]
-        perm = np.argsort(head, kind="stable")
-        starts = np.flatnonzero(head[perm] == perm)
-        ids, cuts = order[perm].tolist(), [*starts.tolist(), n]
-        chains = [Chain(nu=nu, level_ids=tuple(ids[a:b]))
-                  for nu, a, b in zip(s[perm[starts]].tolist(), cuts, cuts[1:])]
-    else:
-        lower, upper = lower.tolist(), upper.tolist()
-        rank, nus = order.tolist(), s.tolist()
-        used = [False] * n
-        chains = []
-        # s is ascending, so scanning left to right starts every chain at
-        # its bottom, and the chains come out sorted by nu
-        for start in range(n):
-            if used[start]:
-                continue
-            ids = [start]
-            used[start] = True
-            cur = start
-            while True:
-                nxt = lower[cur]
-                if nxt < 0 or used[nxt]:
-                    nxt = upper[cur]
-                    if nxt < 0 or used[nxt]:
-                        break
-                ids.append(nxt)
-                used[nxt] = True
-                cur = nxt
-            chains.append(Chain(nu=nus[start], level_ids=tuple(rank[i] for i in ids)))
 
-    # near misses: candidates j - 1, j, j + 1 of every level, in that order
-    cand = j[:, None] + np.arange(-1, 2)
-    mismatch = np.abs(s[np.clip(cand, 0, n - 1)] - s[:, None] - delta)
-    lo, col = np.nonzero((cand >= 0) & (cand < n) & (cand != np.arange(n)[:, None])
-                         & (tol < mismatch) & (mismatch <= 10.0 * tol))
-    near = list(zip(order[lo].tolist(), order[cand[lo, col]].tolist(),
-                    mismatch[lo, col].tolist()))
-    return ChainDecomposition(
-        delta=float(delta),
-        levels=levels,
-        chains=tuple(chains),
-        grouping_tol=tol,
-        near_misses=tuple(near),
-    )
+    # the sectors of the sorted levels, the same sets; one holds at most one
+    # pair of each row, so every level has at most one link up and one link
+    # down. A sector of (0, i) and (1, i), when delta <= tol, is no link
+    m, fed, bounds = _sector_pairs(np.array([0.0, delta]), s, tol)
+    two = bounds[:-1][np.diff(bounds) == 2]
+    two = two[m[two] < m[two + 1]]
+    lo, hi = fed[two + 1], fed[two]
+    lo, hi = lo[lo != hi], hi[lo != hi]
+    # each chain is a run of ascending sorted positions under its lowest
+    # level, its head, found by pointer jumping on the predecessors: after
+    # k jumps every level points 2^k links down or at its head
+    head = np.arange(n)
+    head[hi] = lo
+    for _ in range(n.bit_length()):
+        head = head[head]
+    perm = np.argsort(head, kind="stable")
+    heads = np.flatnonzero(head[perm] == perm)
+    ids, cuts = order[perm].tolist(), [*heads.tolist(), n]
+    chains = [Chain(nu=nu, level_ids=tuple(ids[a:b]))
+              for nu, a, b in zip(s[perm[heads]].tolist(), cuts, cuts[1:])]
+    return ChainDecomposition(delta=float(delta), levels=levels, chains=tuple(chains),
+                              grouping_tol=tol)
 
 
-@lru_cache(maxsize=64)
-def joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
+def joint_sectors(target_levels, battery_levels) -> tuple:
     """The joint eigenspaces of H_S x 1 + 1 x H_B as (rows, feeds), by
     energy. A sector holds every pair of target level m and battery level n
     whose sum E_m + mu_n lies within energy_tol(target, battery) of the
     sector's lowest sum, so its row m is fed by population n alone; rows
-    ascend by target level. The spectra must be non-empty, finite and
-    non-degenerate. Cached on the two level tuples."""
+    ascend by target level. The spectra must be non-empty, 1-d, finite and
+    non-degenerate. Cached on the two spectra's values."""
     et = np.asarray(target_levels, dtype=float)
     eb = np.asarray(battery_levels, dtype=float)
     if et.ndim != 1 or eb.ndim != 1 or et.size == 0 or eb.size == 0:
         raise ValueError("spectra must be non-empty 1-d arrays")
+    return _joint_sectors(tuple(et.tolist()), tuple(eb.tolist()))
+
+
+@lru_cache(maxsize=64)
+def _joint_sectors(target_levels: tuple, battery_levels: tuple) -> tuple:
+    et, eb = np.array(target_levels), np.array(battery_levels)
     tol = energy_tol(et, eb)
     _sorted_distinct(et, tol, "target")
     _sorted_distinct(eb, tol, "battery")
-
-    sums = sorted((et[m] + eb[n], m, n) for m in range(et.size) for n in range(eb.size))
-    groups, low = [], None
-    for e, m, n in sums:
-        if low is None or abs(e - low) > tol:
-            groups.append([])
-            low = e
-        groups[-1].append((m, n))
-    return tuple((tuple(m for m, _ in g), tuple((n,) for _, n in g))
-                 for g in map(sorted, groups))
-
-
-def chain_sectors(chains: ChainDecomposition) -> tuple:
-    """The (rows, feeds) sectors of a qubit target on a chained battery,
-    chain by chain: sector k of a chain holds target row 0 fed by the
-    chain's level k and target row 1 fed by its level k - 1, so the chain's
-    two end sectors have one row."""
-    sectors = []
-    for chain in chains.chains:
-        ids = chain.level_ids
-        for k in range(len(ids) + 1):
-            rows = tuple(a for a in (0, 1) if 0 <= k - a < len(ids))
-            sectors.append((rows, tuple((ids[k - a],) for a in rows)))
-    return tuple(sectors)
+    m, n, cuts = (a.tolist() for a in _sector_pairs(et, eb, tol))
+    return tuple((tuple(m[a:b]), tuple((k,) for k in n[a:b])) for a, b in zip(cuts, cuts[1:]))

@@ -581,13 +581,13 @@ def test_second_verdict_of_a_shape_assembles_nothing(monkeypatch):
     monkeypatch.setattr(sdp._Compiled, "__init__",
                         lambda self, *a: calls.append("init") or init_fn(self, *a))
     charact._sector_shape.cache_clear()
-    spectra.joint_sectors.cache_clear()
+    spectra._joint_sectors.cache_clear()
     d = 7
     assert membership_finite(degrade(sigma_x_povm(), 0.5), d).is_member
-    assert spectra.joint_sectors.cache_info().misses == 1 and "add" in calls and "init" in calls
+    assert spectra._joint_sectors.cache_info().misses == 1 and "add" in calls and "init" in calls
     calls.clear()
     assert not membership_finite(degrade(sigma_x_povm(), 0.99), d).is_member
-    assert calls == [] and spectra.joint_sectors.cache_info().misses == 1
+    assert calls == [] and spectra._joint_sectors.cache_info().misses == 1
 
 
 def test_a_program_without_a_target_has_one_shape():

@@ -159,13 +159,23 @@ def test_povm_validate_invalid_exits_1(tmp_path, capsys):
 
 
 def test_spectrum_chains(tmp_path, capsys):
+    # the whole JSON text: the tolerance, the chains by nu and the near misses
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"delta": 1.0, "levels": [0.0, 0.5, 1.0, 1.5, 3.0]}))
-    code, out, _ = run_cli(["spectrum", "chains", "--file", str(path)], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert [c["length"] for c in data["chains"]] == [2, 2, 1]
-    assert all("level_ids" in c for c in data["chains"])
+    tol = 3.0000000000000004e-09  # energy_tol(levels, (0, 1)), 1e-9 times the spread 3
+    for levels, chains, near in (
+            ([0.0, 0.5, 1.0, 1.5, 3.0], [(0.0, [0, 2]), (0.5, [1, 3]), (3.0, [4])], []),
+            ([0.0, 1.0 + 5e-9, 3.0], [(0.0, [0]), (1.0 + 5e-9, [1]), (3.0, [2])],
+             [{"low_id": 0, "high_id": 1, "gap_mismatch": 4.999999969612645e-09}])):
+        path.write_text(json.dumps({"delta": 1.0, "levels": levels}))
+        code, out, _ = run_cli(["spectrum", "chains", "--file", str(path)], capsys)
+        assert code == 0
+        assert out == json.dumps({
+            "delta": 1.0,
+            "levels": levels,
+            "grouping_tol": tol,
+            "chains": [{"nu": nu, "length": len(ids), "level_ids": ids} for nu, ids in chains],
+            "near_misses": near,
+        }, indent=2) + "\n"
 
 
 def test_spectrum_joint(tmp_path, capsys):
@@ -308,6 +318,19 @@ def test_charact_cli(tmp_path, capsys):
         ["charact", "finite", "--povm", str(path), "--d", "3"], capsys)
     assert code == 0
     assert json.loads(out)["verdict"] == "member"
+
+
+def test_charact_multilevel_cli_nested_levels_exit_1(tmp_path, capsys):
+    # a nested level list is an error line, not a traceback
+    povm, target, battery = (tmp_path / f"{k}.json" for k in ("povm", "target", "battery"))
+    povm.write_text(json.dumps(Povm(elements=[np.diag([1.0, 0.0, 0.5]),
+                                              np.diag([0.0, 1.0, 0.5])]).to_json()))
+    target.write_text(json.dumps([[0, 1], [1, 2]]))
+    battery.write_text(json.dumps([0, 1, 2]))
+    code, out, err = run_cli(["charact", "multilevel", "--povm", str(povm), "--target",
+                              str(target), "--battery", str(battery)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "non-empty 1-d" in err
 
 
 def test_charact_cli_non_member_carries_the_farkas_certificate(tmp_path, capsys):

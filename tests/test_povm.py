@@ -19,7 +19,7 @@ from enmeas.povm import (
     random_rank_one_povm,
     validate,
 )
-from enmeas.spectra import chain_sectors, decompose_chains
+from enmeas.spectra import decompose_chains
 from enmeas.tau import BatteryState, tau_of_state
 
 
@@ -330,7 +330,7 @@ def test_physical_povm_checks_its_blocks():
     # one block per sector of the layout, each of its sector's rank
     chains = ladder(3)
     blocks = constant_blocks(projective_qubit("z"), chains).blocks
-    assert [len(rows) for rows, _ in chain_sectors(chains)] == [1, 2, 2, 1]
+    assert [len(rows) for rows, _ in chains.sectors] == [1, 2, 2, 1]
     for bad in ([bl[:-1] for bl in blocks], [bl + [np.eye(1)] for bl in blocks],
                 blocks[:1] + [[]]):
         with pytest.raises(ValueError, match="one block per sector"):
