@@ -18,7 +18,6 @@ from .bell import (
 from .bessel import (
     PhiResult,
     energy_of_lambda,
-    first_zero,
     mu_of_lambda,
     phi,
     power_state,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -138,13 +139,6 @@ def _zero(nu: float) -> tuple[float, float]:
             return x_new, x_new - nu
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     raise BesselRangeError(f"no convergence to the first zero of J_{nu} in [{lo}, {hi}]")
-
-
-def first_zero(nu: float) -> float:
-    """First positive zero j_{nu,1} of J_nu, nu >= 0, to ~1e-12."""
-    if not 0 <= nu < math.inf:
-        raise ValueError(f"nu must be finite and >= 0, got {nu}")
-    return _zero(nu)[0]
 
 
 def _curve_point(mu: float) -> tuple[float, float, float]:
@@ -279,9 +273,12 @@ def phi(z: float) -> PhiResult:
     return _phi(z)[0]
 
 
+@lru_cache(maxsize=1)
 def _phi(z: float) -> tuple[PhiResult, float]:
     """phi(z) and r = j - (mu* - 1); the search keeps each zero it solves,
-    so the minimizer's zero is solved once."""
+    so the minimizer's zero is solved once. The last z's search is kept
+    (one entry; an error is not), so phi(z) and the power state at the
+    same z share one search."""
     if not 0 < z < math.inf:
         raise ValueError(f"z must be positive and finite, got {z}")
     # E(mu) ~ mu for small mu and ~ (2/3) C1 mu^(1/3) - 1 for large mu, so
@@ -313,8 +310,10 @@ def power_state(ebar: float, delta: float) -> BatteryState:
     The amplitudes are the ground vector of the tridiagonal
     T = tridiag(-1, 2 + (k + 1 - r)/lambda*, -1), which is H_lambda*/lambda*
     shifted so that its bottom eigenvalue is 0; r = j - (mu* - 1), from
-    phi's search, carries mu* - 2 lambda* = 1 - r with all its digits. The
-    window runs 20 lambda*^(1/3) + 60 levels past the turning point r - 1, where the
+    phi's search, carries mu* - 2 lambda* = 1 - r with all its digits.
+    _phi keeps the last z's search, so phi(z) and the power state at the
+    same z = ebar/delta share one search. The window runs
+    20 lambda*^(1/3) + 60 levels past the turning point r - 1, where the
     Airy-like tail has long fallen below tolerance, and the state is cut at
     the first level past the turning point whose population is below
     TAIL_TOL of the population up to it. The ground vector is two steps of

@@ -158,17 +158,19 @@ def decompose_chains(battery_levels, delta: float) -> ChainDecomposition:
     if not (delta > 0):
         raise ValueError("delta must be positive")
     tol = energy_tol(levels, (0.0, delta))
+    if not delta > tol:  # the qubit (0, delta) itself is degenerate
+        raise ValueError(f"degenerate target spectrum: levels 0 and 1 differ by {delta:.3e} "
+                         f"<= grouping_tol {tol:.3e}")
     order, s = _sorted_distinct(levels, tol, "battery")
     n = levels.size
 
     # the sectors of the sorted levels, the same sets; one holds at most one
     # pair of each row, so every level has at most one link up and one link
-    # down. A sector of (0, i) and (1, i), when delta <= tol, is no link
+    # down
     m, fed, bounds = _sector_pairs(np.array([0.0, delta]), s, tol)
     two = bounds[:-1][np.diff(bounds) == 2]
     two = two[m[two] < m[two + 1]]
     lo, hi = fed[two + 1], fed[two]
-    lo, hi = lo[lo != hi], hi[lo != hi]
     # each chain is a run of ascending sorted positions under its lowest
     # level, its head, found by pointer jumping on the predecessors: after
     # k jumps every level points 2^k links down or at its head

@@ -9,7 +9,6 @@ from enmeas import bessel
 from enmeas.bessel import (
     BesselRangeError,
     energy_of_lambda,
-    first_zero,
     mu_of_lambda,
     phi,
     power_state,
@@ -45,36 +44,36 @@ def bisect_series_zero(nu, lo, hi, iters=200):
 class TestFirstZero:
     def test_j01_against_series_bisection(self):
         oracle = bisect_series_zero(0.0, 2.0, 3.0)
-        assert first_zero(0.0) == pytest.approx(oracle, abs=1e-10)
-        assert first_zero(0.0) == pytest.approx(2.404825557695773, abs=1e-10)
+        assert bessel._zero(0.0)[0] == pytest.approx(oracle, abs=1e-10)
+        assert bessel._zero(0.0)[0] == pytest.approx(2.404825557695773, abs=1e-10)
 
     def test_integer_orders_against_library_tables(self):
         for n in range(6):
-            assert first_zero(float(n)) == pytest.approx(jn_zeros(n, 1)[0], abs=1e-10)
+            assert bessel._zero(float(n))[0] == pytest.approx(jn_zeros(n, 1)[0], abs=1e-10)
 
     def test_large_order_asymptotic(self):
         nu = 1000.0
-        scaled = (first_zero(nu) - nu) / nu ** (1.0 / 3.0)
+        scaled = (bessel._zero(nu)[0] - nu) / nu ** (1.0 / 3.0)
         assert 1.8 <= scaled <= 1.92
 
     def test_interlacing_in_order(self):
         grid = np.linspace(0.0, 50.0, 26)
-        zeros = [first_zero(float(nu)) for nu in grid]
+        zeros = [bessel._zero(float(nu))[0] for nu in grid]
         assert all(b > a for a, b in zip(zeros, zeros[1:]))
 
     def test_large_order_series_brackets_a_sign_change(self):
         # the series branch never evaluates J, so J itself must change sign
         # across a 1e-12 relative neighbourhood of the returned zero
         for nu in (1e4, 1e6, 1e8):
-            j = first_zero(nu)
+            j = bessel._zero(nu)[0]
             assert jv(nu, j * (1 - 1e-12)) > 0 > jv(nu, j * (1 + 1e-12))
 
     def test_series_continues_the_root_finder(self):
         # the two branches meet at order 1000 to within the root finder's accuracy
         from enmeas.bessel import _SERIES_MIN_ORDER
 
-        below = first_zero(np.nextafter(_SERIES_MIN_ORDER, 0.0))
-        assert first_zero(_SERIES_MIN_ORDER) == pytest.approx(below, abs=1e-11)
+        below = bessel._zero(np.nextafter(_SERIES_MIN_ORDER, 0.0))[0]
+        assert bessel._zero(_SERIES_MIN_ORDER)[0] == pytest.approx(below, abs=1e-11)
 
     def test_every_evaluation_lies_inside_the_bracket(self, monkeypatch):
         # each point where J_nu is evaluated lies strictly between the last
@@ -115,7 +114,7 @@ class TestFirstZero:
 
 class TestMuOfLambda:
     def test_inversion_at_j01(self):
-        lam = first_zero(0.0) / 2.0
+        lam = bessel._zero(0.0)[0] / 2.0
         assert mu_of_lambda(lam) == pytest.approx(1.0, abs=1e-10)
 
     def test_large_lambda_asymptotic(self):
@@ -126,10 +125,10 @@ class TestMuOfLambda:
 
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
-        # mu >= 1 (so the public first_zero applies) needs lambda >= j_{0,1}/2
+        # lambda >= j_{0,1}/2 puts mu >= 1, orders mu - 1 >= 0
         for lam in rng.uniform(1.3, 50.0, size=8):
             mu = mu_of_lambda(float(lam))
-            assert first_zero(mu - 1.0) == pytest.approx(2 * lam, abs=1e-9)
+            assert bessel._zero(mu - 1.0)[0] == pytest.approx(2 * lam, abs=1e-9)
 
     def test_roundtrip_small_lambda(self):
         for lam in (0.05, 0.3, 1.0):
@@ -159,7 +158,7 @@ class TestPhi:
         for z in (0.7, 3.0, 10.0, 1e3, 1e5):
             r = phi(z)
             assert 0.0 < r.phi < 1.0
-            assert first_zero(r.mu_star - 1.0) == pytest.approx(
+            assert bessel._zero(r.mu_star - 1.0)[0] == pytest.approx(
                 2 * r.lambda_star, abs=1e-10)
             assert r.energy_check == pytest.approx(z, abs=1e-6 * max(z, 1.0))
 
@@ -201,6 +200,7 @@ class TestPhi:
         calls = []
         zero = bessel._zero
         monkeypatch.setattr(bessel, "_zero", lambda nu: calls.append(nu) or zero(nu))
+        bessel._phi.cache_clear()  # a memo hit would pass on no zeros at all
         for z in np.geomspace(1e-2, 1e6, 200):
             calls.clear()
             r = phi(float(z))
@@ -248,6 +248,7 @@ class TestPhi:
 
         monkeypatch.setattr(bessel, "jv", counted_jv)
         monkeypatch.setattr(bessel, "_zero", counted_zero)
+        bessel._phi.cache_clear()
         for z in np.geomspace(0.1, 12.0, 40):
             phi(float(z))
         assert counts["jv"] <= 8 * counts["zeros"]
@@ -263,6 +264,63 @@ class TestPhi:
         vec = np.abs(vec)
         tau = float(np.sum(vec[:-1] * vec[1:]))
         assert tau == pytest.approx(r.phi, abs=1e-7)
+
+
+class TestPhiMemo:
+    """_phi keeps the last z's search: phi(z) and power_state(z, delta) at
+    one z share it, and nothing outlives the next z."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        on_curve = bessel._on_curve
+        monkeypatch.setattr(bessel, "_on_curve", lambda *args: calls.append(args) or on_curve(*args))
+        bessel._phi.cache_clear()
+        return calls
+
+    def test_phi_then_power_state_search_once(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        phi(3.7)
+        power_state(3.7, 1.0)
+        power_state(7.4, 2.0)  # z = ebar/delta = 3.7 again
+        assert len(calls) == 1
+        assert bessel._phi.cache_info().maxsize == 1
+
+    def test_phi_curve_passes_share_nothing(self, monkeypatch):
+        # two passes of the 41-point grid of phi(z), power_state(z, 1): one
+        # search per point and pass, none found in an earlier pass's memo
+        calls = self.count_searches(monkeypatch)
+        for _ in range(2):
+            for z in np.geomspace(0.1, 1000.0, 41):
+                phi(float(z))
+                power_state(float(z), 1.0)
+        assert len(calls) == 82
+
+    def test_same_bytes_as_without_the_memo(self):
+        zs = [0.1, 0.1, 2.5, 1e3, 2.5, 1e-9, 1e-9, 40.0]
+
+        def run(clear):
+            out = []
+            for z in zs:
+                for call in (phi, lambda z: power_state(z, 1.0)):
+                    if clear:
+                        bessel._phi.cache_clear()
+                    got = call(z)
+                    out.append(repr(got) if isinstance(got, bessel.PhiResult)
+                               else (got.amplitudes.tobytes(), got.levels.tobytes()))
+            return out
+
+        assert run(clear=False) == run(clear=True)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf])
+    def test_errors_are_not_kept(self, z):
+        bessel._phi.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                phi(z)
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                power_state(z, 1.0)
+        assert bessel._phi.cache_info().currsize == 0
 
 
 class TestPowerState:
@@ -369,7 +427,7 @@ def test_first_zero_matches_arbitrary_precision():
     mp.mp.dps = 30
     for nu in (0.0, 0.5, 1.3, 7.7, 42.0, 301.5):
         ref = float(mp.besseljzero(nu, 1))
-        assert first_zero(nu) == pytest.approx(ref, abs=1e-12)
+        assert bessel._zero(nu)[0] == pytest.approx(ref, abs=1e-12)
     for lam in (2.0, 10.0, 123.0):
         mu = mu_of_lambda(lam)
         assert float(mp.besseljzero(mu - 1.0, 1)) == pytest.approx(2 * lam, abs=1e-10)
@@ -388,8 +446,8 @@ def test_large_order_series_matches_arbitrary_precision():
 
     mp.mp.dps = 30
     for nu in (1000.0, 2500.0):
-        ref = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(first_zero(nu)))
-        assert first_zero(nu) == pytest.approx(float(ref), abs=1e-12)
+        ref = mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(bessel._zero(nu)[0]))
+        assert bessel._zero(nu)[0] == pytest.approx(float(ref), abs=1e-12)
 
 
 def test_small_order_curve_point_matches_arbitrary_precision():

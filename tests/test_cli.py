@@ -178,6 +178,17 @@ def test_spectrum_chains(tmp_path, capsys):
         }, indent=2) + "\n"
 
 
+def test_spectrum_chains_gap_within_tolerance_exits_1(tmp_path, capsys):
+    # delta = 1 against a spread of 2e10: the tolerance is 20, so the qubit
+    # (0, delta) is degenerate, for the chains as for the joint sectors
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"delta": 1.0, "levels": [0.0, 1e10, 2e10]}))
+    code, out, err = run_cli(["spectrum", "chains", "--file", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: degenerate target spectrum: levels 0 and 1 ")
+
+
 def test_spectrum_joint(tmp_path, capsys):
     # the whole JSON text: each sector's energy is its lowest sum, its pairs
     # (target, battery) levels by ascending target level

@@ -247,6 +247,17 @@ def test_degenerate_levels_rejected():
         decompose_chains([0.0, 0.0, 1.0], 1.0)
 
 
+def test_gap_within_the_tolerance_is_a_degenerate_target():
+    # energy_tol(levels, (0, 1)) = 20 here: decompose_chains raises the
+    # joint sectors' own error, so no chains exist that PhysicalPovm rejects
+    levels = [0.0, 1e10, 2e10]
+    message = "degenerate target spectrum: levels 0 and 1 differ by 1.000e+00 <= grouping_tol 2.000e+01"
+    for call in (lambda: decompose_chains(levels, 1.0), lambda: joint_sectors((0.0, 1.0), levels)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_joint_degenerate_target_names_both_levels():
     with pytest.raises(ValueError, match="degenerate target spectrum: levels 0 and 1 "):
         joint_sectors((0.0, 1e-12), (0.0, 1.0))

@@ -360,7 +360,6 @@ def _membership_finite(d):
     (lambda: bessel.mu_of_lambda(NAN), "lambda must be positive and finite, got nan"),
     (lambda: bessel.energy_of_lambda(NAN), "lambda must be positive and finite, got nan"),
     (lambda: bessel.power_state(NAN, 1.0), "ebar and delta must be positive and finite: nan, 1.0"),
-    (lambda: bessel.first_zero(INF), "nu must be finite and >= 0, got inf"),
     (lambda: tau_coherent(NAN), r"alpha_sq must lie in \[0, 1e10\], got nan"),
     (lambda: tau_finite(NAN), "d must be a positive integer, got nan"),
     (lambda: tau_finite(INF), "d must be a positive integer, got inf"),
@@ -379,8 +378,8 @@ def _membership_finite(d):
     (lambda: _membership_energy(1.0, 1.0, 2.5), "d must be a positive integer, got 2.5"),
     (lambda: optimize_finite(list(projective_qubit("x").elements), 2.5),
      "d must be a positive integer, got 2.5"),
-], ids=["phi", "mu_of_lambda", "energy_of_lambda", "power_state", "first_zero",
-        "tau_coherent", "tau_finite_nan", "tau_finite_inf", "tau_finite_fraction",
+], ids=["phi", "mu_of_lambda", "energy_of_lambda", "power_state", "tau_coherent",
+        "tau_finite_nan", "tau_finite_inf", "tau_finite_fraction",
         "optimal_finite_state", "gaussian", "tau_continuous", "near_resonant_delta",
         "near_resonant_eps", "membership_energy_nan",
         "membership_energy_inf", "membership_energy_delta", "membership_finite_fraction",
