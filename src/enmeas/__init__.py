@@ -40,17 +40,14 @@ from .distances import (
     seesaw_lower_bound,
     set_distance_epsilon,
 )
-from .linalg import Spectrum, eig_hermitian, is_psd, operator_norm, trace_norm
+from .linalg import Spectrum, eig_hermitian, operator_norm
 from .povm import (
-    KrausSet,
     PhysicalPovm,
     Povm,
     batteryless_decomposition,
-    check_energy_conserving,
     constant_blocks,
     degrade,
     effective_povm,
-    measurement_channel,
     phase_aligned_blocks,
     validate,
 )

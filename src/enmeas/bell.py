@@ -172,6 +172,8 @@ def optimize_chsh_seesaw(rho: np.ndarray, dims: tuple[int, int], restarts: int =
     while len(starts) < restarts:
         starts.append(([random_dichotomic(da), random_dichotomic(da)],
                        [random_dichotomic(db), random_dichotomic(db)]))
+    if not starts:
+        raise ValueError(f"restarts must be >= 1 when no seeds_ab are given, got {restarts}")
     for alice, bob in starts:
         alice = [np.asarray(a, dtype=complex) for a in alice]
         bob = [np.asarray(b, dtype=complex) for b in bob]

@@ -302,7 +302,7 @@ def optimize_finite(v: list[np.ndarray], d: int):
     prog = _assemble_sectors(None, _ladder_sectors(d), objective=v)
     sol = sdp.solve(prog.problem)
     sol.bracket()
-    return sol.objective, Povm(elements=_reconstruct(prog, sol), tol=1e-6), sol
+    return sol.objective, Povm(elements=_reconstruct(prog, sol)), sol
 
 
 def _energy_budget(ebar: float, delta: float, d: int) -> float:
@@ -350,7 +350,7 @@ def optimize_energy(v: list[np.ndarray], ebar: float, delta: float, d: int):
     lower = sol_i.lower
     if not np.isfinite(upper - lower):
         raise sdp.SdpError(f"energy bounds failed their checks: ({lower}, {upper})")
-    povm = Povm(elements=_reconstruct(inner, sol_i), tol=1e-6)
+    povm = Povm(elements=_reconstruct(inner, sol_i))
     return upper, lower, povm, upper - lower
 
 

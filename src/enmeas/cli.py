@@ -22,8 +22,9 @@ from .tau import BatteryState, EnergyDensity
 
 
 def _write_json(payload, out):
-    """Write payload as indented JSON to the file out, or to stdout."""
-    text = json.dumps(payload, indent=2, default=_json_default)
+    """Write payload as indented JSON to the file out, or to stdout; a nan
+    or inf is not JSON and raises."""
+    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -222,6 +222,8 @@ def seesaw_lower_bound(m0: Povm, m1: Povm, restarts: int = 10, seed: int = 0) ->
     the optimal guess observables (operator sign step) of
     (1/2) sum_x tr{rho (M0_x - M1_x) (x) S^x}.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     diffs = _matched_differences(m0, m1)
     d = m0.dim
     n = len(diffs)

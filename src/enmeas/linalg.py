@@ -61,31 +61,10 @@ def operator_sign(m) -> np.ndarray:
     return (u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T
 
 
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """True iff the smallest eigenvalue of the Hermitian matrix is >= -tol."""
-    return float(np.linalg.eigvalsh(as_hermitian(m))[0]) >= -tol
-
-
 def operator_norm(m) -> float:
     """Largest |eigenvalue| of a Hermitian matrix."""
     w = np.linalg.eigvalsh(as_hermitian(m))
     return float(np.max(np.abs(w)))
-
-
-def trace_norm(m) -> float:
-    """Sum of |eigenvalues| of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(as_hermitian(m))
-    return float(np.sum(np.abs(w)))
-
-
-def psd_sqrt(m, tol: float = 1e-9) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (negatives clipped at -tol)."""
-    s = eig_hermitian(m)
-    w = s.eigenvalues
-    if w[0] < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    v = s.eigenvectors
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def place(dim: int, pieces) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""POVM algebra: validation, physical/effective maps, degradation, Kraus checks."""
+"""POVM algebra: validation, physical/effective maps, degradation, battery-less decompositions."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .linalg import (
     matrix_to_json,
     operator_norm,
     place,
-    psd_sqrt,
 )
 from .spectra import ChainDecomposition, energy_tol
 from .tau import BatteryState
@@ -21,13 +20,11 @@ from .tau import BatteryState
 
 @dataclass
 class Povm:
-    """A finite POVM: PSD elements summing to the identity. tol sets the
-    tolerance of validate and of measurement_channel's psd_sqrt, not of the
-    Hermiticity test, which is linalg.as_hermitian's one rule."""
+    """A finite POVM: PSD elements summing to the identity. The elements
+    pass linalg.as_hermitian's one rule; validate checks the rest."""
 
     elements: list[np.ndarray]
     labels: list | None = None
-    tol: float = 1e-9
 
     def __post_init__(self):
         if not self.elements:
@@ -75,9 +72,11 @@ class PovmDiagnostics:
     messages: tuple[str, ...]
 
 
-def validate(p: Povm, tol: float | None = None) -> PovmDiagnostics:
-    """List violated POVM invariants with their magnitudes."""
-    tol = p.tol if tol is None else tol
+def validate(p: Povm, tol: float = 1e-9) -> PovmDiagnostics:
+    """List violated POVM invariants with their magnitudes; tol bounds each
+    element's negative eigenvalues and the completeness residual."""
+    if not 0.0 <= tol < np.inf:  # nan fails too
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     msgs = []
     mins = {}
     for label, m in zip(p.labels, p.elements):
@@ -262,7 +261,7 @@ def degrade(m: Povm, tau: float, phase: float = 0.0) -> Povm:
         out[0, 1] *= tau
         out[1, 0] *= tau
         elems.append(u.conj().T @ out @ u)
-    return Povm(elements=elems, labels=list(m.labels), tol=m.tol)
+    return Povm(elements=elems, labels=list(m.labels))
 
 
 def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
@@ -294,62 +293,4 @@ def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
     if np.max(np.abs(cols - 1.0)) > 1e-8:
         raise ValueError("per-level outcome distributions do not sum to 1")
     return table / cols
-
-
-@dataclass
-class KrausSet:
-    """Kraus operators of a channel; must satisfy sum A_i' A_i = I."""
-
-    operators: list[np.ndarray]
-
-    def __post_init__(self):
-        self.operators = [np.asarray(a, dtype=complex) for a in self.operators]
-        dims = {a.shape for a in self.operators}
-        if len(dims) != 1 or self.operators[0].shape[0] != self.operators[0].shape[1]:
-            raise ValueError("Kraus operators must be square matrices of equal size")
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def completeness_residual(self) -> float:
-        total = sum(a.conj().T @ a for a in self.operators)
-        return operator_norm(total - np.eye(self.dim))
-
-    def apply(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return sum(a @ rho @ a.conj().T for a in self.operators)
-
-
-def check_energy_conserving(kraus: KrausSet, h_levels):
-    """Check [A_i, H] = 0 for all i and Kraus completeness, H = diag(levels).
-
-    Returns (ok, diagnostics) where diagnostics records each commutator norm
-    and the completeness residual; a commutator within energy_tol of the
-    levels, which must be finite, counts as zero.
-    """
-    levels = np.asarray(h_levels, dtype=float)
-    if levels.size != kraus.dim:
-        raise ValueError("h_levels length must match Kraus dimension")
-    tol = energy_tol(levels)
-    h = np.diag(levels)
-    comms = [commutator_norm(a, h) for a in kraus.operators]
-    resid = kraus.completeness_residual()
-    ok = max(comms, default=0.0) <= tol and resid <= 1e-9
-    return ok, {"commutator_norms": comms, "completeness_residual": resid}
-
-
-def measurement_channel(m: Povm) -> KrausSet:
-    """Kraus dilation A_x = sqrt(M_x) (x) V^x with a cyclic pointer shift V.
-
-    The pointer starts in |0>; reading it out in the computational basis
-    reproduces p(x) = tr(rho M_x). When the POVM commutes with the system
-    energy the channel conserves energy against H (x) I_pointer.
-    """
-    n = m.n_outcomes
-    v = np.roll(np.eye(n), 1, axis=0)  # V|k> = |k+1 mod n>
-    ops = []
-    for x, mx in enumerate(m.elements):
-        ops.append(np.kron(psd_sqrt(mx, tol=m.tol), np.linalg.matrix_power(v, x)))
-    return KrausSet(operators=ops)
 

@@ -83,9 +83,9 @@ def sphere_povm_pair(n: int = 64):
         ph = math.atan2(r[1], r[0])
         v = np.array([ct, st * np.exp(1j * ph)], dtype=complex)
         elems.append((2.0 / n) * np.outer(v, v.conj()))
-    m0 = Povm(elements=elems, labels=[f"d{i}" for i in range(n)], tol=1e-9)
+    m0 = Povm(elements=elems, labels=[f"d{i}" for i in range(n)])
     m1 = Povm(elements=[np.eye(2, dtype=complex) / n] * n,
-              labels=[f"d{i}" for i in range(n)], tol=1e-9)
+              labels=[f"d{i}" for i in range(n)])
     return m0, m1
 
 

@@ -150,6 +150,16 @@ class TestSeesaw:
             vals.append(v)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_no_start_rejected(self, restarts):
+        # given seeds_ab, restarts < 1 adds no random start but runs the seeds
+        sc = reference_scenario()
+        with pytest.raises(ValueError, match="restarts"):
+            optimize_chsh_seesaw(sc.state, (4, 4), restarts=restarts)
+        val, _ = optimize_chsh_seesaw(sc.state, (4, 4), restarts=restarts,
+                                      seeds_ab=[(sc.alice, sc.bob)])
+        assert val >= 1 + 0.75 * math.sqrt(2) - 1e-9
+
 
 def test_shared_pure_state_normalized():
     psi = shared_pure_state()

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enmeas import reproduce
+from enmeas import cli, reproduce
 from enmeas.cli import build_parser, main
 from enmeas.distances import quantum_distance
 from enmeas.linalg import matrix_to_json
-from enmeas.povm import Povm, projective_qubit, random_rank_one_povm
+from enmeas.povm import Povm, projective_qubit, random_rank_one_povm, validate
 from enmeas.tau import optimal_finite_state
 
 
@@ -156,6 +156,27 @@ def test_povm_validate_invalid_exits_1(tmp_path, capsys):
     code, out, _ = run_cli(["povm", "validate", "--file", str(path)], capsys)
     assert code == 1
     assert not json.loads(out)["ok"]
+
+
+def test_povm_decompose(tmp_path, capsys):
+    # the z projectors are the energy projectors: each level reads its own
+    # outcome; the x projectors need a battery, and the error names why
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps([0.0, 1.0]))
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(projective_qubit("z").to_json()))
+    code, out, _ = run_cli(["povm", "decompose", "--file", str(path),
+                            "--levels", str(levels)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"levels": [0.0, 1.0],
+                               "distributions": {"+": [1.0, 0.0], "-": [0.0, 1.0]}}
+    path.write_text(json.dumps(projective_qubit("x").to_json()))
+    code, out, err = run_cli(["povm", "decompose", "--file", str(path),
+                              "--levels", str(levels)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: element + does not commute")
+    assert "||[M_x, H]|| = 5.000e-01" in err
 
 
 def test_spectrum_chains(tmp_path, capsys):
@@ -394,6 +415,65 @@ def test_bell_seesaw_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]  # fixed seed, bit-identical output
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_bell_seesaw_without_a_start_exits_1(tmp_path, capsys, restarts):
+    # with no start there is no value: an error, not a -Infinity that is not JSON
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"rho": matrix_to_json(np.eye(4) / 4), "dims": [2, 2]}))
+    code, out, err = run_cli(["bell", "seesaw", "--state", str(path),
+                              "--restarts", restarts], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: restarts must be >= 1")
+
+
+def test_json_output_refuses_nan_and_inf():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="JSON"):
+            cli._write_json({"value": bad}, None)
+
+
+def test_tau_resonance(capsys):
+    # the default clock is a Gaussian of variance 4e-4 at 50, far from the
+    # gap 1, so tau = |c0 c1| exp(-eps^2 / (8 var)): the overlap of the
+    # clock with its copy shifted by eps
+    def closed_form(eps):
+        return 0.5 * math.exp(-eps ** 2 / (8 * 4e-4))
+
+    code, out, _ = run_cli(["tau", "resonance", "--eps", "1e-3"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["eps"] == 1e-3
+    assert data["tau"] == pytest.approx(closed_form(1e-3), abs=1e-12)
+    assert data["epsilon"] == pytest.approx((1 - data["tau"]) / 2, abs=1e-15)
+    code, out, _ = run_cli(["tau", "resonance", "--sweep-min", "0", "--sweep-max", "0.01",
+                            "--sweep-steps", "3"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["parameter"] for r in rows] == [0.0, 0.005, 0.01]
+    for r in rows:
+        assert r["tau"] == pytest.approx(closed_form(r["parameter"]), abs=1e-12)
+
+
+def test_charact_universal(tmp_path, capsys):
+    # the optimal d = 3 state is not universal: a reachable POVM that its
+    # populations cannot produce turns up at the first trial
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(optimal_finite_state(3).to_json()))
+    code, out, _ = run_cli(["charact", "universal", "--state", str(state), "--d", "3",
+                            "--trials", "4"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["trial"] == 0
+    assert data["fixed_margin"] > 10 * 1e-7
+    assert validate(Povm.from_json(data["counterexample"]), tol=1e-6).ok
+    code, out, err = run_cli(["charact", "universal", "--state", str(state), "--d", "2",
+                              "--trials", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: state must live on d ladder levels\n"
 
 
 def test_charact_dump_sdp(tmp_path, capsys):

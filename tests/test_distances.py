@@ -280,6 +280,12 @@ class TestSeesaw:
         guesses = seesaw_lower_bound(m, m, restarts=2).witness["guess_observables"]
         assert guesses and all(np.allclose(s @ s, np.eye(2), atol=1e-12) for s in guesses)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_no_start_rejected(self, restarts):
+        m = projective_qubit("x")
+        with pytest.raises(ValueError, match="restarts"):
+            seesaw_lower_bound(m, m, restarts=restarts)
+
 
 class TestProperties:
     def test_triangle_inequalities(self):

@@ -9,12 +9,9 @@ from enmeas.linalg import (
     as_hermitian,
     eig_hermitian,
     hermitian_from_json,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    psd_sqrt,
-    trace_norm,
 )
 from enmeas.povm import Povm
 
@@ -81,24 +78,15 @@ def test_coupling_spectrum_closed_form():
         assert np.max(np.abs(w - expect)) < 1e-10
 
 
-def test_is_psd():
-    assert is_psd(np.eye(2), 1e-9)
-    assert not is_psd(np.diag([1.0, -0.1]), 1e-9)
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert is_psd(np.outer(v, v.conj()), 1e-9)
-
-
 def test_norms_sigma_z():
     sz = np.diag([1.0, -1.0])
     assert operator_norm(sz) == pytest.approx(1.0)
-    assert trace_norm(sz) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("norm", [operator_norm, trace_norm])
+@pytest.mark.parametrize("norm", [operator_norm])
 def test_norms_reject_a_non_hermitian_matrix(norm):
-    # the Hermitian part of [[0, 1], [0, 0]] has norms 0.5 and 1, the matrix
-    # itself operator norm 1: no answer is right, so none is given
+    # the Hermitian part of [[0, 1], [0, 0]] has operator norm 0.5, the
+    # matrix itself 1: no answer is right, so none is given
     with pytest.raises(HermiticityError) as exc:
         norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert exc.value.index == (0, 1)
@@ -110,27 +98,10 @@ def test_norm_projector_difference():
     assert operator_norm(z0 - plus) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
-def test_trace_norm_positive_part_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        t = random_hermitian(rng, 5)
-        w = np.linalg.eigvalsh(t)
-        tr_plus = np.sum(w[w > 0])
-        assert trace_norm(t) == pytest.approx(2 * tr_plus - np.trace(t).real, abs=1e-10)
-
-
 def test_symmetrize_on_ingestion():
     m = np.array([[1.0, 0.1 + 1e-13j], [0.1 - 0.5e-13j, 2.0]])
     out = as_hermitian(m)
     assert np.allclose(out, out.conj().T)
-
-
-def test_psd_sqrt():
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    p = g @ g.conj().T
-    r = psd_sqrt(p)
-    assert np.allclose(r @ r, p, atol=1e-10)
 
 
 def test_json_roundtrip():
