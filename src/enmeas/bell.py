@@ -154,6 +154,8 @@ def optimize_chsh_seesaw(rho: np.ndarray, dims: tuple[int, int], restarts: int =
     rho = as_hermitian(rho)
     if rho.shape[0] != da * db:
         raise ValueError("state dimension does not match the factorization")
+    if not iters >= 1:  # nan fails too
+        raise ValueError(f"iters must be >= 1, got {iters}")
     rng = np.random.default_rng(seed)
     r4 = rho.reshape(da, db, da, db)
 

@@ -132,9 +132,9 @@ def _assemble_sectors(m: Povm | None, sectors, *,
         _check_target(m, sectors)
     if q_fixed is not None:
         q_fixed = np.asarray(q_fixed, dtype=float)
-        if q_fixed.size != _population_count(sectors) or np.any(q_fixed < 0):
+        if q_fixed.size != _population_count(sectors) or not np.all(q_fixed >= 0):  # nan fails
             raise ValueError("fixed populations must be nonnegative, one per battery population")
-        if abs(q_fixed.sum() - 1.0) > 1e-9:
+        if not abs(q_fixed.sum() - 1.0) <= 1e-9:
             raise ValueError("fixed populations must sum to 1")
     if objective is not None:
         objective = [np.asarray(vx, dtype=complex) for vx in objective]
@@ -388,6 +388,8 @@ def universal_state_check(sigma: BatteryState, d: int, trials: int = 60, seed: i
     """
     if sigma.dim != d:
         raise ValueError("state must live on d ladder levels")
+    if not trials >= 1:  # nan fails too
+        raise ValueError(f"trials must be >= 1, got {trials}")
     q = sigma.populations()
     rng = np.random.default_rng(seed)
     for trial in range(trials):

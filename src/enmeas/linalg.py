@@ -76,14 +76,6 @@ def place(dim: int, pieces) -> np.ndarray:
     return out
 
 
-def commutator_norm(a, b) -> float:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = a @ b - b @ a
-    # [A, B] need not be Hermitian; use the largest singular value
-    return float(np.linalg.norm(c, 2))
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: complex matrices as row-major arrays of [re, im] pairs.
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import numpy as np
 
 from .linalg import (
     as_hermitian,
-    commutator_norm,
     hermitian_from_json,
     matrix_to_json,
     operator_norm,
@@ -115,11 +114,15 @@ def random_rank_one_povm(rng: np.random.Generator, dim: int, n_outcomes: int) ->
     if n_outcomes < dim:
         raise ValueError("need at least dim outcomes for a rank-one POVM")
     vs = rng.standard_normal((n_outcomes, dim)) + 1j * rng.standard_normal((n_outcomes, dim))
-    g = sum(np.outer(v, v.conj()) for v in vs)
-    w, u = np.linalg.eigh(g)
-    ginv_half = (u / np.sqrt(w)) @ u.conj().T
-    elems = [ginv_half @ np.outer(v, v.conj()) @ ginv_half for v in vs]
-    return Povm(elements=elems)
+    return Povm(elements=_normalized([np.outer(v, v.conj()) for v in vs]))
+
+
+def _normalized(ops: list[np.ndarray]) -> list[np.ndarray]:
+    """T ops_x T with T = (sum_x ops_x)^(-1/2): positive definite ops made
+    to sum to the identity."""
+    w, u = np.linalg.eigh(sum(ops))
+    t = (u / np.sqrt(w)) @ u.conj().T
+    return [t @ op @ t for op in ops]
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +131,11 @@ def random_rank_one_povm(rng: np.random.Generator, dim: int, n_outcomes: int) ->
 
 @dataclass
 class PhysicalPovm:
-    """Per-sector POVM blocks of a measurement on target x battery:
-    blocks[x][s] is the block of outcome x on sector s of layout,
-    chains.sectors: the joint sectors of the qubit and the battery."""
+    """Per-sector POVM blocks of an energy-conserving measurement on target
+    x battery: blocks[x][s] is the block of outcome x on sector s of layout,
+    chains.sectors: the joint sectors of the qubit and the battery. The
+    apparatus is complete, so each sector's blocks sum to its identity;
+    effective_povm checks that where the apparatus is used."""
 
     chains: ChainDecomposition
     blocks: list[list[np.ndarray]]  # blocks[x][s], rank x rank Hermitian
@@ -149,37 +154,9 @@ class PhysicalPovm:
                 if m.shape != (r, r):
                     raise ValueError(f"sector {s} expects rank {r}, got {m.shape}")
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.blocks)
-
-    def completeness_deficits(self) -> list[np.ndarray]:
-        """Per sector: I - sum_x block (PSD when sub-normalized)."""
-        return [np.eye(len(rows)) - sum(bl[s] for bl in self.blocks)
-                for s, (rows, _) in enumerate(self.layout)]
-
-    def completed(self) -> "PhysicalPovm":
-        """Route any sub-normalization deficit to an extra null outcome."""
-        deficits = self.completeness_deficits()
-        worst = max(operator_norm(d) for d in deficits)
-        if worst <= 1e-9:
-            return self
-        lows = min(float(np.linalg.eigvalsh(d)[0]) for d in deficits)
-        if lows < -1e-9:
-            raise ValueError(
-                f"sector blocks exceed completeness: min deficit eigenvalue {lows:.3e}"
-            )
-        return PhysicalPovm(
-            chains=self.chains,
-            blocks=self.blocks + [deficits],
-            labels=list(self.labels) + ["null"],
-        )
-
 
 def constant_blocks(m: Povm, chains: ChainDecomposition) -> PhysicalPovm:
     """Copy one qubit POVM into every sector (restricted at the chain ends)."""
-    if m.dim != 2:
-        raise ValueError("constant_blocks requires a qubit POVM")
     return _sector_blocks(m, chains, None)
 
 
@@ -191,14 +168,14 @@ def phase_aligned_blocks(m: Povm, battery: BatteryState, chains: ChainDecomposit
     phase when the coherence vanishes), which makes the induced effective
     POVM exactly the tau-degraded copy of ``m``.
     """
-    if m.dim != 2:
-        raise ValueError("phase_aligned_blocks requires a qubit POVM")
     return _sector_blocks(m, chains, battery.density())
 
 
 def _sector_blocks(m: Povm, chains: ChainDecomposition, rho: np.ndarray | None) -> PhysicalPovm:
     """Each element of ``m`` restricted to every sector's rows; given a
     battery density rho, each rank-two block is phase-aligned to rho."""
+    if m.dim != 2:
+        raise ValueError(f"sector blocks require a qubit POVM, got dimension {m.dim}")
     blocks = [[] for _ in m.elements]
     for rows, feeds in chains.sectors:
         subs = [mx[np.ix_(rows, rows)] for mx in m.elements]
@@ -216,12 +193,16 @@ def effective_povm(phys: PhysicalPovm, battery: BatteryState) -> Povm:
     """Effective qubit POVM induced by battery-averaged sector blocks.
 
     (M~_x)_{ab} = sum_s <f_b| sigma_B |f_a> (M^s_x)_{ab}, f_a the battery
-    level feeding row a of sector s; blocks may be sub-normalized, in which
-    case the deficit becomes a null outcome.
+    level feeding row a of sector s. Every sector's blocks must sum to its
+    identity within 1e-9 in operator norm, validate's completeness bound;
+    a sector that misses it, above or below, is a ValueError naming it.
     """
     if battery.dim != phys.chains.dim:
         raise ValueError("battery state and chain decomposition dimensions differ")
-    phys = phys.completed()
+    for s, (rows, _) in enumerate(phys.layout):
+        miss = operator_norm(np.eye(len(rows)) - sum(bl[s] for bl in phys.blocks))
+        if not miss <= 1e-9:  # nan fails too
+            raise ValueError(f"sector {s}: the blocks miss the identity by {miss:.3e}")
     rho = battery.density()
     sectors = [(rows, [n for (n,) in feeds]) for rows, feeds in phys.layout]
     # rho[f, f]^T * M^s_x entrywise; einsum rounds each product as numpy's
@@ -268,8 +249,9 @@ def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
     """Outcome distributions p_x^(m) of a measurement needing no battery.
 
     Requires every element to commute with the (non-degenerate) energy
-    operator: ||[M_x, H]|| within energy_tol of the levels, which must be
-    finite, counts as zero. The returned table has rows indexed by outcome
+    operator: the operator norm ||[M_x, H]||, that of the Hermitian
+    i[M_x, H], within energy_tol of the levels, which must be finite,
+    counts as zero. The returned table has rows indexed by outcome
     and columns by energy level, each column summing to one.
     """
     levels = np.asarray(target_levels, dtype=float)
@@ -278,7 +260,7 @@ def batteryless_decomposition(m: Povm, target_levels) -> np.ndarray:
     tol = energy_tol(levels)
     h = np.diag(levels)
     for label, mx in zip(m.labels, m.elements):
-        cn = commutator_norm(mx, h)
+        cn = operator_norm(1j * (mx @ h - h @ mx))
         if cn > tol:
             raise ValueError(
                 f"element {label} does not commute with the energy operator: "

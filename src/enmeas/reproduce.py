@@ -26,6 +26,7 @@ from .linalg import eig_hermitian, operator_norm
 from .povm import (
     Povm,
     PhysicalPovm,
+    _normalized,
     degrade,
     effective_povm,
     joint_operators,
@@ -103,15 +104,9 @@ def random_physical_povm(rng, chains, n_out: int) -> PhysicalPovm:
     blocks = [[] for _ in range(n_out)]
     for rows, _ in chains.sectors:
         r = len(rows)
-        gs = []
-        for _ in range(n_out):
-            g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            gs.append(g @ g.conj().T + 1e-3 * np.eye(r))
-        total = sum(gs)
-        w, u = np.linalg.eigh(total)
-        tmh = (u / np.sqrt(w)) @ u.conj().T
-        for bl, g in zip(blocks, gs):
-            bl.append(tmh @ g @ tmh)
+        gs = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(n_out)]
+        for bl, m in zip(blocks, _normalized([g @ g.conj().T + 1e-3 * np.eye(r) for g in gs])):
+            bl.append(m)
     return PhysicalPovm(chains=chains, blocks=blocks)
 
 
@@ -316,7 +311,7 @@ def check_effective_povm_oracle():
         joint = joint_operators(phys)
         sig = batt.density()
         for rho in basis:
-            lhs = eff.probabilities(rho)[: len(joint)]
+            lhs = eff.probabilities(rho)
             big = np.kron(rho, sig)
             rhs = np.array([float(np.trace(big @ op).real) for op in joint])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))

@@ -37,7 +37,7 @@ class BatteryState:
         if self.amplitudes is not None:
             a = np.asarray(self.amplitudes, dtype=complex).ravel()
             nrm = float(np.sum(np.abs(a) ** 2))
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:  # nan fails too
                 raise ValueError(f"pure state norm^2 = {nrm:.12f} differs from 1 beyond tol")
             self.amplitudes = a
         else:
@@ -53,6 +53,8 @@ class BatteryState:
             self.levels = np.asarray(self.levels, dtype=float)
             if self.levels.size != self.dim:
                 raise ValueError("levels length must match state dimension")
+            if not np.isfinite(self.levels).all():
+                raise ValueError("levels must be finite")
 
     @property
     def kind(self) -> str:
@@ -283,7 +285,7 @@ def tau_near_resonant(
     The result interpolates continuously to |c0 c1| as eps -> 0.
     """
     p0, p1 = abs(c0) ** 2, abs(c1) ** 2
-    if abs(p0 + p1 - 1.0) > 1e-10:
+    if not abs(p0 + p1 - 1.0) <= 1e-10:  # nan fails too
         raise ValueError("|c0|^2 + |c1|^2 must equal 1")
     if not (0 < delta < math.inf and abs(eps_detuning) < math.inf):
         raise ValueError(f"need positive finite delta {delta} and finite eps {eps_detuning}")

@@ -160,6 +160,14 @@ class TestSeesaw:
                                       seeds_ab=[(sc.alice, sc.bob)])
         assert val >= 1 + 0.75 * math.sqrt(2) - 1e-9
 
+    @pytest.mark.parametrize("iters", [0, -2, math.nan])
+    def test_no_iteration_rejected(self, iters):
+        # with no iteration no start has a value: an error, not (-inf, None)
+        sc = reference_scenario()
+        with pytest.raises(ValueError, match=f"iters must be >= 1, got {iters}"):
+            optimize_chsh_seesaw(sc.state, (4, 4), restarts=2, iters=iters,
+                                 seeds_ab=[(sc.alice, sc.bob)])
+
 
 def test_shared_pure_state_normalized():
     psi = shared_pure_state()

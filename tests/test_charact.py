@@ -410,6 +410,12 @@ class TestUniversalStateCheck:
         st = optimal_finite_state(1)
         assert universal_state_check(st, 1, trials=8, seed=0) is None
 
+    @pytest.mark.parametrize("trials", [0, -3, math.nan])
+    def test_no_trial_rejected(self, trials):
+        # with no trial there is no search: an error, not "none found"
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            universal_state_check(optimal_finite_state(3), 3, trials=trials)
+
 
 def test_verdicts_always_carry_verifying_certificates():
     # stress: whatever the verdict, its certificate must verify independently
@@ -596,6 +602,17 @@ def test_a_program_without_a_target_has_one_shape():
     for slack in (True, False):
         charact._assemble_sectors(None, charact._ladder_sectors(3), objective=v, slack=slack)
     assert charact._sector_shape.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("q, message", [
+    ([math.nan, 0.5, 0.5], "nonnegative, one per battery population"),
+    ([0.5, math.nan, 0.5], "nonnegative, one per battery population"),
+    ([math.inf, 0.5, 0.5], "fixed populations must sum to 1"),
+], ids=["nan_first", "nan_middle", "inf"])
+def test_non_finite_fixed_populations_rejected(q, message):
+    # the populations' own check, not the program builder's finiteness check
+    with pytest.raises(ValueError, match=message):
+        fixed_distribution_feasible(degrade(sigma_x_povm(), 0.5), q)
 
 
 def test_program_data_is_checked_before_any_solve(monkeypatch):

@@ -476,6 +476,39 @@ def test_charact_universal(tmp_path, capsys):
     assert err == "error: state must live on d ladder levels\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_charact_universal_without_a_trial_exits_1(tmp_path, capsys, trials):
+    # no trial is no search: an error, not {"counterexample": null}
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(optimal_finite_state(3).to_json()))
+    code, out, err = run_cli(["charact", "universal", "--state", str(state), "--d", "3",
+                              "--trials", trials], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("scale", [0.4, 0.6], ids=["sub", "over"])
+def test_povm_effective_of_an_incomplete_povm_exits_1(tmp_path, capsys, scale):
+    # the constant blocks of a POVM summing to 2 * scale * I miss every
+    # sector's identity by 0.2: no apparatus, and no invented outcome
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps({"dim": 2, "elements": {
+        "a": matrix_to_json(scale * np.eye(2)), "b": matrix_to_json(scale * np.eye(2))}}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(optimal_finite_state(3).to_json() | {"levels": [0.0, 1.0, 2.0]}))
+    code, out, err = run_cli(["povm", "effective", "--file", str(path), "--state", str(state),
+                              "--delta", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: sector 0: the blocks miss the identity by 2.000e-01\n"
+    path.write_text(json.dumps(projective_qubit("x").to_json()))
+    code, out, _ = run_cli(["povm", "effective", "--file", str(path), "--state", str(state),
+                            "--delta", "1"], capsys)
+    assert code == 0
+    assert validate(Povm.from_json(json.loads(out))).ok
+
+
 def test_charact_dump_sdp(tmp_path, capsys):
     from enmeas.povm import degrade
 

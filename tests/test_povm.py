@@ -100,7 +100,7 @@ class TestEffectivePovm:
             big = np.kron(rho, batt.density())
             lhs = eff.probabilities(rho)
             rhs = [float(np.trace(big @ op).real) for op in ops]
-            assert np.allclose(lhs[: len(rhs)], rhs, atol=1e-12)
+            assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_the_placements_are_the_entrywise_sums_bit_for_bit(self):
         # the reference: every block entry added on its own, as scalars
@@ -187,6 +187,27 @@ class TestDegrade:
                 ref = degrade(m, tau)
                 for a, b in zip(eff.elements, ref.elements):
                     assert np.allclose(a, b, atol=1e-12)
+        # a mixed battery too: each sector's phase turns <f_0| sigma |f_1>
+        # onto the positive reals, and the sectors add up to tau(sigma)
+        for levels in ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0, 4.5, 5.5, 7.2]):
+            chains = decompose_chains(levels, 1.0)
+            for _ in range(10):
+                m = random_rank_one_povm(rng, 2, 3)
+                batt = BatteryState.mixed(random_density(rng, len(levels)))
+                tau = tau_of_state(batt, chains).tau
+                eff = effective_povm(phase_aligned_blocks(m, batt, chains), batt)
+                for a, b in zip(eff.elements, degrade(m, tau).elements):
+                    assert np.allclose(a, b, atol=1e-12)
+
+    def test_sector_blocks_need_a_qubit_povm(self):
+        # a qutrit POVM would otherwise be cut into 2 x 2 blocks in silence
+        m = random_rank_one_povm(np.random.default_rng(6), 3, 3)
+        chains = ladder(3)
+        batt = BatteryState.pure(np.ones(3) / math.sqrt(3))
+        for build in (lambda: constant_blocks(m, chains),
+                      lambda: phase_aligned_blocks(m, batt, chains)):
+            with pytest.raises(ValueError, match="require a qubit POVM, got dimension 3"):
+                build()
 
     def test_phase_aligned_blocks_copy_exactly_on_real_coherences(self):
         # with every adjacent coherence real and nonnegative (one of them 0)
@@ -281,17 +302,29 @@ def test_povm_json_roundtrip():
     assert back.labels == ["+", "-"]
 
 
-def test_subnormalized_blocks_get_null_outcome():
-    chains = ladder(3)
-    m = projective_qubit("z")
-    phys = constant_blocks(m, chains)
-    # shrink all blocks: deficit must come back as a dedicated outcome
+@pytest.mark.parametrize("scale", [0.8, 1.2], ids=["sub", "over"])
+def test_incomplete_blocks_rejected(scale):
+    # an energy-conserving apparatus is complete on every sector: blocks
+    # that miss the identity, below or above, are rejected where used
+    phys = constant_blocks(projective_qubit("z"), ladder(3))
     for bl in phys.blocks:
-        bl[:] = [0.8 * b for b in bl]
+        bl[:] = [scale * b for b in bl]
     batt = BatteryState.pure(np.ones(3) / math.sqrt(3))
-    eff = effective_povm(phys, batt)
-    assert "null" in eff.labels
-    assert validate(eff).ok
+    with pytest.raises(ValueError, match=r"^sector 0: the blocks miss the identity by 2\.000e-01$"):
+        effective_povm(phys, batt)
+
+
+def test_completeness_bound_is_that_of_validate():
+    # validate's 1e-9: a miss of 5e-10 in one sector passes, 2e-9 names it
+    batt = BatteryState.pure(np.ones(3) / math.sqrt(3))
+    for eps, ok in ((5e-10, True), (2e-9, False)):
+        phys = constant_blocks(projective_qubit("z"), ladder(3))
+        phys.blocks[0][2] = phys.blocks[0][2] + np.diag([eps, 0.0])
+        if ok:
+            assert validate(effective_povm(phys, batt)).ok
+        else:
+            with pytest.raises(ValueError, match=r"^sector 2: the blocks miss the identity by 2\.0"):
+                effective_povm(phys, batt)
 
 
 def test_physical_povm_checks_its_blocks():

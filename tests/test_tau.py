@@ -390,3 +390,26 @@ def test_a_scalar_off_its_domain_is_named(call, message):
     # argument check with its name, not deep inside a search or a program
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# a state or an amplitude check that nan passed (it compared with `>`) let
+# the nan through to a mean energy or a tau; each check now fails it
+@pytest.mark.parametrize("amps", [[NAN, 1.0], [INF, 0.0]], ids=["nan", "inf"])
+def test_pure_state_with_a_non_finite_amplitude_rejected(amps):
+    with pytest.raises(ValueError, match="pure state norm"):
+        BatteryState.pure(amps)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_levels_rejected(bad):
+    with pytest.raises(ValueError, match="levels must be finite"):
+        BatteryState.pure([1.0, 0.0], levels=[bad, 1.0])
+    with pytest.raises(ValueError, match="levels must be finite"):
+        BatteryState.mixed(np.eye(2) / 2, levels=[0.0, bad])
+
+
+@pytest.mark.parametrize("c0, c1", [(complex("nan"), 0.8), (0.6, NAN), (INF, 0.8)],
+                         ids=["nan_c0", "nan_c1", "inf_c0"])
+def test_near_resonant_non_finite_amplitude_rejected(c0, c1):
+    with pytest.raises(ValueError, match=r"\|c0\|\^2 \+ \|c1\|\^2 must equal 1"):
+        tau_near_resonant(c0, c1, 0.0, _gauss(), 1.0)
